@@ -427,16 +427,17 @@ def _cmd_critical(config: RunConfig) -> int:
     betas = _sweep_values(config.beta_sweep, config.beta)
     lengths = _sweep_values(config.l_sweep, config.length)
     points = [(beta, length) for beta in betas for length in lengths]
+    if config.optimize_l:
+        flat = minimize_over_length(
+            beta=0.0, prandtl=config.prandtl, gamma=config.gamma,
+            source=config.source,
+        )
 
     def solve(point):
         beta, length = point
         if config.optimize_l:
             optimum = minimize_over_length(
                 beta=beta, prandtl=config.prandtl, gamma=config.gamma,
-                source=config.source,
-            )
-            flat = minimize_over_length(
-                beta=0.0, prandtl=config.prandtl, gamma=config.gamma,
                 source=config.source,
             )
             length, ra, ra_flat = optimum.length, optimum.rayleigh, flat.rayleigh

@@ -65,8 +65,11 @@ class LorenzParams:
 
     def __post_init__(self):
         for name in ("sigma", "delta", "r"):
-            if not math.isfinite(getattr(self, name)):
+            value = getattr(self, name)
+            if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite")
+            # plain floats keep the scalar integrator off numpy scalars
+            object.__setattr__(self, name, float(value))
         if self.sigma <= 0.0:
             raise ValueError(f"sigma must be positive, got {self.sigma}")
         if self.delta <= 0.0:
@@ -165,20 +168,13 @@ def origin_eigenvalues(lp: LorenzParams) -> np.ndarray:
     """Eigenvalues at the origin, ordered (lambda+, lambda-, -delta).
 
     The quadratic factor has discriminant (sigma + 1)^2 + 4*sigma*(r - 1)
-    >= (sigma - 1)^2 for r >= 0, so all three are real. The closed form is
-    cross-checked against the numeric spectrum of the Jacobian.
+    >= (sigma - 1)^2 for r >= 0, so all three are real.
     """
     s, r = lp.sigma, lp.r
     disc = math.sqrt((s + 1.0) ** 2 + 4.0 * s * (r - 1.0))
-    values = np.array(
+    return np.array(
         [0.5 * (-(s + 1.0) + disc), 0.5 * (-(s + 1.0) - disc), -lp.delta]
     )
-    jacobian = np.array([[-s, s, 0.0], [r, -1.0, 0.0], [0.0, 0.0, -lp.delta]])
-    numeric = np.sort(np.linalg.eigvals(jacobian).real)
-    scale = max(1.0, float(np.max(np.abs(values))))
-    if np.max(np.abs(np.sort(values) - numeric)) > 1e-12 * scale:
-        raise ArithmeticError("origin eigenvalue formula disagrees with the Jacobian")
-    return values
 
 
 def classify_rest_state(lp: LorenzParams, tol: float = 1e-12) -> StabilityReport:

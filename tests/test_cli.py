@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -237,3 +241,12 @@ def test_argparse_rejects_unknown_commands(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main([])
     assert excinfo.value.code == 2
+
+
+def test_cli_import_does_not_load_scipy():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    subprocess.run(
+        [sys.executable, "-c",
+         "import anelor.cli, sys; assert 'scipy' not in sys.modules"],
+        env=env, check=True, timeout=60)

@@ -184,6 +184,44 @@ def test_finite_time_blowup_raises():
         integrate_reduced(runaway, [1.0, 1.0, 1.0], 50.0)
 
 
+def test_overflow_surfaces_as_integration_error():
+    # scalar float arithmetic raises on some overflows where numpy returns
+    # inf; every such failure must surface as IntegrationError
+    params = make_params()
+    runaway = GalerkinCoeffs(1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0,
+                             "closed_form", params)
+    with pytest.raises(IntegrationError):
+        integrate_reduced(runaway, [1e150, 1e150, 1e150], 50.0)
+    with pytest.raises(IntegrationError):
+        largest_lyapunov(LorenzParams(10.0, 8.0 / 3.0, 28.0),
+                         initial=[1e200, 1e200, 1e200])
+
+
+def test_chaotic_lorenz_matches_the_reference_rk45():
+    integrate = pytest.importorskip("scipy.integrate")
+    lp = LorenzParams(10.0, 8.0 / 3.0, 28.0)
+    grid = np.linspace(0.0, 5.0, 801)
+    ours = integrate_lorenz(lp, [1.0, 1.0, 1.0], 5.0, t_eval=grid)
+    reference = integrate.solve_ivp(
+        lambda s, y: lorenz_rhs(s, y, lp), (0.0, 5.0), [1.0, 1.0, 1.0],
+        method="RK45", t_eval=grid, rtol=1e-10, atol=1e-12)
+    assert reference.success
+    assert np.array_equal(ours.times, reference.t)
+    assert np.max(np.abs(ours.states - reference.y.T)) <= 1e-10
+    assert ours.nfev == reference.nfev
+
+
+def test_linear_system_matches_its_exponential_solution():
+    rates = np.array([-1.0, 0.5, -0.25])
+    linear = GalerkinCoeffs(rates[0], 0.0, 0.0, rates[1], 0.0, 0.0, rates[2],
+                            "closed_form", make_params())
+    initial = np.array([1.0, -2.0, 3.0])
+    traj = integrate_reduced(linear, initial, 3.0)
+    assert traj.times[-1] == 3.0
+    exact = initial * np.exp(np.outer(traj.times, rates))
+    assert np.max(np.abs(traj.states / exact - 1.0)) <= 1e-9
+
+
 def test_trajectory_validation():
     times = np.linspace(0.0, 1.0, 5)
     states = np.zeros((5, 3))

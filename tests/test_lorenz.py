@@ -128,6 +128,18 @@ def test_origin_eigenvalues_match_jacobian_and_products(r):
                                                  abs=1e-10)
 
 
+@pytest.mark.parametrize("sigma", [0.5, 1.0, 10.0])
+@pytest.mark.parametrize("r", [0.0, 0.5, 1.0, 1.001, 28.0, 1e3])
+def test_origin_eigenvalues_match_the_jacobian_spectrum(sigma, r):
+    lp = LorenzParams(sigma, 8.0 / 3.0, r)
+    values = origin_eigenvalues(lp)
+    jacobian = np.array([[-sigma, sigma, 0.0], [r, -1.0, 0.0],
+                         [0.0, 0.0, -lp.delta]])
+    numeric = np.sort(np.linalg.eigvals(jacobian).real)
+    scale = max(1.0, float(np.max(np.abs(values))))
+    assert np.max(np.abs(np.sort(values) - numeric)) <= 1e-12 * scale
+
+
 @pytest.mark.parametrize("r,expected", [(0.9, "stable"), (0.999, "stable"),
                                         (1.001, "unstable"), (1.1, "unstable")])
 def test_exchange_of_stability_sign(r, expected):
