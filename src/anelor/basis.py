@@ -20,6 +20,7 @@ derivatives, integrated with tensor-product Gauss-Legendre quadrature.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +37,7 @@ __all__ = [
     "mode_eval",
     "mode_partial",
     "vorticity_eigenvalue",
+    "vorticity_diffusion_terms",
     "weighted_inner_product",
     "vorticity_residual",
 ]
@@ -132,6 +134,24 @@ def vorticity_eigenvalue(j: ModeIndex, params: PhysicalParams) -> float:
     return -(0.25 * params.beta**2 + wave**2 + (n * np.pi) ** 2)
 
 
+def vorticity_diffusion_terms(beta: float) -> tuple:
+    """(coefficient, dx, dz) terms whose sum of coefficient * d^dx d^dz psi is
+    exp(-beta*z) * Lap(exp(beta*z) * (Lap psi + 2*beta*psi_z)); shared by the
+    projection oracle and the spectral pencil."""
+    return ((1.0, 4, 0), (2.0, 2, 2), (1.0, 0, 4),
+            (4.0 * beta, 2, 1), (4.0 * beta, 0, 3),
+            (beta**2, 2, 0), (5.0 * beta**2, 0, 2), (2.0 * beta**3, 0, 1))
+
+
+@functools.lru_cache(maxsize=16)
+def _gauss_legendre(order: int):
+    """Gauss-Legendre nodes and weights on [-1, 1], read-only: callers share them."""
+    nodes, weights = np.polynomial.legendre.leggauss(order)
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return nodes, weights
+
+
 class QuadratureRule:
     """Tensor-product Gauss-Legendre rule on (0, length) x (0, 1).
 
@@ -146,7 +166,7 @@ class QuadratureRule:
             raise ValueError(f"length must be > 0, got {length}")
         self.order = int(order)
         self.length = float(length)
-        nodes, weights = np.polynomial.legendre.leggauss(self.order)
+        nodes, weights = _gauss_legendre(self.order)
         # map [-1, 1] onto each axis
         self.x_nodes = 0.5 * self.length * (nodes + 1.0)
         self.x_weights = 0.5 * self.length * weights

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import ModeGrid, ModeIndex, QuadratureRule
+from .basis import ModeGrid, ModeIndex, QuadratureRule, vorticity_diffusion_terms
 from .params import PhysicalParams
 
 __all__ = [
@@ -172,16 +172,9 @@ def _oracle_terms(params: PhysicalParams, rule: QuadratureRule) -> dict:
     vort = -Eb * (lap_a + beta * a.partial(0, 1))
     mass_omega = quad(vort * a.partial())
 
-    # diffusion of (w - beta exp(beta z) psi_z) = -exp(beta z)(Lap psi + 2 beta psi_z):
-    # Lap(exp(beta z) f) = exp(beta z)(Lap f + 2 beta f_z + beta^2 f)
-    bilap = a.partial(4, 0) + 2.0 * a.partial(2, 2) + a.partial(0, 4)
-    lap_az = a.partial(2, 1) + a.partial(0, 3)
-    diffused = -Eb * (
-        bilap
-        + 4.0 * beta * lap_az
-        + beta**2 * lap_a
-        + 4.0 * beta**2 * a.partial(0, 2)
-        + 2.0 * beta**3 * a.partial(0, 1)
+    # diffusion of (w - beta exp(beta z) psi_z) = -exp(beta z)(Lap psi + 2 beta psi_z)
+    diffused = -Eb * sum(
+        c * a.partial(dx, dz) for c, dx, dz in vorticity_diffusion_terms(beta)
     )
     diffusive_omega = quad(Eb * diffused * a.partial())
 

@@ -16,9 +16,11 @@ stacked vector x = (A_1..A_N, B_1..B_N), with
     L(Ra)  = L0 + sqrt(Ra) * L1, where L0 holds the diffusion blocks and L1
              only the buoyancy/source cross blocks
 
-All entries are computed by quadrature with the same integrands the
-coefficient oracle uses, so the N = 1 pencil reproduces the reduced model's
-critical Rayleigh number by construction rather than by coincidence.
+The entries use the oracle's integrands, so the N = 1 pencil reproduces the
+reduced critical Rayleigh number by construction. Each integrand is an x-factor
+times a z-factor, so its tensor Gauss-Legendre sum is an x-quadrature of two
+Fourier lines times (N x order) @ (order x N) products of the shared vertical
+profiles. The onset is one eigenvalue solve (see critical_rayleigh_spectral).
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import ModeGrid, ModeIndex, QuadratureRule
+from .basis import QuadratureRule, fourier_partial, vertical_partial, vorticity_diffusion_terms
 from .params import PhysicalParams
 
 __all__ = [
@@ -41,7 +43,7 @@ __all__ = [
 
 
 class SpectralBracketError(RuntimeError):
-    """No sign change of the growth rate inside the expandable bracket."""
+    """No stationary onset: unstable at Ra = 0, no real crossing, or oscillatory."""
 
 
 @dataclass(frozen=True)
@@ -90,72 +92,57 @@ def assemble_pencil(
     return LinearOperatorPencil(params=params, m=m, n_modes=n_modes, **matrices)
 
 
-def _assemble_matrices(params, m, n_modes, rule):
-    _, Z, W = rule.grid()
-    beta = params.beta
-    pr = params.prandtl
-    Eb = np.exp(beta * Z)
-    E2 = np.exp(2.0 * beta * Z)
+def _assemble_matrices(params, m, n, rule):
+    beta, pr = params.beta, params.prandtl
+    # profiles[d][k - 1] is the d-th z-derivative of vertical mode k; the
+    # psi and tau families share them
+    profiles = [
+        np.array([vertical_partial(k, rule.z_nodes, beta, d) for k in range(1, n + 1)])
+        for d in range(5)
+    ]
 
-    psi = [ModeGrid(ModeIndex(-1, m, n), params, rule) for n in range(1, n_modes + 1)]
-    tau = [ModeGrid(ModeIndex(+1, m, n), params, rule) for n in range(1, n_modes + 1)]
+    def block(terms, weight, trial, test):
+        # [i, j] = sum of c * int exp(weight*beta*z) d^dx d^dz trial_j * test_i
+        test_x = fourier_partial(test, m, rule.x_nodes, params.length)
+        test_z = profiles[0] * (rule.z_weights * np.exp(weight * beta * rule.z_nodes))
+        out = np.zeros((n, n))
+        for c, dx, dz in terms:
+            trial_x = fourier_partial(trial, m, rule.x_nodes, params.length, dx)
+            x_part = float(np.dot(rule.x_weights * trial_x, test_x))
+            out += c * x_part * (test_z @ profiles[dz].T)
+        return out
 
-    def quad(field):
-        return float(np.sum(W * field))
-
-    def diffused(mode: ModeGrid):
-        # Lap of the damped vorticity component, expanded in psi derivatives
-        lap = mode.laplacian()
-        lap_z = mode.partial(2, 1) + mode.partial(0, 3)
-        bilap = mode.partial(4, 0) + 2.0 * mode.partial(2, 2) + mode.partial(0, 4)
-        return -Eb * (
-            bilap
-            + 4.0 * beta * lap_z
-            + beta**2 * lap
-            + 4.0 * beta**2 * mode.partial(0, 2)
-            + 2.0 * beta**3 * mode.partial(0, 1)
-        )
-
-    n = n_modes
-    mass = np.zeros((2 * n, 2 * n))
-    l0 = np.zeros((2 * n, 2 * n))
-    l1 = np.zeros((2 * n, 2 * n))
-
+    psi, tau = -1, +1
     # vorticity rows: time-derivative projections are diagonal by weighted
     # orthonormality; normalize each row by its diagonal entry
-    omega_gram = np.empty(n)
-    for i in range(n):
-        vort_i = -Eb * (psi[i].laplacian() + beta * psi[i].partial(0, 1))
-        omega_gram[i] = quad(vort_i * psi[i].partial())
-    for i in range(n):
-        mass[i, i] = 1.0
-        for j in range(n):
-            entry = quad(Eb * diffused(psi[j]) * psi[i].partial())
-            entry += params.gamma * beta**2 * quad(
-                E2 * psi[j].partial(2, 0) * psi[i].partial()
-            )
-            l0[i, j] = pr * entry / omega_gram[i]
-            l1[i, n + j] = (
-                -pr * quad(Eb * tau[j].partial(1, 0) * psi[i].partial()) / omega_gram[i]
-            )
+    vorticity = ((-1.0, 2, 0), (-1.0, 0, 2), (-beta, 0, 1))
+    rows = pr / np.diag(block(vorticity, 1, psi, psi))[:, None]
+    diffusion = [(-c, dx, dz) for c, dx, dz in vorticity_diffusion_terms(beta)]
+    diffusion.append((params.gamma * beta**2, 2, 0))
+    buoyancy = ((1.0, 1, 0),)
 
+    mass = np.eye(2 * n)
+    l0 = np.zeros((2 * n, 2 * n))
+    l1 = np.zeros((2 * n, 2 * n))
+    l0[:n, :n] = rows * block(diffusion, 2, psi, psi)
+    l1[:n, n:] = -rows * block(buoyancy, 1, tau, psi)
     # temperature rows: unweighted Gram mass, weighted diffusion
-    for i in range(n):
-        for j in range(n):
-            mass[n + i, n + j] = quad(tau[j].partial() * tau[i].partial())
-            l0[n + i, n + j] = quad(Eb * tau[j].laplacian() * tau[i].partial())
-            l1[n + i, j] = quad(Eb * psi[j].partial(1, 0) * tau[i].partial())
-
+    mass[n:, n:] = block(((1.0, 0, 0),), 0, tau, tau)
+    l0[n:, n:] = block(((1.0, 2, 0), (1.0, 0, 2)), 1, tau, tau)
+    l1[n:, :n] = block(buoyancy, 1, psi, tau)
     return {"mass": mass, "l0": l0, "l1": l1}
+
+
+def _spectrum(pencil: LinearOperatorPencil, rayleigh: float) -> np.ndarray:
+    stiffness = pencil.l0 + math.sqrt(rayleigh) * pencil.l1
+    return np.linalg.eigvals(np.linalg.solve(pencil.mass, stiffness))
 
 
 def leading_growth_rate(pencil: LinearOperatorPencil, rayleigh: float) -> float:
     """Maximum real part over the 2N generalized eigenvalues at this Ra."""
     if rayleigh < 0.0:
         raise ValueError("rayleigh must be nonnegative")
-    stiffness = pencil.l0 + math.sqrt(rayleigh) * pencil.l1
-    eigenvalues = np.linalg.eigvals(np.linalg.solve(pencil.mass, stiffness))
-    return float(np.max(eigenvalues.real))
+    return float(np.max(_spectrum(pencil, rayleigh).real))
 
 
 def critical_rayleigh_spectral(
@@ -163,28 +150,28 @@ def critical_rayleigh_spectral(
     m: int = 1,
     n_modes: int = 1,
     rule: QuadratureRule | None = None,
-    tol: float = 1e-10,
 ) -> float:
-    """Rayleigh number where the truncated system's growth rate crosses zero.
+    """Rayleigh number where the truncated system's growth rate first crosses zero.
 
-    Bisection from the bracket [0, 1e5], expanding the upper edge tenfold
-    until the growth rate turns positive, then halving until |growth| < tol.
+    A real eigenvalue crosses zero where L0 + s*L1 is singular, s = sqrt(Ra),
+    so s = 1/mu for the largest positive real eigenvalue mu of -L0^-1 L1.
+    Raises SpectralBracketError when the rest state is not stable at Ra = 0,
+    when no positive real mu exists, or when the growth rate at the result is
+    positive beyond roundoff, i.e. an oscillatory mode crossed first.
     """
     pencil = assemble_pencil(params, m, n_modes, rule)
-    lo, hi = 0.0, 1e5
-    if leading_growth_rate(pencil, lo) >= 0.0:
+    if leading_growth_rate(pencil, 0.0) >= 0.0:
         raise SpectralBracketError("growth rate at Ra = 0 is not negative")
-    while leading_growth_rate(pencil, hi) < 0.0:
-        hi *= 10.0
-        if hi > 1e12:
-            raise SpectralBracketError("no instability below Ra = 1e12")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        growth = leading_growth_rate(pencil, mid)
-        if abs(growth) < tol:
-            return mid
-        if growth > 0.0:
-            hi = mid
-        else:
-            lo = mid
-    raise ArithmeticError("bisection failed to settle the growth rate")
+    mu = np.linalg.eigvals(-np.linalg.solve(pencil.l0, pencil.l1))
+    real = mu.real[(mu.imag == 0.0) & (mu.real > 0.0)]
+    if real.size == 0:
+        raise SpectralBracketError("no real eigenvalue crosses zero at any Ra > 0")
+    rayleigh = float(np.max(real)) ** -2
+    spectrum = _spectrum(pencil, rayleigh)
+    growth = float(np.max(spectrum.real))
+    if growth > 1e-8 * float(np.max(np.abs(spectrum))):
+        raise SpectralBracketError(
+            f"oscillatory onset: growth rate is {growth:.3e} at the first real "
+            f"crossing Ra = {rayleigh:.6e}"
+        )
+    return rayleigh

@@ -153,6 +153,15 @@ def test_quadrature_is_exact_on_polynomials():
     assert rule.integrate(X**5 * Z) == pytest.approx((2.0**6 / 6.0) * 0.5, rel=1e-14)
 
 
+def test_quadrature_rules_of_one_order_share_no_writable_nodes():
+    first = QuadratureRule(8, 2.0)
+    first.x_nodes[:] = 0.0
+    first.z_weights[:] = 0.0
+    second = QuadratureRule(8, 2.0)
+    assert second.integrate_z(np.ones(8)) == pytest.approx(1.0, rel=1e-14)
+    assert np.all(np.diff(second.x_nodes) > 0.0)
+
+
 def test_quadrature_weighted_line_integral():
     # int_0^1 exp(z) (1 - cos 2 pi z) dz = (e - 1) * 4 pi^2 / (1 + 4 pi^2)
     rule = QuadratureRule(32, 1.0)

@@ -164,6 +164,27 @@ def test_validate_routes_and_report_file(capsys, tmp_path):
     assert report.read_text().splitlines()[0] == REPORT_HEADER
 
 
+# ra_critical for N = 1, 2, 4, 8, 16 at the default Pr, gamma and l, as
+# computed by a growth-rate bisection settled to |growth| < 1e-10
+VALIDATE_GOLDEN = {
+    "0.3": [769.8158790617526, 768.2693100548477, 768.2853740561768,
+            768.2920008278415, 768.2933781097745],
+    "5": [22879.11014036581, 20312.524025939638, 17356.76481775954,
+          17156.90391715725, 17154.93331680591],
+}
+
+
+@pytest.mark.parametrize("beta", sorted(VALIDATE_GOLDEN))
+def test_validate_onsets_match_golden_values(capsys, beta):
+    code, out, _ = run(capsys, "validate", "--beta", beta, "--n-modes", "1",
+                       "2", "4", "8", "16", "--format", "json", "--quiet")
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    assert [row[2] for row in rows] == [1, 2, 4, 8, 16]
+    for row, expected in zip(rows, VALIDATE_GOLDEN[beta]):
+        assert abs(row[3] - expected) <= 1e-9 * expected
+
+
 def test_environment_and_config_precedence(capsys, tmp_path, monkeypatch):
     config = tmp_path / "run.cfg"
     config.write_text("# comment\nbeta = 0.1\nsource = closed_form\n")

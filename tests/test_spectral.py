@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from anelor.basis import QuadratureRule
+from anelor.basis import ModeGrid, ModeIndex, QuadratureRule
 from anelor.lorenz import critical_rayleigh
 from anelor.params import PhysicalParams
 from anelor.projection import closed_form_coefficients
@@ -156,4 +156,105 @@ def test_bracket_failures_raise(monkeypatch):
     monkeypatch.setattr(spectral, "assemble_pencil",
                         lambda *a, **k: never_unstable)
     with pytest.raises(SpectralBracketError):
+        critical_rayleigh_spectral(make_params())
+
+
+def tensor_grid_pencil(params, n_modes, rule):
+    """Every pencil entry as a 2D tensor-grid quadrature sum on ModeGrid."""
+    _, Z, W = rule.grid()
+    beta, n = params.beta, n_modes
+    Eb, E2 = np.exp(beta * Z), np.exp(2.0 * beta * Z)
+    psi = [ModeGrid(ModeIndex(-1, 1, k), params, rule) for k in range(1, n + 1)]
+    tau = [ModeGrid(ModeIndex(+1, 1, k), params, rule) for k in range(1, n + 1)]
+
+    def quad(field):
+        return float(np.sum(W * field))
+
+    def diffused(g):
+        return -Eb * (
+            g.partial(4, 0) + 2.0 * g.partial(2, 2) + g.partial(0, 4)
+            + 4.0 * beta * (g.partial(2, 1) + g.partial(0, 3))
+            + beta**2 * g.laplacian()
+            + 4.0 * beta**2 * g.partial(0, 2)
+            + 2.0 * beta**3 * g.partial(0, 1))
+
+    mass, l0, l1 = np.eye(2 * n), np.zeros((2 * n, 2 * n)), np.zeros((2 * n, 2 * n))
+    for i in range(n):
+        gram = quad(-Eb * (psi[i].laplacian() + beta * psi[i].partial(0, 1))
+                    * psi[i].partial())
+        for j in range(n):
+            entry = quad(Eb * diffused(psi[j]) * psi[i].partial())
+            entry += params.gamma * beta**2 * quad(
+                E2 * psi[j].partial(2, 0) * psi[i].partial())
+            l0[i, j] = params.prandtl * entry / gram
+            l1[i, n + j] = -params.prandtl * quad(
+                Eb * tau[j].partial(1, 0) * psi[i].partial()) / gram
+            mass[n + i, n + j] = quad(tau[j].partial() * tau[i].partial())
+            l0[n + i, n + j] = quad(Eb * tau[j].laplacian() * tau[i].partial())
+            l1[n + i, j] = quad(Eb * psi[j].partial(1, 0) * tau[i].partial())
+    return {"mass": mass, "l0": l0, "l1": l1}
+
+
+@pytest.mark.parametrize("beta", [0.0, 1.0, 5.0])
+def test_separable_pencil_matches_the_tensor_grid_sum(beta):
+    params = make_params(beta=beta, prandtl=7.0, gamma=0.8, length=3.1)
+    rule = QuadratureRule(64, params.length)
+    pencil = assemble_pencil(params, n_modes=4, rule=rule)
+    reference = tensor_grid_pencil(params, 4, rule)
+    for name, expected in reference.items():
+        actual = getattr(pencil, name)
+        # zero blocks (mass and l0 cross blocks, l1 diagonal blocks) are exact
+        for rows in (slice(0, 4), slice(4, 8)):
+            for cols in (slice(0, 4), slice(4, 8)):
+                block, ref = actual[rows, cols], expected[rows, cols]
+                scale = np.max(np.abs(ref))
+                assert np.max(np.abs(block - ref)) <= 1e-12 * scale, (name, rows, cols)
+
+
+def bisected_onset(pencil):
+    lo, hi = 0.0, 1e3
+    while leading_growth_rate(pencil, hi) < 0.0:
+        hi *= 2.0
+    while hi - lo > 1e-14 * hi:
+        mid = 0.5 * (lo + hi)
+        if leading_growth_rate(pencil, mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+@pytest.mark.parametrize("n_modes", [1, 4, 8, 16])
+@pytest.mark.parametrize("beta", [0.0, 0.3, 1.0, 3.0, 5.0])
+def test_eigen_onset_matches_bisection_on_the_growth_rate(beta, n_modes):
+    params = make_params(beta=beta)
+    onset = critical_rayleigh_spectral(params, n_modes=n_modes)
+    assert type(onset) is float
+    reference = bisected_onset(assemble_pencil(params, n_modes=n_modes))
+    assert abs(onset - reference) <= 1e-10 * reference
+
+
+def test_onset_settles_at_strong_stratification():
+    # a growth-rate bisection cannot reach |growth| < 1e-10 here: the
+    # growth rate moves by 0.68 per 0.1 % of Ra
+    params = make_params(beta=13.0)
+    onset = critical_rayleigh_spectral(params, n_modes=8)
+    assert math.isfinite(onset)
+    assert abs(leading_growth_rate(assemble_pencil(params, n_modes=8), onset)) <= 1e-6
+
+
+def test_oscillatory_onset_raises(monkeypatch):
+    import anelor.spectral as spectral
+
+    # a complex pair -1 + s(1 +- 2i) crosses at s = 1, before the real
+    # eigenvalue -1 + s/2 crosses at s = 2; the complex eigenvalues 1 +- 2i
+    # of -L0^-1 L1 mark no real crossing and must not set the onset
+    l0 = -np.eye(4)
+    l1 = np.zeros((4, 4))
+    l1[:2, :2] = [[1.0, 2.0], [-2.0, 1.0]]
+    l1[2:, 2:] = [[0.0, 0.5], [0.5, 0.0]]
+    pencil = LinearOperatorPencil(params=make_params(), m=1, n_modes=2,
+                                  mass=np.eye(4), l0=l0, l1=l1)
+    monkeypatch.setattr(spectral, "assemble_pencil", lambda *a, **k: pencil)
+    with pytest.raises(SpectralBracketError, match="oscillatory"):
         critical_rayleigh_spectral(make_params())
