@@ -34,11 +34,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import QuadratureRule
-from .dynamics import integrate_lorenz, integrate_reduced, map_trajectory
+from .dynamics import integrate_lorenz, integrate_reduced, map_trajectory, render_csv
 from .lorenz import critical_rayleigh, minimize_over_length, scale_to_lorenz
 from .params import PhysicalParams
 from .projection import coefficients, discrepancy_report
-from .spectral import critical_rayleigh_spectral
+from .spectral import critical_rayleigh_spectral, default_order
 
 __all__ = ["ConfigError", "RunConfig", "main", "entry"]
 
@@ -338,20 +338,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return f"{value:.17g}"
-    return str(value)
-
-
-def _render_csv(columns, rows) -> str:
-    lines = [",".join(columns)]
-    lines.extend(",".join(_cell(value) for value in row) for row in rows)
-    return "\n".join(lines) + "\n"
-
-
 def _render_json(document) -> str:
     return json.dumps(document, indent=2, allow_nan=False) + "\n"
 
@@ -379,7 +365,7 @@ def _params_dict(params: PhysicalParams) -> dict:
 
 def _emit(config: RunConfig, columns, rows, extra: dict) -> None:
     if config.format == "csv":
-        text = _render_csv(columns, rows)
+        text = render_csv(columns, rows)
     else:
         document = {"command": config.subcommand}
         document.update(extra)
@@ -518,7 +504,10 @@ def _cmd_validate(config: RunConfig) -> int:
     reduced_value = critical_rayleigh(params, "oracle", rule)
 
     def solve(n_modes):
-        spectral_value = critical_rayleigh_spectral(params, config.m, n_modes, rule)
+        # high truncations need more points than --order may give
+        order = max(config.order, default_order(n_modes))
+        spectral_value = critical_rayleigh_spectral(
+            params, config.m, n_modes, QuadratureRule(order, params.length))
         rel = float(abs(spectral_value - reduced_value) / reduced_value)
         return (params.beta, config.m, n_modes, spectral_value, reduced_value, rel)
 
@@ -537,7 +526,7 @@ def _cmd_validate(config: RunConfig) -> int:
     if config.report:
         table = [tuple(row[col] for col in report_columns) for row in report_rows]
         if config.format == "csv":
-            _deliver(_render_csv(report_columns, table), config.report)
+            _deliver(render_csv(report_columns, table), config.report)
         else:
             _deliver(_render_json({
                 "command": "validate-report",

@@ -1,19 +1,20 @@
 """Time integration of the reduced (A, B, C) and Lorenz (X, Y, Z) systems.
 
-Both systems are driven through one in-repo adaptive Dormand-Prince 5(4)
-pair (Dormand & Prince 1980) with Shampine's 4th-order dense output, so a
-trajectory computed in reduced coordinates and pushed through the scaling
-map can be compared pointwise against one integrated directly in Lorenz
-coordinates. The stepper works on plain Python floats; error control, the
-starting step and the step-size controller follow Hairer, Norsett & Wanner,
-Solving Ordinary Differential Equations I, Sec. II.4. The module also
-provides the decay/growth diagnostic used for onset checks (least-squares
-slope of the log amplitude over the trailing part of a run) and a Benettin
-estimate of the largest Lyapunov exponent (Benettin et al. 1980).
+Both systems, and the Lorenz flow with its tangent for a Benettin estimate of
+the largest Lyapunov exponent (Benettin et al. 1980), run through one in-repo
+adaptive Dormand-Prince 5(4) pair (Dormand & Prince 1980) with Shampine's
+dense output, so a reduced trajectory pushed through the scaling map can be
+compared pointwise against one integrated in Lorenz coordinates. Error
+control, starting step and controller follow Hairer, Norsett & Wanner,
+Solving ODEs I, Sec. II.4. The step loop is generated from the tableau once
+per state dimension (3, or 6 with the tangent) as straight-line code on
+floats in locals: per-component lists cost more than the arithmetic here.
+Also here: the decay/growth diagnostic of the trailing log amplitude.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -25,6 +26,7 @@ from .projection import GalerkinCoeffs
 __all__ = [
     "IntegrationError",
     "Trajectory",
+    "render_csv",
     "reduced_rhs",
     "lorenz_rhs",
     "integrate_reduced",
@@ -53,6 +55,8 @@ class Trajectory:
     rtol: float
     atol: float
     nfev: int
+    steps: int = 0
+    rejected: int = 0
 
     def __post_init__(self):
         times = np.asarray(self.times, dtype=float)
@@ -75,17 +79,23 @@ class Trajectory:
         return self.states[-1]
 
     def to_csv(self, target) -> None:
-        """Write `labels` as a header then one row per sample, 17 significant
-        digits, comma separator, LF line endings."""
-        lines = [",".join(self.labels)]
-        for t, row in zip(self.times, self.states):
-            lines.append(",".join(f"{v:.17g}" for v in (t, *row)))
-        text = "\n".join(lines) + "\n"
+        """Write `render_csv` of `labels` and the (time, *state) rows to a
+        path or a file-like target."""
+        text = render_csv(self.labels, np.column_stack([self.times, self.states]))
         if hasattr(target, "write"):
             target.write(text)
         else:
             with open(target, "w", newline="\n") as handle:
                 handle.write(text)
+
+
+def render_csv(columns, rows) -> str:
+    """A header, then one comma-separated line per row with floats to 17
+    significant digits and None as an empty cell; LF line endings."""
+    lines = [",".join(columns)] + [
+        ",".join("" if v is None else f"{v:.17g}" if isinstance(v, float) else str(v)
+                 for v in row) for row in rows]
+    return "\n".join(lines) + "\n"
 
 
 def reduced_rhs(t, state, e):
@@ -101,19 +111,21 @@ def lorenz_rhs(s, state, lp: LorenzParams):
     return (lp.sigma * (Y - X), lp.r * X - Y - X * Z, X * Y - lp.delta * Z)
 
 
-# Dormand-Prince 5(4) tableau (Hairer, Norsett & Wanner, Table II.5.5). The
-# step advances with the 5th-order weights B; E holds B minus the embedded
-# 4th-order weights, with a seventh entry for the first-same-as-last stage.
-_C2, _C3, _C4, _C5 = 1 / 5, 3 / 10, 4 / 5, 8 / 9
-_A21 = 1 / 5
-_A31, _A32 = 3 / 40, 9 / 40
-_A41, _A42, _A43 = 44 / 45, -56 / 15, 32 / 9
-_A51, _A52, _A53, _A54 = 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729
-_A61, _A62, _A63, _A64, _A65 = (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176,
-                                -5103 / 18656)
-_B1, _B3, _B4, _B5, _B6 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
-_E1, _E3, _E4, _E5, _E6, _E7 = (-71 / 57600, 71 / 16695, -71 / 1920,
-                                17253 / 339200, -22 / 525, 1 / 40)
+def _tangent_rhs(s, y, lp: LorenzParams):
+    """The Lorenz flow of (X, Y, Z) and its linearization acting on (u, v, w)."""
+    X, Y, Z, u, v, w = y
+    return (lp.sigma * (Y - X), lp.r * X - Y - X * Z, X * Y - lp.delta * Z,
+            lp.sigma * (v - u), (lp.r - Z) * u - v - X * w, Y * u + X * v - lp.delta * w)
+
+
+# Dormand-Prince 5(4) (Hairer, Norsett & Wanner, Table II.5.5): nodes _C, rows _A
+# of stages 2-6, step weights _B, and _E = _B minus the 4th-order weights (+ FSAL).
+_C = (1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0)
+_A = ((1 / 5,), (3 / 40, 9 / 40), (44 / 45, -56 / 15, 32 / 9),
+      (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+      (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656))
+_B = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)
+_E = (-71 / 57600, 0.0, 71 / 16695, -71 / 1920, 17253 / 339200, -22 / 525, 1 / 40)
 # 4th-order dense output (Shampine 1986): over a step from (t, y) with stages
 # K (7, n), y(t + x h) = y + h K^T P (x, x^2, x^3, x^4).
 _P = np.array([
@@ -132,87 +144,98 @@ _P = np.array([
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
 
 
-def _rms(values) -> float:
-    return math.hypot(*values) / math.sqrt(len(values))
-
-
-def _initial_step(fun, y, f, t_end, rtol, atol) -> float:
-    """Starting step for a 4th-order error estimate (Hairer, Norsett &
-    Wanner, Sec. II.4): a trial Euler step gauges the second derivative."""
+def _initial_step(fun, arg, y, t_end, rtol, atol):
+    """First RHS value and starting step for a 4th-order error estimate (Sec.
+    II.4): a trial Euler step gauges the second derivative; norms are RMS."""
+    f, root_n = fun(0.0, y, arg), math.sqrt(len(y))
     scale = [atol + rtol * abs(a) for a in y]
-    d0 = _rms([a / w for a, w in zip(y, scale)])
-    d1 = _rms([p / w for p, w in zip(f, scale)])
+    d0 = math.hypot(*[a / w for a, w in zip(y, scale)]) / root_n
+    d1 = math.hypot(*[p / w for p, w in zip(f, scale)]) / root_n
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, t_end)
-    f1 = fun(h0, [a + h0 * p for a, p in zip(y, f)])
-    d2 = _rms([(q - p) / w for p, q, w in zip(f, f1, scale)]) / h0
+    f1 = fun(h0, [a + h0 * p for a, p in zip(y, f)], arg)
+    d2 = math.hypot(*[(q - p) / w for p, q, w in zip(f, f1, scale)]) / root_n / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
         h1 = (0.01 / max(d1, d2)) ** 0.2
-    return min(100.0 * h0, h1, t_end)
+    return f, min(100.0 * h0, h1, t_end)
 
 
-def _dopri45(fun, y, t_end, rtol, atol):
-    """Integrate y' = fun(t, y) from t = 0 to t_end; y is a list of floats.
+_LOOP = """\
+def dopri45(fun, arg, y, t_end, rtol, atol):
+    k1, h_abs = _initial_step(fun, arg, y, t_end, rtol, atol)
+    nfev, t, bounds, records, y = 2, 0.0, [0.0], [], tuple(y)
+    while t < t_end:
+        {y} = y
+        {k1} = k1
+        min_step = 10.0 * math.ulp(t)
+        h_abs = max(h_abs, min_step)
+        rejected = False
+        while True:
+            if not h_abs >= min_step:
+                raise IntegrationError("step size %.3g fell below the float "
+                                       "spacing at t = %.17g" % (h_abs, t))
+            t_new = min(t + h_abs, t_end)
+            h = t_new - t
+{stages}
+            nfev += 6
+            error = math.hypot({error}) / {sqrt_n!r}
+            if error < 1.0:
+                factor = (_MAX_FACTOR if error == 0.0 else
+                          min(_MAX_FACTOR, _SAFETY * error ** -0.2))
+                h_abs = h * (min(1.0, factor) if rejected else factor)
+                break
+            h_abs = h * max(_MIN_FACTOR, _SAFETY * error ** -0.2)
+            rejected = True
+        records.append((y, k1, k2, k3, k4, k5, k6, k7))
+        bounds.append(t_new)
+        t, y, k1 = t_new, y_new, k7
+    return y, nfev, bounds, records
+"""
 
-    Each step is accepted when the RMS of the embedded error, scaled by
-    atol + rtol * max(|y_old|, |y_new|), is below one; the next step is
-    scaled by 0.9 * err^(-1/5), clipped to [0.2, 10] and to at most 1 right
-    after a rejection. Returns (final state, RHS evaluations, step
-    boundaries [0, t1, ..., t_end], and per step the tuple (y, k1, ..., k7)
-    that `_dense_output` interpolates). Overflow, a non-finite state and a
-    step below the float spacing raise IntegrationError.
-    """
+
+@functools.cache
+def _stepper(n: int):
+    """Compile _LOOP for n floats: tableau entries as literals, each component's
+    line spelled out, max(|y|, |z|) as well (the builtin call would cost most)."""
+    def names(prefix):
+        return ", ".join(f"{prefix}{i}" for i in range(n)) + ","
+    def combo(i, weights):  # weights[j] * k{j+1}_i summed left to right
+        return " + ".join(f"{w!r} * k{j}_{i}" for j, w in enumerate(weights, 1) if w)
+    def state(weights):
+        return ", ".join(f"y{i} + h * ({combo(i, weights)})" for i in range(n)) + ","
+
+    lines = []
+    for s, (c, row) in enumerate(zip(_C, _A), 2):
+        # the c = 1 stage runs at t_new itself, which t + h need not round to
+        at = "t_new" if c == 1.0 else f"t + {c!r} * h"
+        lines += [f"k{s} = fun({at}, ({state(row)}), arg)", f"{names(f'k{s}_')} = k{s}"]
+    lines += [f"y_new = ({state(_B)})", f"{names('z')} = y_new",
+              "k7 = fun(t_new, y_new, arg)", f"{names('k7_')} = k7"]
+    error = ", ".join(f"h * ({combo(i, _E)}) / (atol + rtol * "
+                      f"(abs(y{i}) if abs(y{i}) > abs(z{i}) else abs(z{i})))"
+                      for i in range(n))
+    source = _LOOP.format(y=names("y"), k1=names("k1_"), error=error,
+                          sqrt_n=math.sqrt(n),
+                          stages="\n".join(" " * 12 + line for line in lines))
+    namespace = {}
+    exec(compile(source, f"<dopri45, n = {n}>", "exec"), globals(), namespace)
+    return namespace["dopri45"]
+
+
+def _dopri45(fun, arg, y, t_end, rtol, atol):
+    """Integrate y' = fun(t, y, arg), y of n floats, from t = 0 to t_end with
+    `_stepper(n)`, built once per n as namedtuple and dataclasses build code.
+
+    A step is accepted when the RMS of the embedded error, scaled by atol +
+    rtol * max(|y_old|, |y_new|), is below one; the next step is scaled by
+    0.9 * err^(-1/5), clipped to [0.2, 10] and to at most 1 after a
+    rejection. Returns (final y, RHS evaluations, step bounds [0, ..., t_end],
+    per step the (y, k1, ..., k7) `_dense_output` reads). Overflow, non-finite
+    states and steps below the float spacing raise IntegrationError."""
     try:
-        f = fun(0.0, y)
-        h_abs = _initial_step(fun, y, f, t_end, rtol, atol)
-        nfev, t = 2, 0.0
-        bounds, records = [t], []
-        while t < t_end:
-            min_step = 10.0 * math.ulp(t)
-            h_abs = max(h_abs, min_step)
-            rejected = False
-            while True:
-                if not h_abs >= min_step:
-                    raise IntegrationError(
-                        f"step size {h_abs:.3g} fell below the float spacing "
-                        f"at t = {t:.17g}")
-                t_new = min(t + h_abs, t_end)
-                h = t_new - t
-                k1 = f
-                k2 = fun(t + _C2 * h, [a + h * (_A21 * p) for a, p in zip(y, k1)])
-                k3 = fun(t + _C3 * h, [a + h * (_A31 * p + _A32 * q)
-                                       for a, p, q in zip(y, k1, k2)])
-                k4 = fun(t + _C4 * h, [a + h * (_A41 * p + _A42 * q + _A43 * r)
-                                       for a, p, q, r in zip(y, k1, k2, k3)])
-                k5 = fun(t + _C5 * h, [
-                    a + h * (_A51 * p + _A52 * q + _A53 * r + _A54 * u)
-                    for a, p, q, r, u in zip(y, k1, k2, k3, k4)])
-                k6 = fun(t_new, [
-                    a + h * (_A61 * p + _A62 * q + _A63 * r + _A64 * u + _A65 * v)
-                    for a, p, q, r, u, v in zip(y, k1, k2, k3, k4, k5)])
-                y_new = [a + h * (_B1 * p + _B3 * r + _B4 * u + _B5 * v + _B6 * w)
-                         for a, p, r, u, v, w in zip(y, k1, k3, k4, k5, k6)]
-                k7 = fun(t_new, y_new)
-                nfev += 6
-                # max(|a|, |b|) spelled out: the builtin call is the costliest
-                # part of this hot line
-                error = _rms([
-                    h * (_E1 * p + _E3 * r + _E4 * u + _E5 * v + _E6 * w + _E7 * z)
-                    / (atol + rtol * (abs(a) if abs(a) > abs(b) else abs(b)))
-                    for a, b, p, r, u, v, w, z
-                    in zip(y, y_new, k1, k3, k4, k5, k6, k7)])
-                if error < 1.0:
-                    factor = (_MAX_FACTOR if error == 0.0 else
-                              min(_MAX_FACTOR, _SAFETY * error ** -0.2))
-                    h_abs = h * (min(1.0, factor) if rejected else factor)
-                    break
-                h_abs = h * max(_MIN_FACTOR, _SAFETY * error ** -0.2)
-                rejected = True
-            records.append((y, k1, k2, k3, k4, k5, k6, k7))
-            bounds.append(t_new)
-            t, y, f = t_new, y_new, k7
+        y, nfev, bounds, records = _stepper(len(y))(fun, arg, y, t_end, rtol, atol)
     except (OverflowError, ZeroDivisionError) as exc:
         raise IntegrationError(f"floating-point failure: {exc}") from exc
     if not all(map(math.isfinite, y)):
@@ -234,7 +257,7 @@ def _dense_output(t_eval, bounds, records) -> np.ndarray:
     return y_old + h[:, None] * np.einsum("mkn,mk->mn", stages, weights)
 
 
-def _integrate(fun, initial, t_end, rtol, atol, labels, t_eval):
+def _integrate(fun, arg, initial, t_end, rtol, atol, labels, t_eval):
     if not t_end > 0.0:
         raise ValueError(f"t_end must be positive, got {t_end}")
     for name, tol in (("rtol", rtol), ("atol", atol)):
@@ -251,14 +274,13 @@ def _integrate(fun, initial, t_end, rtol, atol, labels, t_eval):
             or np.any(t_eval > t_end)):
         raise ValueError("t_eval must be a non-empty 1-d array of times in "
                          "[0, t_end]")
-    _, nfev, bounds, records = _dopri45(fun, initial.tolist(), t_end, rtol, atol)
+    _, nfev, bounds, records = _dopri45(fun, arg, initial.tolist(), t_end, rtol, atol)
     states = _dense_output(t_eval, bounds, records)
     if not np.all(np.isfinite(states)):
         raise IntegrationError("integration produced non-finite state values")
-    return Trajectory(
-        times=t_eval, states=states, labels=labels,
-        rtol=rtol, atol=atol, nfev=nfev,
-    )
+    steps = len(bounds) - 1
+    return Trajectory(times=t_eval, states=states, labels=labels, rtol=rtol, atol=atol,
+                      nfev=nfev, steps=steps, rejected=(nfev - 2) // 6 - steps)
 
 
 def integrate_reduced(
@@ -266,20 +288,15 @@ def integrate_reduced(
 ) -> Trajectory:
     """Integrate dA/dt = e1 A + e2 B, dB/dt = e3 A C + e4 B + e5 A,
     dC/dt = e6 A B + e7 C from t = 0 to t_end."""
-    e = coeffs.as_array().tolist()
-    return _integrate(
-        lambda t, y: reduced_rhs(t, y, e), initial, t_end, rtol, atol,
-        REDUCED_LABELS, t_eval,
-    )
+    return _integrate(reduced_rhs, coeffs.as_array().tolist(), initial, t_end,
+                      rtol, atol, REDUCED_LABELS, t_eval)
 
 
 def integrate_lorenz(
     lp: LorenzParams, initial, s_end, rtol=1e-10, atol=1e-12, t_eval=None
 ) -> Trajectory:
-    return _integrate(
-        lambda s, y: lorenz_rhs(s, y, lp), initial, s_end, rtol, atol,
-        LORENZ_LABELS, t_eval,
-    )
+    return _integrate(lorenz_rhs, lp, initial, s_end, rtol, atol,
+                      LORENZ_LABELS, t_eval)
 
 
 def map_trajectory(traj: Trajectory, scaling: ScalingMap) -> Trajectory:
@@ -351,19 +368,12 @@ def largest_lyapunov(
     tangent = rng.standard_normal(3)
     y = np.asarray(initial, dtype=float).tolist()
     y += (tangent / np.linalg.norm(tangent)).tolist()
-
-    def rhs(s, y):
-        X, Y, Z, u, v, w = y
-        return lorenz_rhs(s, (X, Y, Z), lp) + (
-            lp.sigma * (v - u), (lp.r - Z) * u - v - X * w,
-            Y * u + X * v - lp.delta * w)
-
     steps = int(round(s_end / renorm_interval))
     stretches = np.empty(steps)
     for k in range(steps):
-        y = _dopri45(rhs, y, float(renorm_interval), rtol, atol)[0]
+        y = _dopri45(_tangent_rhs, lp, y, float(renorm_interval), rtol, atol)[0]
         size = math.hypot(*y[3:])
         stretches[k] = math.log(size)
-        y = y[:3] + [v / size for v in y[3:]]
+        y = y[:3] + tuple(v / size for v in y[3:])
     keep = stretches[int(math.floor(steps * discard_fraction)):]
     return float(np.sum(keep) / (keep.size * renorm_interval))

@@ -36,6 +36,7 @@ from .params import PhysicalParams
 __all__ = [
     "LinearOperatorPencil",
     "SpectralBracketError",
+    "default_order",
     "assemble_pencil",
     "leading_growth_rate",
     "critical_rayleigh_spectral",
@@ -61,6 +62,12 @@ class LinearOperatorPencil:
     l1: np.ndarray
 
 
+def default_order(n_modes: int) -> int:
+    """Gauss-Legendre points per axis that resolve products of the first
+    n_modes vertical modes: 64 up to N = 24, then 2N + 16."""
+    return max(64, 2 * n_modes + 16)
+
+
 def assemble_pencil(
     params: PhysicalParams,
     m: int = 1,
@@ -71,14 +78,15 @@ def assemble_pencil(
     """Project the linearized equations onto n_modes vertical modes.
 
     The Rayleigh number of `params` is ignored; it enters only through the
-    sqrt(Ra) factor applied to l1 later. With check_convergence=True the
-    assembly is repeated at twice the quadrature order and a relative entry
-    move above 1e-9 raises ValueError.
+    sqrt(Ra) factor applied to l1 later. Without a rule the quadrature order
+    is default_order(n_modes). With check_convergence=True the assembly is
+    repeated at twice the quadrature order and a relative entry move above
+    1e-9 raises ValueError.
     """
     if n_modes < 1 or m < 1:
         raise ValueError("need n_modes >= 1 and m >= 1")
     if rule is None:
-        rule = QuadratureRule(64, params.length)
+        rule = QuadratureRule(default_order(n_modes), params.length)
     matrices = _assemble_matrices(params, m, n_modes, rule)
     if check_convergence:
         fine = _assemble_matrices(

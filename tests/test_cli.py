@@ -185,6 +185,15 @@ def test_validate_onsets_match_golden_values(capsys, beta):
         assert abs(row[3] - expected) <= 1e-9 * expected
 
 
+def test_validate_raises_the_order_for_high_truncations(capsys):
+    # --order 64 cannot resolve N = 56; the pencil is built at 128 points
+    code, out, _ = run(capsys, "validate", "--beta", "1", "--l", "2.83",
+                       "--n-modes", "56", "--order", "64", "--quiet")
+    assert code == 0
+    ra = float(out.splitlines()[1].split(",")[3])
+    assert math.isfinite(ra) and abs(ra - 1152.378) < 1e-3
+
+
 def test_environment_and_config_precedence(capsys, tmp_path, monkeypatch):
     config = tmp_path / "run.cfg"
     config.write_text("# comment\nbeta = 0.1\nsource = closed_form\n")

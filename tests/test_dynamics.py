@@ -9,6 +9,8 @@ from anelor.dynamics import (
     REDUCED_LABELS,
     IntegrationError,
     Trajectory,
+    _dense_output,
+    _dopri45,
     amplitude_trend,
     integrate_lorenz,
     integrate_reduced,
@@ -272,3 +274,61 @@ def test_lyapunov_preconditions():
         largest_lyapunov(lp, renorm_interval=0.0)
     with pytest.raises(ValueError):
         largest_lyapunov(lp, discard_fraction=1.0)
+
+
+def rotating_blocks(t, y, blocks):
+    # three decoupled 2x2 blocks [[a, -w], [w, a]]
+    out = []
+    for (a, w), p, q in zip(blocks, y[0::2], y[1::2]):
+        out += [a * p - w * q, w * p + a * q]
+    return tuple(out)
+
+
+def test_six_state_linear_system_matches_its_exponential_solution():
+    # the 6-float stepper serves Lyapunov; check it on a flow known in closed form
+    blocks = ((-0.5, 2.0), (0.25, -1.0), (-0.1, 3.5))
+    initial = [1.0, -2.0, 0.5, 3.0, -1.5, 0.25]
+    final, nfev, bounds, records = _dopri45(rotating_blocks, blocks, initial, 3.0,
+                                            1e-10, 1e-12)
+    assert bounds[0] == 0.0 and bounds[-1] == 3.0
+    assert (nfev - 2) % 6 == 0 and nfev >= 2 + 6 * len(records)
+    times = np.linspace(0.0, 3.0, 61)
+    exact = np.empty((times.size, 6))
+    for k, (a, w) in enumerate(blocks):
+        p, q = initial[2 * k], initial[2 * k + 1]
+        c, s, g = np.cos(w * times), np.sin(w * times), np.exp(a * times)
+        exact[:, 2 * k] = g * (p * c - q * s)
+        exact[:, 2 * k + 1] = g * (p * s + q * c)
+    states = _dense_output(times, bounds, records)
+    error = np.linalg.norm(states - exact, axis=1) / np.linalg.norm(exact, axis=1)
+    assert np.max(error) <= 1e-9
+    assert np.linalg.norm(np.subtract(final, exact[-1])) <= 1e-9 * np.linalg.norm(exact[-1])
+
+
+def test_step_counts_account_for_every_rhs_evaluation():
+    lp = LorenzParams(10.0, 8.0 / 3.0, 28.0)
+    smooth = integrate_lorenz(LorenzParams(10.0, 8.0 / 3.0, 2.0), [1.0, 1.0, 1.0], 5.0)
+    chaotic = integrate_lorenz(lp, [1.0, 1.0, 1.0], 20.0)
+    for traj in (smooth, chaotic):
+        assert traj.steps > 0 and traj.rejected >= 0
+        assert traj.nfev == 2 + 6 * (traj.steps + traj.rejected)
+    # the chaotic run rejects some of its steps, so both counts are exercised
+    assert chaotic.rejected > 0
+    coeffs = closed_form_coefficients(make_params(rayleigh=1000.0))
+    reduced = integrate_reduced(coeffs, [0.5, -0.3, 0.2], 2.0)
+    mapped = map_trajectory(reduced, scale_to_lorenz(coeffs)[1])
+    assert (mapped.steps, mapped.rejected) == (reduced.steps, reduced.rejected)
+
+
+def test_chaotic_run_matches_golden_values():
+    # recorded from the list-based stepper this one replaced: the generated
+    # stepper must reproduce its arithmetic, step sequence included
+    traj = integrate_lorenz(LorenzParams(10.0, 8.0 / 3.0, 28.0), [1.0, 1.0, 1.0], 20.0)
+    assert traj.nfev == 28304
+    golden = [13.793346313568065, 12.952017919539907, 34.90175027930282]
+    assert np.max(np.abs(traj.final / golden - 1.0)) <= 1e-12
+
+
+def test_lyapunov_matches_golden_value():
+    estimate = largest_lyapunov(LorenzParams(10.0, 8.0 / 3.0, 28.0), seed=0)
+    assert estimate == pytest.approx(0.9135453489127642, rel=1e-12)

@@ -12,6 +12,7 @@ from anelor.spectral import (
     SpectralBracketError,
     assemble_pencil,
     critical_rayleigh_spectral,
+    default_order,
     leading_growth_rate,
 )
 
@@ -258,3 +259,25 @@ def test_oscillatory_onset_raises(monkeypatch):
     monkeypatch.setattr(spectral, "assemble_pencil", lambda *a, **k: pencil)
     with pytest.raises(SpectralBracketError, match="oscillatory"):
         critical_rayleigh_spectral(make_params())
+
+
+def test_default_order_keeps_64_points_up_to_24_modes():
+    assert [default_order(n) for n in (1, 16, 24, 25, 32, 56, 64)] == [
+        64, 64, 64, 66, 80, 128, 144]
+
+
+@pytest.mark.parametrize("n_modes", [32, 48, 64])
+def test_default_rule_resolves_high_truncations(n_modes):
+    # a fixed 64-point rule moved the pencil at double order from N = 32 on
+    assemble_pencil(make_params(beta=1.0, length=2.83), n_modes=n_modes,
+                    check_convergence=True)
+
+
+def test_high_truncation_onset_at_the_default_rule():
+    # with 64 points the N = 56 pencil was unstable at Ra = 0
+    params = make_params(beta=1.0, length=2.83)
+    onset = critical_rayleigh_spectral(params, n_modes=56)
+    assert math.isfinite(onset)
+    fine = critical_rayleigh_spectral(params, n_modes=56,
+                                      rule=QuadratureRule(256, 2.83))
+    assert onset == pytest.approx(fine, rel=1e-9)
