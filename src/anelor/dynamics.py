@@ -3,20 +3,21 @@
 Both systems, and the Lorenz flow with its tangent for a Benettin estimate of
 the largest Lyapunov exponent (Benettin et al. 1980), run through one in-repo
 adaptive Dormand-Prince 5(4) pair (Dormand & Prince 1980) with Shampine's
-dense output, so a reduced trajectory pushed through the scaling map can be
-compared pointwise against one integrated in Lorenz coordinates. Error
-control, starting step and controller follow Hairer, Norsett & Wanner,
-Solving ODEs I, Sec. II.4. The step loop is generated from the tableau once
-per state dimension (3, or 6 with the tangent) as straight-line code on
-floats in locals: per-component lists cost more than the arithmetic here.
+dense output and the step control of Hairer, Norsett & Wanner, Solving ODEs I,
+Sec. II.4. Each system is written once, in `_SYSTEMS`. Its RHS function and
+its step loop are generated from that entry: the loop pastes the RHS into
+every stage, as a call and a tuple per stage cost as much as the arithmetic,
+and keeps accepted steps as one flat list of floats for `_dense_output`.
 Also here: the decay/growth diagnostic of the trailing log amplitude.
 """
 
 from __future__ import annotations
 
 import functools
+import linecache
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,17 +25,9 @@ from .lorenz import LorenzParams, ScalingMap
 from .projection import GalerkinCoeffs
 
 __all__ = [
-    "IntegrationError",
-    "Trajectory",
-    "render_csv",
-    "reduced_rhs",
-    "lorenz_rhs",
-    "integrate_reduced",
-    "integrate_lorenz",
-    "map_trajectory",
-    "log_norm_slope",
-    "amplitude_trend",
-    "largest_lyapunov",
+    "IntegrationError", "Trajectory", "render_csv", "reduced_rhs", "lorenz_rhs",
+    "integrate_reduced", "integrate_lorenz", "map_trajectory", "log_norm_slope",
+    "amplitude_trend", "largest_lyapunov",
 ]
 
 REDUCED_LABELS = ("t", "A", "B", "C")
@@ -98,29 +91,51 @@ def render_csv(columns, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def reduced_rhs(t, state, e):
-    """dA/dt, dB/dt, dC/dt as a tuple of floats."""
-    A, B, C = state
-    return (e[0] * A + e[1] * B, e[2] * A * C + e[3] * B + e[4] * A,
-            e[5] * A * B + e[6] * C)
+class _System(NamedTuple):
+    """An autonomous ODE system: `params` unpacks its parameters from the
+    run's argument `p`, `state` names its components and `rhs` gives their
+    derivatives as Python expressions; no name may be a step loop local
+    (p, t, h, y0, k1_0, ...)."""
+
+    name: str
+    params: str
+    state: str
+    rhs: tuple[str, ...]
 
 
-def lorenz_rhs(s, state, lp: LorenzParams):
-    """dX/ds, dY/ds, dZ/ds as a tuple of floats."""
-    X, Y, Z = state
-    return (lp.sigma * (Y - X), lp.r * X - Y - X * Z, X * Y - lp.delta * Z)
+_REDUCED = _System("reduced", "e1, e2, e3, e4, e5, e6, e7 = p", "A, B, C", (
+    "e1 * A + e2 * B", "e3 * A * C + e4 * B + e5 * A", "e6 * A * B + e7 * C"))
+_LORENZ = _System("lorenz", "sigma, r, delta = p.sigma, p.r, p.delta", "X, Y, Z", (
+    "sigma * (Y - X)", "r * X - Y - X * Z", "X * Y - delta * Z"))
+# the Lorenz flow and its linearization acting on the tangent (u, v, w)
+_TANGENT = _System("tangent", _LORENZ.params, _LORENZ.state + ", u, v, w", _LORENZ.rhs + (
+    "sigma * (v - u)", "(r - Z) * u - v - X * w", "Y * u + X * v - delta * w"))
+_SYSTEMS = (_REDUCED, _LORENZ, _TANGENT)
 
 
-def _tangent_rhs(s, y, lp: LorenzParams):
-    """The Lorenz flow of (X, Y, Z) and its linearization acting on (u, v, w)."""
-    X, Y, Z, u, v, w = y
-    return (lp.sigma * (Y - X), lp.r * X - Y - X * Z, X * Y - lp.delta * Z,
-            lp.sigma * (v - u), (lp.r - Z) * u - v - X * w, Y * u + X * v - lp.delta * w)
+def _compile(source: str, filename: str, name: str, namespace: dict):
+    """Run generated `source` in `namespace` and return its function `name`;
+    the source goes to linecache so traceback, cProfile and pdb show it."""
+    linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
+    exec(compile(source, filename, "exec"), namespace)
+    return namespace[name]
 
 
-# Dormand-Prince 5(4) (Hairer, Norsett & Wanner, Table II.5.5): nodes _C, rows _A
-# of stages 2-6, step weights _B, and _E = _B minus the 4th-order weights (+ FSAL).
-_C = (1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0)
+@functools.cache
+def _rhs(system: _System):
+    """The function (t, state, p) -> d(state)/dt as a tuple of floats."""
+    source = (f"def {system.name}_rhs(t, state, p):\n"
+              f'    """d({system.state})/dt as a tuple of floats."""\n'
+              f"    {system.params}\n    {system.state} = state\n"
+              f"    return ({', '.join(system.rhs)},)\n")
+    return _compile(source, f"<rhs {system.name}>", f"{system.name}_rhs", {})
+
+
+reduced_rhs, lorenz_rhs, _tangent_rhs = map(_rhs, _SYSTEMS)
+
+# Dormand-Prince 5(4) (Hairer, Norsett & Wanner, Table II.5.5): rows _A of
+# stages 2-6, step weights _B, and _E = _B minus the 4th-order weights (+ FSAL).
+# The systems are autonomous, so the nodes c_i are not needed.
 _A = ((1 / 5,), (3 / 40, 9 / 40), (44 / 45, -56 / 15, 32 / 9),
       (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
       (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656))
@@ -163,12 +178,12 @@ def _initial_step(fun, arg, y, t_end, rtol, atol):
 
 
 _LOOP = """\
-def dopri45(fun, arg, y, t_end, rtol, atol):
-    k1, h_abs = _initial_step(fun, arg, y, t_end, rtol, atol)
-    nfev, t, bounds, records, y = 2, 0.0, [0.0], [], tuple(y)
+def dopri45(p, y, t_end, rtol, atol, records):
+    {params}
+    ({k1}), h_abs = _initial_step(rhs, p, y, t_end, rtol, atol)
+    {y} = y
+    nfev, t, bounds = 2, 0.0, [0.0]
     while t < t_end:
-        {y} = y
-        {k1} = k1
         min_step = 10.0 * math.ulp(t)
         h_abs = max(h_abs, min_step)
         rejected = False
@@ -188,76 +203,77 @@ def dopri45(fun, arg, y, t_end, rtol, atol):
                 break
             h_abs = h * max(_MIN_FACTOR, _SAFETY * error ** -0.2)
             rejected = True
-        records.append((y, k1, k2, k3, k4, k5, k6, k7))
+        if records is not None:
+            records += ({y} {k})
         bounds.append(t_new)
-        t, y, k1 = t_new, y_new, k7
-    return y, nfev, bounds, records
+        t = t_new
+        {y} = {state}
+        {k1} = {k7}
+    return ({y}), nfev, bounds
 """
 
 
 @functools.cache
-def _stepper(n: int):
-    """Compile _LOOP for n floats: tableau entries as literals, each component's
-    line spelled out, max(|y|, |z|) as well (the builtin call would cost most)."""
+def _stepper(system: _System):
+    """Compile _LOOP for `system`, tableau entries as literals, as namedtuple
+    and dataclasses build code. Each stage writes its state into the state
+    names and pastes the RHS expressions after it, so it costs no call and no
+    tuple; the last stage's state is y_new, the z of the error norm."""
+    z, n = system.state.split(", "), len(system.rhs)
     def names(prefix):
         return ", ".join(f"{prefix}{i}" for i in range(n)) + ","
     def combo(i, weights):  # weights[j] * k{j+1}_i summed left to right
         return " + ".join(f"{w!r} * k{j}_{i}" for j, w in enumerate(weights, 1) if w)
-    def state(weights):
-        return ", ".join(f"y{i} + h * ({combo(i, weights)})" for i in range(n)) + ","
-
     lines = []
-    for s, (c, row) in enumerate(zip(_C, _A), 2):
-        # the c = 1 stage runs at t_new itself, which t + h need not round to
-        at = "t_new" if c == 1.0 else f"t + {c!r} * h"
-        lines += [f"k{s} = fun({at}, ({state(row)}), arg)", f"{names(f'k{s}_')} = k{s}"]
-    lines += [f"y_new = ({state(_B)})", f"{names('z')} = y_new",
-              "k7 = fun(t_new, y_new, arg)", f"{names('k7_')} = k7"]
+    for s, row in enumerate(_A + (_B,), 2):
+        lines += [f"{z[i]} = y{i} + h * ({combo(i, row)})" for i in range(n)]
+        lines += [f"k{s}_{i} = {expr}" for i, expr in enumerate(system.rhs)]
     error = ", ".join(f"h * ({combo(i, _E)}) / (atol + rtol * "
-                      f"(abs(y{i}) if abs(y{i}) > abs(z{i}) else abs(z{i})))"
+                      f"(abs(y{i}) if abs(y{i}) > abs({z[i]}) else abs({z[i]})))"
                       for i in range(n))
-    source = _LOOP.format(y=names("y"), k1=names("k1_"), error=error,
-                          sqrt_n=math.sqrt(n),
-                          stages="\n".join(" " * 12 + line for line in lines))
-    namespace = {}
-    exec(compile(source, f"<dopri45, n = {n}>", "exec"), globals(), namespace)
-    return namespace["dopri45"]
+    source = _LOOP.format(
+        params=system.params, y=names("y"), k1=names("k1_"), k7=names("k7_"),
+        k=" ".join(names(f"k{s}_") for s in range(1, 8)), state=system.state,
+        error=error, sqrt_n=math.sqrt(n), stages="\n".join(" " * 12 + x for x in lines))
+    namespace = dict(globals(), rhs=_rhs(system))
+    return _compile(source, f"<dopri45 {system.name}>", "dopri45", namespace)
 
 
-def _dopri45(fun, arg, y, t_end, rtol, atol):
-    """Integrate y' = fun(t, y, arg), y of n floats, from t = 0 to t_end with
-    `_stepper(n)`, built once per n as namedtuple and dataclasses build code.
+def _dopri45(system: _System, arg, y, t_end, rtol, atol, records=None):
+    """Integrate `system` with parameters `arg` from y (n floats) at t = 0 to
+    t_end with `_stepper(system)`, which is generated on first use.
 
     A step is accepted when the RMS of the embedded error, scaled by atol +
     rtol * max(|y_old|, |y_new|), is below one; the next step is scaled by
     0.9 * err^(-1/5), clipped to [0.2, 10] and to at most 1 after a
-    rejection. Returns (final y, RHS evaluations, step bounds [0, ..., t_end],
-    per step the (y, k1, ..., k7) `_dense_output` reads). Overflow, non-finite
-    states and steps below the float spacing raise IntegrationError."""
+    rejection. Returns (final y, RHS evaluations, step bounds [0, ..., t_end])
+    and, if `records` is a list, appends to it per step the 8n floats y, k1,
+    ..., k7 that `_dense_output` reads. Overflow, non-finite states and steps
+    below the float spacing raise IntegrationError."""
     try:
-        y, nfev, bounds, records = _stepper(len(y))(fun, arg, y, t_end, rtol, atol)
+        y, nfev, bounds = _stepper(system)(arg, y, t_end, rtol, atol, records)
     except (OverflowError, ZeroDivisionError) as exc:
         raise IntegrationError(f"floating-point failure: {exc}") from exc
     if not all(map(math.isfinite, y)):
         raise IntegrationError("integration produced non-finite state values")
-    return y, nfev, bounds, records
+    return y, nfev, bounds
 
 
 def _dense_output(t_eval, bounds, records) -> np.ndarray:
     """States at t_eval from the interpolant of the step (t_i, t_i+1] holding
-    each time; t = 0 falls in the first step."""
+    each time; t = 0 falls in the first step. `records` is the flat list of
+    `_dopri45`, 8n floats per step."""
     bounds = np.asarray(bounds)
     index = np.searchsorted(bounds[1:], t_eval, side="left")
-    used, where = np.unique(index, return_inverse=True)
-    table = np.array([records[i] for i in used], dtype=float)[where]
-    y_old, stages = table[:, 0], table[:, 1:]
+    table = np.fromiter(records, float, len(records)).reshape(bounds.size - 1, 8, -1)
+    y_old, stages = table[index, 0], table[index, 1:]
     h = bounds[index + 1] - bounds[index]
     x = (t_eval - bounds[index]) / h
     weights = np.cumprod(np.repeat(x[:, None], 4, axis=1), axis=1) @ _P.T
     return y_old + h[:, None] * np.einsum("mkn,mk->mn", stages, weights)
 
 
-def _integrate(fun, arg, initial, t_end, rtol, atol, labels, t_eval):
+def _integrate(system, arg, initial, t_end, rtol, atol, labels, t_eval):
     if not t_end > 0.0:
         raise ValueError(f"t_end must be positive, got {t_end}")
     for name, tol in (("rtol", rtol), ("atol", atol)):
@@ -267,14 +283,13 @@ def _integrate(fun, arg, initial, t_end, rtol, atol, labels, t_eval):
     if initial.shape != (3,) or not np.all(np.isfinite(initial)):
         raise ValueError("initial state must be three finite components")
     t_end = float(t_end)
-    if t_eval is None:
-        t_eval = np.linspace(0.0, t_end, 801)
-    t_eval = np.asarray(t_eval, dtype=float)
+    t_eval = np.linspace(0.0, t_end, 801) if t_eval is None else np.asarray(t_eval, float)
     if (t_eval.ndim != 1 or t_eval.size == 0 or np.any(t_eval < 0.0)
             or np.any(t_eval > t_end)):
         raise ValueError("t_eval must be a non-empty 1-d array of times in "
                          "[0, t_end]")
-    _, nfev, bounds, records = _dopri45(fun, arg, initial.tolist(), t_end, rtol, atol)
+    records = []
+    _, nfev, bounds = _dopri45(system, arg, initial.tolist(), t_end, rtol, atol, records)
     states = _dense_output(t_eval, bounds, records)
     if not np.all(np.isfinite(states)):
         raise IntegrationError("integration produced non-finite state values")
@@ -283,20 +298,17 @@ def _integrate(fun, arg, initial, t_end, rtol, atol, labels, t_eval):
                       nfev=nfev, steps=steps, rejected=(nfev - 2) // 6 - steps)
 
 
-def integrate_reduced(
-    coeffs: GalerkinCoeffs, initial, t_end, rtol=1e-10, atol=1e-12, t_eval=None
-) -> Trajectory:
+def integrate_reduced(coeffs: GalerkinCoeffs, initial, t_end, rtol=1e-10, atol=1e-12,
+                      t_eval=None) -> Trajectory:
     """Integrate dA/dt = e1 A + e2 B, dB/dt = e3 A C + e4 B + e5 A,
     dC/dt = e6 A B + e7 C from t = 0 to t_end."""
-    return _integrate(reduced_rhs, coeffs.as_array().tolist(), initial, t_end,
+    return _integrate(_REDUCED, coeffs.as_array().tolist(), initial, t_end,
                       rtol, atol, REDUCED_LABELS, t_eval)
 
 
-def integrate_lorenz(
-    lp: LorenzParams, initial, s_end, rtol=1e-10, atol=1e-12, t_eval=None
-) -> Trajectory:
-    return _integrate(lorenz_rhs, lp, initial, s_end, rtol, atol,
-                      LORENZ_LABELS, t_eval)
+def integrate_lorenz(lp: LorenzParams, initial, s_end, rtol=1e-10, atol=1e-12,
+                     t_eval=None) -> Trajectory:
+    return _integrate(_LORENZ, lp, initial, s_end, rtol, atol, LORENZ_LABELS, t_eval)
 
 
 def map_trajectory(traj: Trajectory, scaling: ScalingMap) -> Trajectory:
@@ -307,12 +319,8 @@ def map_trajectory(traj: Trajectory, scaling: ScalingMap) -> Trajectory:
     """
     if tuple(traj.labels) != REDUCED_LABELS:
         raise ValueError("expected a reduced (t, A, B, C) trajectory")
-    return replace(
-        traj,
-        times=scaling.time_to_lorenz(traj.times),
-        states=scaling.apply(traj.states),
-        labels=LORENZ_LABELS,
-    )
+    return replace(traj, times=scaling.time_to_lorenz(traj.times),
+                   states=scaling.apply(traj.states), labels=LORENZ_LABELS)
 
 
 def log_norm_slope(traj: Trajectory, tail_fraction: float = 0.5) -> float:
@@ -329,9 +337,8 @@ def log_norm_slope(traj: Trajectory, tail_fraction: float = 0.5) -> float:
     return float(slope)
 
 
-def amplitude_trend(
-    traj: Trajectory, threshold: float = 1e-3, tail_fraction: float = 0.5
-) -> str:
+def amplitude_trend(traj: Trajectory, threshold: float = 1e-3,
+                    tail_fraction: float = 0.5) -> str:
     """'decay', 'growth', or 'flat' from the trailing log-amplitude slope."""
     slope = log_norm_slope(traj, tail_fraction)
     if slope < -threshold:
@@ -341,16 +348,9 @@ def amplitude_trend(
     return "flat"
 
 
-def largest_lyapunov(
-    lp: LorenzParams,
-    s_end: float = 500.0,
-    initial=None,
-    renorm_interval: float = 1.0,
-    discard_fraction: float = 0.1,
-    rtol: float = 1e-9,
-    atol: float = 1e-12,
-    seed: int = 0,
-) -> float:
+def largest_lyapunov(lp: LorenzParams, s_end: float = 500.0, initial=None,
+                     renorm_interval: float = 1.0, discard_fraction: float = 0.1,
+                     rtol: float = 1e-9, atol: float = 1e-12, seed: int = 0) -> float:
     """Benettin estimate of the largest Lyapunov exponent.
 
     A unit tangent vector rides the trajectory through the linearized flow
@@ -371,7 +371,7 @@ def largest_lyapunov(
     steps = int(round(s_end / renorm_interval))
     stretches = np.empty(steps)
     for k in range(steps):
-        y = _dopri45(_tangent_rhs, lp, y, float(renorm_interval), rtol, atol)[0]
+        y = _dopri45(_TANGENT, lp, y, float(renorm_interval), rtol, atol)[0]
         size = math.hypot(*y[3:])
         stretches[k] = math.log(size)
         y = y[:3] + tuple(v / size for v in y[3:])

@@ -416,38 +416,21 @@ def discrepancy_report(
     oracle_terms = _oracle_terms(params, rule)
     closed_terms = _closed_form_terms(params)
     published_terms = _published_terms(params)
+    oracle = _assemble(oracle_terms, params, "oracle").as_array().tolist()
+    closed = _assemble(closed_terms, params, "closed_form").as_array().tolist()
+    published = published_coefficients(params).as_array().tolist()
+    terms = [(name, oracle_terms[name], closed_terms[name], published_terms[name])
+             for name in TERM_NAMES]
+    coefficients = zip([f"e{i}" for i in range(1, 8)], oracle, closed, published)
+    return _report_rows(terms) + _report_rows(list(coefficients))
 
-    rows = []
-    floor = _DEV_FLOOR * max(1.0, max(abs(v) for v in oracle_terms.values()))
-    for name in TERM_NAMES:
-        o, c, p = oracle_terms[name], closed_terms[name], published_terms[name]
-        rows.append(
-            ProjectionTermReport(
-                term=name,
-                oracle=o,
-                closed_form=c,
-                published=p,
-                rel_dev=max(_rel_dev(c, o, floor), _rel_dev(p, o, floor)),
-                rel_dev_closed_form=_rel_dev(c, o, floor),
-                rel_dev_published=_rel_dev(p, o, floor),
-            )
-        )
 
-    oracle = _assemble(oracle_terms, params, "oracle").as_array()
-    closed = _assemble(closed_terms, params, "closed_form").as_array()
-    published = published_coefficients(params).as_array()
-    floor = _DEV_FLOOR * max(1.0, float(np.max(np.abs(oracle))))
-    for i in range(7):
-        o, c, p = float(oracle[i]), float(closed[i]), float(published[i])
-        rows.append(
-            ProjectionTermReport(
-                term=f"e{i + 1}",
-                oracle=o,
-                closed_form=c,
-                published=p,
-                rel_dev=max(_rel_dev(c, o, floor), _rel_dev(p, o, floor)),
-                rel_dev_closed_form=_rel_dev(c, o, floor),
-                rel_dev_published=_rel_dev(p, o, floor),
-            )
-        )
-    return rows
+def _report_rows(rows) -> list[ProjectionTermReport]:
+    """One report per (term, oracle, closed form, published); zero values fall
+    back to a floor scaled by the largest oracle value among `rows`."""
+    floor = _DEV_FLOOR * max(1.0, max(abs(o) for _, o, _, _ in rows))
+    return [ProjectionTermReport(
+        term=term, oracle=o, closed_form=c, published=p,
+        rel_dev=max(_rel_dev(c, o, floor), _rel_dev(p, o, floor)),
+        rel_dev_closed_form=_rel_dev(c, o, floor), rel_dev_published=_rel_dev(p, o, floor),
+    ) for term, o, c, p in rows]

@@ -1,5 +1,11 @@
+import inspect
 import io
 import math
+import os
+import subprocess
+import sys
+import traceback
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,8 +15,15 @@ from anelor.dynamics import (
     REDUCED_LABELS,
     IntegrationError,
     Trajectory,
+    _A,
+    _B,
+    _LORENZ,
+    _SYSTEMS,
     _dense_output,
     _dopri45,
+    _stepper,
+    _System,
+    _tangent_rhs,
     amplitude_trend,
     integrate_lorenz,
     integrate_reduced,
@@ -276,22 +289,23 @@ def test_lyapunov_preconditions():
         largest_lyapunov(lp, discard_fraction=1.0)
 
 
-def rotating_blocks(t, y, blocks):
-    # three decoupled 2x2 blocks [[a, -w], [w, a]]
-    out = []
-    for (a, w), p, q in zip(blocks, y[0::2], y[1::2]):
-        out += [a * p - w * q, w * p + a * q]
-    return tuple(out)
+# three decoupled 2x2 blocks [[a, -w], [w, a]] as a table system
+ROTATING = _System("rotating", "a1, w1, a2, w2, a3, w3 = p", "P1, Q1, P2, Q2, P3, Q3", (
+    "a1 * P1 - w1 * Q1", "w1 * P1 + a1 * Q1", "a2 * P2 - w2 * Q2", "w2 * P2 + a2 * Q2",
+    "a3 * P3 - w3 * Q3", "w3 * P3 + a3 * Q3"))
 
 
 def test_six_state_linear_system_matches_its_exponential_solution():
-    # the 6-float stepper serves Lyapunov; check it on a flow known in closed form
+    # the 6-float loop serves Lyapunov; check it on a flow known in closed form
     blocks = ((-0.5, 2.0), (0.25, -1.0), (-0.1, 3.5))
     initial = [1.0, -2.0, 0.5, 3.0, -1.5, 0.25]
-    final, nfev, bounds, records = _dopri45(rotating_blocks, blocks, initial, 3.0,
-                                            1e-10, 1e-12)
+    records = []
+    final, nfev, bounds = _dopri45(ROTATING, sum(blocks, ()), initial, 3.0,
+                                   1e-10, 1e-12, records)
+    steps = len(bounds) - 1
     assert bounds[0] == 0.0 and bounds[-1] == 3.0
-    assert (nfev - 2) % 6 == 0 and nfev >= 2 + 6 * len(records)
+    assert (nfev - 2) % 6 == 0 and nfev >= 2 + 6 * steps
+    assert len(records) == 8 * 6 * steps
     times = np.linspace(0.0, 3.0, 61)
     exact = np.empty((times.size, 6))
     for k, (a, w) in enumerate(blocks):
@@ -303,6 +317,71 @@ def test_six_state_linear_system_matches_its_exponential_solution():
     error = np.linalg.norm(states - exact, axis=1) / np.linalg.norm(exact, axis=1)
     assert np.max(error) <= 1e-9
     assert np.linalg.norm(np.subtract(final, exact[-1])) <= 1e-9 * np.linalg.norm(exact[-1])
+
+
+PUBLIC_RHS = {"reduced": reduced_rhs, "lorenz": lorenz_rhs, "tangent": _tangent_rhs}
+
+
+def stage_state(y, h, weights, stages):
+    # y + h * (w1 k1 + w2 k2 + ...) over the nonzero weights, summed left to
+    # right in the order the generated loop spells out
+    state = []
+    for i, y_i in enumerate(y):
+        terms = [w * k[i] for w, k in zip(weights, stages) if w]
+        total = terms[0]
+        for term in terms[1:]:
+            total = total + term
+        state.append(y_i + h * total)
+    return state
+
+
+def test_pasted_rhs_matches_the_public_functions_bit_for_bit():
+    # every stage a step records must be the public RHS at that stage's state,
+    # and the next step must start where the 5th-order combination ends
+    assert {system.name for system in _SYSTEMS} == set(PUBLIC_RHS)
+    rng = np.random.default_rng(5)
+    for system in _SYSTEMS:
+        rhs, n = PUBLIC_RHS[system.name], len(system.rhs)
+        for _ in range(100):
+            lp = LorenzParams(*rng.uniform(0.5, 30.0, 3))
+            arg = rng.uniform(-2.0, 2.0, 7).tolist() if system.name == "reduced" else lp
+            records = []
+            _, _, bounds = _dopri45(system, arg, rng.uniform(-5.0, 5.0, n).tolist(),
+                                    0.05, 1e-10, 1e-12, records)
+            table = np.reshape(records, (-1, 8, n)).tolist()
+            for step, (y, *stages) in enumerate(table):
+                h = bounds[step + 1] - bounds[step]
+                assert list(rhs(0.0, y, arg)) == stages[0]
+                for s, weights in enumerate(_A + (_B,), 1):
+                    state = stage_state(y, h, weights, stages)
+                    assert list(rhs(0.0, state, arg)) == stages[s]
+                if step + 1 < len(table):
+                    assert table[step + 1][0] == state
+
+
+def test_generated_code_is_readable_by_tools():
+    # linecache holds the generated source: inspect, the traceback module,
+    # cProfile and pdb show the real lines of the loop
+    assert "k2_1 = r * X - Y - X * Z" in inspect.getsource(_stepper(_LORENZ))
+    assert "return (sigma * (Y - X), " in inspect.getsource(lorenz_rhs)
+    runaway = GalerkinCoeffs(1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, "closed_form",
+                             make_params())
+    with pytest.raises(IntegrationError) as info:
+        integrate_reduced(runaway, [1.0, 1.0, 1.0], 50.0)
+    text = "".join(traceback.format_exception(info.value))
+    assert 'File "<dopri45 reduced>"' in text
+    assert 'raise IntegrationError("step size' in text
+
+
+def test_importing_the_cli_builds_no_stepper():
+    # steppers are compiled on first use, so every CLI start stays as cheap
+    code = ("import anelor.cli\nfrom anelor import dynamics\n"
+            "print(dynamics._stepper.cache_info().currsize)")
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                            text=True, env=env, check=True, timeout=60)
+    assert result.stdout.strip() == "0"
 
 
 def test_step_counts_account_for_every_rhs_evaluation():
@@ -321,12 +400,16 @@ def test_step_counts_account_for_every_rhs_evaluation():
 
 
 def test_chaotic_run_matches_golden_values():
-    # recorded from the list-based stepper this one replaced: the generated
-    # stepper must reproduce its arithmetic, step sequence included
+    # recorded from the list-based stepper and the nested-record dense output
+    # these replaced: the generated loop must reproduce their arithmetic, step
+    # sequence included, and the flat records the interpolated rows
     traj = integrate_lorenz(LorenzParams(10.0, 8.0 / 3.0, 28.0), [1.0, 1.0, 1.0], 20.0)
     assert traj.nfev == 28304
-    golden = [13.793346313568065, 12.952017919539907, 34.90175027930282]
-    assert np.max(np.abs(traj.final / golden - 1.0)) <= 1e-12
+    golden = {100: [-6.959573601088366, -7.272469244151342, 24.703122179816486],
+              400: [-4.902687552288527, -3.743873034200508, 24.690857961368838],
+              800: [13.793346313568065, 12.952017919539907, 34.90175027930282]}
+    for row, values in golden.items():
+        assert np.max(np.abs(traj.states[row] / values - 1.0)) <= 1e-12
 
 
 def test_lyapunov_matches_golden_value():
