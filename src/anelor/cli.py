@@ -13,8 +13,16 @@ Subcommands
     validate    N-mode spectral onset versus the reduced route, plus the
                 coefficient discrepancy report
 
-Settings resolve with precedence: command line over ANELOR_* environment
-variables over a config file (flat key=value lines or JSON) over defaults.
+Each setting is one row of the `_SETTINGS` table: its coercion, default,
+owning subcommand, flags and argparse keywords. The parsers, the defaults
+(the physical ones from `PhysicalParams()`), the `RunConfig` fields and the
+choice checks all derive from that table. Settings resolve with precedence:
+command line over ANELOR_<FIELD> environment variables over a config file
+(flat field = value lines or JSON) over defaults. Environment variables and
+config keys use the field names (`prandtl`, `t_end`, `n_modes`), not the
+flags (`--pr`, `--t-end`, `--n-modes`). All three sources go through the
+same coercion, so they accept the same values.
+
 Tables are CSV (header row, comma separator, LF endings, 17 significant
 digits) or JSON; either stream to stdout or to --output. Summary lines go to
 stderr so payloads stay clean, and --quiet drops them. Exit codes: 0 success,
@@ -29,7 +37,8 @@ import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, astuple, fields, make_dataclass, replace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -37,7 +46,7 @@ from .basis import QuadratureRule
 from .dynamics import integrate_lorenz, integrate_reduced, map_trajectory, render_csv
 from .lorenz import critical_rayleigh, minimize_over_length, scale_to_lorenz
 from .params import PhysicalParams
-from .projection import coefficients, discrepancy_report
+from .projection import ProjectionTermReport, coefficients, discrepancy_report
 from .spectral import critical_rayleigh_spectral, default_order
 
 __all__ = ["ConfigError", "RunConfig", "main", "entry"]
@@ -51,13 +60,9 @@ class ConfigError(ValueError):
     """Bad configuration; reported as a usage error (exit code 2)."""
 
 
-def _as_float(value):
-    return float(value)
-
-
 def _as_int(value):
     number = float(value)
-    if number != int(number):
+    if not number.is_integer():
         raise ValueError(f"expected an integer, got {value!r}")
     return int(number)
 
@@ -71,10 +76,6 @@ def _as_bool(value):
     if text in ("0", "false", "no", "off"):
         return False
     raise ValueError(f"expected a boolean, got {value!r}")
-
-
-def _as_str(value):
-    return str(value)
 
 
 def _listify(value):
@@ -104,108 +105,117 @@ def _as_triple(value):
     return tuple(float(piece) for piece in parts)
 
 
-# field name -> (coercion, default)
-_REGISTRY = {
-    "beta": (_as_float, 0.0),
-    "prandtl": (_as_float, 10.0),
-    "rayleigh": (_as_float, 0.0),
-    "gamma": (_as_float, 4.0 / 3.0),
-    "length": (_as_float, 2.0 * math.sqrt(2.0)),
-    "beta_sweep": (_as_sweep, None),
-    "l_sweep": (_as_sweep, None),
-    "optimize_l": (_as_bool, False),
-    "n_modes": (_as_int_list, (1, 2, 4, 8)),
-    "m": (_as_int, 1),
-    "order": (_as_int, 64),
-    "rtol": (_as_float, 1e-10),
-    "atol": (_as_float, 1e-12),
-    "coords": (_as_str, "both"),
-    "t_end": (_as_float, 20.0),
-    "samples": (_as_int, 801),
-    "initial": (_as_triple, (1e-3, 1e-3, 1e-3)),
-    "source": (_as_str, "oracle"),
-    "format": (_as_str, "csv"),
-    "output": (_as_str, None),
-    "report": (_as_str, None),
-    "quiet": (_as_bool, False),
-    "workers": (_as_int, 1),
+class _Setting(NamedTuple):
+    coerce: Callable
+    default: object
+    owner: str | None  # the subcommand that takes the flags; None: every one
+    flags: tuple
+    keywords: dict  # passed to add_argument, which never converts the value
+
+
+def _row(coerce, default, owner, *flags, **keywords) -> _Setting:
+    return _Setting(coerce, default, owner, flags, keywords)
+
+
+_SWEEP = {"nargs": 3, "metavar": ("START", "STOP", "COUNT")}
+_PHYSICAL = asdict(PhysicalParams())
+
+# field name -> setting; rows of a subcommand keep their --help order, and the
+# physical settings' defaults come from _PHYSICAL
+_SETTINGS = {
+    "beta": _row(float, None, None, "--beta", help="background stratification rate"),
+    "prandtl": _row(float, None, None, "--pr", help="Prandtl number"),
+    "rayleigh": _row(float, None, None, "--ra", help="Rayleigh number"),
+    "gamma": _row(float, None, None, "--gamma",
+                  help="viscosity ratio (bulk over shear plus one third)"),
+    "length": _row(float, None, None, "--l", "--length", help="domain width"),
+    "order": _row(_as_int, 64, None, "--order", help="quadrature order per axis"),
+    "source": _row(str, "oracle", None, "--source",
+                   choices=("oracle", "closed_form", "published"), help="coefficient route"),
+    "format": _row(str, "csv", None, "--format", choices=("csv", "json"), help="table format"),
+    "output": _row(str, None, None, "--output", help="write the table here instead of stdout"),
+    "quiet": _row(_as_bool, False, None, "--quiet", action="store_const", const=True,
+                  help="suppress summary lines"),
+    "workers": _row(_as_int, 1, None, "--workers", help="thread pool size for sweeps"),
+    "beta_sweep": _row(_as_sweep, None, "critical", "--beta-sweep", **_SWEEP,
+                       help="sweep the stratification rate"),
+    "l_sweep": _row(_as_sweep, None, "critical", "--l-sweep", **_SWEEP,
+                    help="sweep the domain width"),
+    "optimize_l": _row(_as_bool, False, "critical", "--optimize-l", action="store_const",
+                       const=True, help="minimize over the domain width"),
+    "coords": _row(str, "both", "simulate", "--coords", choices=("abc", "xyz", "both"),
+                   help="coordinate system(s) to integrate"),
+    "t_end": _row(float, 20.0, "simulate", "--t-end",
+                  help="integration span in the output coordinates"),
+    "samples": _row(_as_int, 801, "simulate", "--samples", help="number of output samples"),
+    "rtol": _row(float, 1e-10, "simulate", "--rtol", help="relative tolerance"),
+    "atol": _row(float, 1e-12, "simulate", "--atol", help="absolute tolerance"),
+    "initial": _row(_as_triple, (1e-3, 1e-3, 1e-3), "simulate", "--initial", nargs=3,
+                    metavar=("A", "B", "C"), help="initial reduced state"),
+    "n_modes": _row(_as_int_list, (1, 2, 4, 8), "validate", "--n-modes", nargs="+",
+                    metavar="N", help="vertical truncations to check"),
+    "m": _row(_as_int, 1, "validate", "--m", help="horizontal mode number"),
+    "report": _row(str, None, "validate", "--report",
+                   help="also write the coefficient discrepancy table to this path"),
 }
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Fully resolved settings for one invocation."""
+def _physical(config) -> PhysicalParams:
+    return PhysicalParams(**{name: getattr(config, name) for name in _PHYSICAL})
 
-    subcommand: str
-    beta: float
-    prandtl: float
-    rayleigh: float
-    gamma: float
-    length: float
-    beta_sweep: tuple | None
-    l_sweep: tuple | None
-    optimize_l: bool
-    n_modes: tuple
-    m: int
-    order: int
-    rtol: float
-    atol: float
-    coords: str
-    t_end: float
-    samples: int
-    initial: tuple
-    source: str
-    format: str
-    output: str | None
-    report: str | None
-    quiet: bool
-    workers: int
 
-    def __post_init__(self):
+def _check(config) -> None:
+    try:
+        params = config.physical()
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    for name, setting in _SETTINGS.items():
+        choices = setting.keywords.get("choices")
+        if choices and getattr(config, name) not in choices:
+            raise ConfigError(f"{name} must be one of {', '.join(choices)}, "
+                              f"got {getattr(config, name)!r}")
+    if config.order < 2:
+        raise ConfigError("quadrature order must be at least 2")
+    if config.workers < 1:
+        raise ConfigError("workers must be at least 1")
+    if config.samples < 2:
+        raise ConfigError("samples must be at least 2")
+    if not config.t_end > 0.0:
+        raise ConfigError("t_end must be positive")
+    for name in ("rtol", "atol"):
+        if not 0.0 < getattr(config, name) < 1.0:
+            raise ConfigError(f"{name} must lie in (0, 1)")
+    for name, field in (("beta_sweep", "beta"), ("l_sweep", "length")):
+        sweep = getattr(config, name)
+        if sweep is None:
+            continue
+        start, stop, count = sweep
+        if count < 1:
+            raise ConfigError(f"{name} count must be at least 1")
+        if count > 1 and not stop > start:
+            raise ConfigError(f"{name} must be increasing, got {sweep}")
         try:
-            self.physical()
+            for point in (start, stop) if count > 1 else (start,):
+                replace(params, **{field: point})
         except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-        if self.format not in ("csv", "json"):
-            raise ConfigError(f"format must be csv or json, got {self.format!r}")
-        if self.source not in ("oracle", "closed_form", "published"):
-            raise ConfigError(f"unknown coefficient source {self.source!r}")
-        if self.coords not in ("abc", "xyz", "both"):
-            raise ConfigError(f"coords must be abc, xyz or both, got {self.coords!r}")
-        if self.order < 2:
-            raise ConfigError("quadrature order must be at least 2")
-        if self.workers < 1:
-            raise ConfigError("workers must be at least 1")
-        if self.samples < 2:
-            raise ConfigError("samples must be at least 2")
-        if not self.t_end > 0.0:
-            raise ConfigError("t_end must be positive")
-        for name in ("rtol", "atol"):
-            if not 0.0 < getattr(self, name) < 1.0:
-                raise ConfigError(f"{name} must lie in (0, 1)")
-        for name in ("beta_sweep", "l_sweep"):
-            sweep = getattr(self, name)
-            if sweep is None:
-                continue
-            start, stop, count = sweep
-            if count < 1:
-                raise ConfigError(f"{name} count must be at least 1")
-            if count > 1 and not stop > start:
-                raise ConfigError(f"{name} must be increasing, got {sweep}")
-        if self.m < 1 or not self.n_modes or min(self.n_modes) < 1:
-            raise ConfigError("m and every n_modes entry must be at least 1")
-        if not all(math.isfinite(v) for v in self.initial):
-            raise ConfigError("initial state must be finite")
-        if self.subcommand == "critical" and self.l_sweep and self.optimize_l:
-            raise ConfigError("--l-sweep and --optimize-l are mutually exclusive")
-        if self.subcommand == "simulate" and self.coords != "abc" and self.rayleigh <= 0.0:
-            raise ConfigError("simulate in xyz/both coordinates needs --ra > 0")
+            raise ConfigError(f"{name}: {exc}") from exc
+    if config.m < 1 or not config.n_modes or min(config.n_modes) < 1:
+        raise ConfigError("m and every n_modes entry must be at least 1")
+    if not all(math.isfinite(v) for v in config.initial):
+        raise ConfigError("initial state must be finite")
+    if config.subcommand == "critical" and config.l_sweep and config.optimize_l:
+        raise ConfigError("--l-sweep and --optimize-l are mutually exclusive")
+    if config.subcommand == "simulate" and config.coords != "abc" and config.rayleigh <= 0.0:
+        raise ConfigError("simulate in xyz/both coordinates needs --ra > 0")
 
-    def physical(self) -> PhysicalParams:
-        return PhysicalParams(
-            beta=self.beta, prandtl=self.prandtl, rayleigh=self.rayleigh,
-            gamma=self.gamma, length=self.length,
-        )
+
+RunConfig = make_dataclass(
+    "RunConfig", [("subcommand", str)] + [(name, object) for name in _SETTINGS],
+    frozen=True, namespace={
+        "__doc__": "Fully resolved settings for one invocation, one field per setting.",
+        "__module__": __name__, "__post_init__": _check, "physical": _physical,
+    },
+)
 
 
 def _load_config_file(path: str) -> dict:
@@ -214,8 +224,7 @@ def _load_config_file(path: str) -> dict:
             text = handle.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
+    if text.lstrip().startswith("{"):
         try:
             data = json.loads(text)
         except json.JSONDecodeError as exc:
@@ -238,111 +247,63 @@ def _load_config_file(path: str) -> dict:
 def _coerce_known(source: str, data: dict) -> dict:
     out = {}
     for key, value in data.items():
-        if key not in _REGISTRY:
+        if key not in _SETTINGS:
             raise ConfigError(f"{source}: unknown field {key!r}")
-        coerce, _ = _REGISTRY[key]
         try:
-            out[key] = coerce(value)
-        except (TypeError, ValueError) as exc:
+            out[key] = _SETTINGS[key].coerce(value)
+        except (TypeError, ValueError, ArithmeticError) as exc:
             raise ConfigError(f"{source}: field {key!r}: {exc}") from exc
     return out
 
 
-def _environment_overrides() -> dict:
-    found = {}
-    for name in _REGISTRY:
-        value = os.environ.get(ENV_PREFIX + name.upper())
-        if value is not None:
-            found[name] = value
-    return _coerce_known("environment", found)
-
-
 def resolve_config(args: argparse.Namespace) -> RunConfig:
     """Merge defaults, config file, environment, and flags, in that order."""
-    merged = {name: default for name, (_, default) in _REGISTRY.items()}
+    merged = {name: setting.default for name, setting in _SETTINGS.items()} | _PHYSICAL
     if args.config:
         merged.update(_coerce_known(args.config, _load_config_file(args.config)))
-    merged.update(_environment_overrides())
-    cli_given = {
-        key: value
-        for key, value in vars(args).items()
-        if key in _REGISTRY and value is not None
-    }
-    merged.update(_coerce_known("command line", cli_given))
+    environment = {name: os.environ.get(ENV_PREFIX + name.upper()) for name in _SETTINGS}
+    merged.update(_coerce_known("environment", {
+        name: value for name, value in environment.items() if value is not None}))
+    merged.update(_coerce_known("command line", {
+        name: value for name, value in vars(args).items()
+        if name in _SETTINGS and value is not None}))
     return RunConfig(subcommand=args.command, **merged)
+
+
+def _add_flags(parser: argparse.ArgumentParser, owner: str | None) -> None:
+    for name, setting in _SETTINGS.items():
+        if setting.owner == owner:
+            parser.add_argument(*setting.flags, dest=name, **setting.keywords)
 
 
 def _build_parser() -> argparse.ArgumentParser:
     shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--beta", type=float, help="background stratification rate")
-    shared.add_argument("--pr", dest="prandtl", type=float, help="Prandtl number")
-    shared.add_argument("--ra", dest="rayleigh", type=float, help="Rayleigh number")
-    shared.add_argument("--gamma", type=float, help="adiabatic exponent")
-    shared.add_argument("--l", "--length", dest="length", type=float,
-                        help="domain width")
-    shared.add_argument("--order", type=int, help="quadrature order per axis")
-    shared.add_argument("--source", choices=("oracle", "closed_form", "published"),
-                        help="coefficient route")
-    shared.add_argument("--format", choices=("csv", "json"), help="table format")
-    shared.add_argument("--output", help="write the table here instead of stdout")
-    shared.add_argument("--quiet", action="store_const", const=True,
-                        help="suppress summary lines")
+    _add_flags(shared, None)
     shared.add_argument("--config", help="config file (key=value lines or JSON)")
-    shared.add_argument("--workers", type=int, help="thread pool size for sweeps")
 
     parser = argparse.ArgumentParser(
         prog="anelor",
         description="Lorenz-type reduction of anelastic convection",
     )
     commands = parser.add_subparsers(dest="command", required=True)
-
-    commands.add_parser(
-        "coeffs", parents=[shared],
-        help="reduced-system coefficients from every route, with deviations",
-    )
-
-    critical = commands.add_parser(
-        "critical", parents=[shared],
-        help="critical Rayleigh numbers over parameter sweeps",
-    )
-    critical.add_argument("--beta-sweep", nargs=3, metavar=("START", "STOP", "COUNT"),
-                          help="sweep the stratification rate")
-    critical.add_argument("--l-sweep", nargs=3, metavar=("START", "STOP", "COUNT"),
-                          help="sweep the domain width")
-    critical.add_argument("--optimize-l", dest="optimize_l", action="store_const",
-                          const=True, help="minimize over the domain width")
-
-    simulate = commands.add_parser(
-        "simulate", parents=[shared],
-        help="integrate the reduced and/or Lorenz systems",
-    )
-    simulate.add_argument("--coords", choices=("abc", "xyz", "both"),
-                          help="coordinate system(s) to integrate")
-    simulate.add_argument("--t-end", dest="t_end", type=float,
-                          help="integration span in the output coordinates")
-    simulate.add_argument("--samples", type=int, help="number of output samples")
-    simulate.add_argument("--rtol", type=float, help="relative tolerance")
-    simulate.add_argument("--atol", type=float, help="absolute tolerance")
-    simulate.add_argument("--initial", nargs=3, metavar=("A", "B", "C"),
-                          help="initial reduced state")
-
-    validate = commands.add_parser(
-        "validate", parents=[shared],
-        help="N-mode spectral onset versus the reduced route",
-    )
-    validate.add_argument("--n-modes", dest="n_modes", nargs="+", metavar="N",
-                          help="vertical truncations to check")
-    validate.add_argument("--m", type=int, help="horizontal mode number")
-    validate.add_argument("--report", help="also write the coefficient "
-                          "discrepancy table to this path")
+    for command, (text, _) in _COMMANDS.items():
+        _add_flags(commands.add_parser(command, parents=[shared], help=text), command)
     return parser
 
 
-def _render_json(document) -> str:
-    return json.dumps(document, indent=2, allow_nan=False) + "\n"
+_REPORT_COLUMNS = tuple(field.name for field in fields(ProjectionTermReport))
 
 
-def _deliver(text: str, path: str | None) -> None:
+def _emit(config: RunConfig, columns, rows, extra: dict, command=None, path=None) -> None:
+    """Write one table as CSV, or as a JSON document headed by `command` (the
+    subcommand by default), to `path` (--output by default, else stdout)."""
+    if config.format == "csv":
+        text = render_csv(columns, rows)
+    else:
+        document = {"command": command or config.subcommand, **extra,
+                    "columns": list(columns), "rows": [list(row) for row in rows]}
+        text = json.dumps(document, indent=2, allow_nan=False) + "\n"
+    path = path or config.output
     if path is None:
         sys.stdout.write(text)
     else:
@@ -353,26 +314,6 @@ def _deliver(text: str, path: str | None) -> None:
 def _note(config: RunConfig, message: str) -> None:
     if not config.quiet:
         print(message, file=sys.stderr)
-
-
-def _params_dict(params: PhysicalParams) -> dict:
-    return {
-        "beta": params.beta, "prandtl": params.prandtl,
-        "rayleigh": params.rayleigh, "gamma": params.gamma,
-        "length": params.length,
-    }
-
-
-def _emit(config: RunConfig, columns, rows, extra: dict) -> None:
-    if config.format == "csv":
-        text = render_csv(columns, rows)
-    else:
-        document = {"command": config.subcommand}
-        document.update(extra)
-        document["columns"] = list(columns)
-        document["rows"] = [list(row) for row in rows]
-        text = _render_json(document)
-    _deliver(text, config.output)
 
 
 def _sweep_values(sweep, fallback) -> list[float]:
@@ -391,17 +332,13 @@ def _pool_map(config: RunConfig, function, items) -> list:
 
 def _cmd_coeffs(config: RunConfig) -> int:
     params = config.physical()
-    rule = QuadratureRule(config.order, params.length)
-    rows = [report.to_dict() for report in discrepancy_report(params, rule)]
-    columns = ("term", "oracle", "closed_form", "published",
-               "rel_dev", "rel_dev_closed_form", "rel_dev_published")
-    table = [tuple(row[col] for col in columns) for row in rows]
+    reports = discrepancy_report(params, QuadratureRule(config.order, params.length))
     worst = float(max(
-        row["rel_dev_closed_form"] for row in rows if row["term"].startswith("e")
+        report.rel_dev_closed_form for report in reports if report.term.startswith("e")
     ))
     passed = worst <= COEFF_GATE
-    _emit(config, columns, table, {
-        "params": _params_dict(params),
+    _emit(config, _REPORT_COLUMNS, [astuple(report) for report in reports], {
+        "params": asdict(params),
         "gate": {"threshold": COEFF_GATE, "max_rel_dev": worst, "passed": passed},
     })
     _note(config, f"max oracle/closed-form coefficient deviation {worst:.3e} "
@@ -413,23 +350,21 @@ def _cmd_critical(config: RunConfig) -> int:
     betas = _sweep_values(config.beta_sweep, config.beta)
     lengths = _sweep_values(config.l_sweep, config.length)
     points = [(beta, length) for beta in betas for length in lengths]
+
+    def optimum(beta):
+        return minimize_over_length(beta=beta, prandtl=config.prandtl,
+                                    gamma=config.gamma, source=config.source)
+
     if config.optimize_l:
-        flat = minimize_over_length(
-            beta=0.0, prandtl=config.prandtl, gamma=config.gamma,
-            source=config.source,
-        )
+        flat = optimum(0.0)
 
     def solve(point):
         beta, length = point
         if config.optimize_l:
-            optimum = minimize_over_length(
-                beta=beta, prandtl=config.prandtl, gamma=config.gamma,
-                source=config.source,
-            )
-            length, ra, ra_flat = optimum.length, optimum.rayleigh, flat.rayleigh
+            best = optimum(beta)
+            length, ra, ra_flat = best.length, best.rayleigh, flat.rayleigh
         else:
-            base = PhysicalParams(beta=beta, prandtl=config.prandtl, rayleigh=0.0,
-                                  gamma=config.gamma, length=length)
+            base = replace(config.physical(), beta=beta, rayleigh=0.0, length=length)
             ra = critical_rayleigh(base, config.source)
             ra_flat = critical_rayleigh(base.with_beta(0.0), config.source)
         ratio = ra / ra_flat
@@ -438,7 +373,7 @@ def _cmd_critical(config: RunConfig) -> int:
 
     rows = _pool_map(config, solve, points)
     columns = ("beta", "length", "ra_critical", "ra_ratio", "taylor_ratio")
-    _emit(config, columns, rows, {"params": _params_dict(config.physical())})
+    _emit(config, columns, rows, {"params": asdict(config.physical())})
     _note(config, f"computed {len(rows)} onset point(s); "
           f"first Ra* = {rows[0][2]:.10g}")
     return 0
@@ -447,39 +382,29 @@ def _cmd_critical(config: RunConfig) -> int:
 def _cmd_simulate(config: RunConfig) -> int:
     params = config.physical()
     initial = np.asarray(config.initial, dtype=float)
-    extra = {"params": _params_dict(params)}
+    extra = {"params": asdict(params)}
     deviation = None
+    coeffs = coefficients(params, config.source, QuadratureRule(config.order, params.length))
+    grid = np.linspace(0.0, config.t_end, config.samples)
 
     if config.coords == "abc":
-        coeffs = coefficients(params, config.source,
-                              QuadratureRule(config.order, params.length))
-        grid = np.linspace(0.0, config.t_end, config.samples)
         trajectory = integrate_reduced(coeffs, initial, config.t_end,
                                        config.rtol, config.atol, t_eval=grid)
-        columns = trajectory.labels
-        rows = [tuple(sample) for sample in
-                np.column_stack([trajectory.times, trajectory.states])]
+        columns, table = trajectory.labels, [trajectory.times, trajectory.states]
         extra["nfev"] = trajectory.nfev
     else:
-        coeffs = coefficients(params, config.source,
-                              QuadratureRule(config.order, params.length))
         lorenz, scaling = scale_to_lorenz(coeffs)
-        extra["lorenz"] = {"sigma": lorenz.sigma, "delta": lorenz.delta,
-                           "r": lorenz.r}
-        extra["scaling"] = {"a": scaling.a, "b": scaling.b, "c": scaling.c,
-                            "d": scaling.d}
-        s_grid = np.linspace(0.0, config.t_end, config.samples)
+        extra["lorenz"] = asdict(lorenz)
+        extra["scaling"] = asdict(scaling)
         direct = integrate_lorenz(lorenz, scaling.apply(initial), config.t_end,
-                                  config.rtol, config.atol, t_eval=s_grid)
+                                  config.rtol, config.atol, t_eval=grid)
         if config.coords == "xyz":
-            columns = direct.labels
-            rows = [tuple(sample) for sample in
-                    np.column_stack([direct.times, direct.states])]
+            columns, table = direct.labels, [direct.times, direct.states]
             extra["nfev"] = direct.nfev
         else:
             reduced = integrate_reduced(
-                coeffs, initial, float(s_grid[-1] / scaling.d),
-                config.rtol, config.atol, t_eval=s_grid / scaling.d,
+                coeffs, initial, float(grid[-1] / scaling.d),
+                config.rtol, config.atol, t_eval=grid / scaling.d,
             )
             mapped = map_trajectory(reduced, scaling)
             deviation = float(np.max(np.abs(mapped.states - direct.states)))
@@ -487,9 +412,9 @@ def _cmd_simulate(config: RunConfig) -> int:
             extra["nfev"] = direct.nfev + reduced.nfev
             columns = ("s", "X", "Y", "Z", "X_from_abc", "Y_from_abc",
                        "Z_from_abc")
-            rows = [tuple(sample) for sample in
-                    np.column_stack([s_grid, direct.states, mapped.states])]
+            table = [grid, direct.states, mapped.states]
 
+    rows = [tuple(sample) for sample in np.column_stack(table)]
     _emit(config, columns, rows, extra)
     message = f"integrated {len(rows)} samples over [0, {config.t_end:g}]"
     if deviation is not None:
@@ -514,35 +439,22 @@ def _cmd_validate(config: RunConfig) -> int:
     rows = _pool_map(config, solve, list(config.n_modes))
     columns = ("beta", "m", "n_modes", "ra_critical", "ra_reduced", "rel_dev")
 
-    consistency = None
-    for row in rows:
-        if row[2] == 1:
-            consistency = row[5]
+    consistency = next((row[5] for row in rows if row[2] == 1), None)
     passed = consistency is None or consistency <= ROUTE_GATE
 
-    report_rows = [item.to_dict() for item in discrepancy_report(params, rule)]
-    report_columns = ("term", "oracle", "closed_form", "published",
-                      "rel_dev", "rel_dev_closed_form", "rel_dev_published")
+    reports = discrepancy_report(params, rule)
     if config.report:
-        table = [tuple(row[col] for col in report_columns) for row in report_rows]
-        if config.format == "csv":
-            _deliver(render_csv(report_columns, table), config.report)
-        else:
-            _deliver(_render_json({
-                "command": "validate-report",
-                "params": _params_dict(params),
-                "columns": list(report_columns),
-                "rows": [list(row) for row in table],
-            }), config.report)
+        _emit(config, _REPORT_COLUMNS, [astuple(report) for report in reports],
+              {"params": asdict(params)}, command="validate-report", path=config.report)
 
-    extra = {"params": _params_dict(params),
+    extra = {"params": asdict(params),
              "route_consistency": {
                  "threshold": ROUTE_GATE,
                  "rel_dev": consistency,
                  "passed": passed,
              }}
     if config.format == "json":
-        extra["discrepancy"] = report_rows
+        extra["discrepancy"] = [asdict(report) for report in reports]
     _emit(config, columns, rows, extra)
     if consistency is None:
         _note(config, "route consistency not checked (no N=1 truncation requested)")
@@ -552,11 +464,13 @@ def _cmd_validate(config: RunConfig) -> int:
     return 0 if passed else 1
 
 
-_HANDLERS = {
-    "coeffs": _cmd_coeffs,
-    "critical": _cmd_critical,
-    "simulate": _cmd_simulate,
-    "validate": _cmd_validate,
+# subcommand -> (--help line, handler)
+_COMMANDS = {
+    "coeffs": ("reduced-system coefficients from every route, with deviations",
+               _cmd_coeffs),
+    "critical": ("critical Rayleigh numbers over parameter sweeps", _cmd_critical),
+    "simulate": ("integrate the reduced and/or Lorenz systems", _cmd_simulate),
+    "validate": ("N-mode spectral onset versus the reduced route", _cmd_validate),
 }
 
 
@@ -569,7 +483,7 @@ def main(argv=None) -> int:
         print(f"anelor: {exc}", file=sys.stderr)
         return 2
     try:
-        return _HANDLERS[config.subcommand](config)
+        return _COMMANDS[config.subcommand][1](config)
     except (ValueError, ArithmeticError, RuntimeError) as exc:
         print(f"anelor: {exc}", file=sys.stderr)
         return 1

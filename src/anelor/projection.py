@@ -127,17 +127,6 @@ class ProjectionTermReport:
     rel_dev_closed_form: float
     rel_dev_published: float | None
 
-    def to_dict(self) -> dict:
-        return {
-            "term": self.term,
-            "oracle": self.oracle,
-            "closed_form": self.closed_form,
-            "published": self.published,
-            "rel_dev": self.rel_dev,
-            "rel_dev_closed_form": self.rel_dev_closed_form,
-            "rel_dev_published": self.rel_dev_published,
-        }
-
 
 def _default_rule(params: PhysicalParams, rule: QuadratureRule | None, order=64):
     if rule is None:

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from anelor.cli import main
+from anelor.cli import _SETTINGS, _build_parser, main, resolve_config
 
 REPORT_HEADER = ("term,oracle,closed_form,published,"
                  "rel_dev,rel_dev_closed_form,rel_dev_published")
@@ -226,6 +226,7 @@ def test_json_config_file(capsys, tmp_path):
     ("beta 0.1\n", ":1:"),
     ("beta = fast\n", "beta"),
     ('{"beta": [1, 2]}', "beta"),
+    ('{"order": 1%s}' % ("0" * 400), "order"),
 ])
 def test_malformed_config_is_a_usage_error(capsys, tmp_path, contents,
                                            fragment):
@@ -251,6 +252,11 @@ def test_missing_config_file(capsys, tmp_path):
     ("critical", "--beta-sweep", "1", "0", "5"),
     ("critical", "--l-sweep", "1", "2", "3", "--optimize-l"),
     ("validate", "--n-modes", "0"),
+    ("validate", "--n-modes", "1e400"),
+    ("critical", "--beta-sweep", "0", "1", "1e400"),
+    ("critical", "--beta-sweep", "-1", "1", "3"),
+    ("critical", "--l-sweep", "0", "2", "3"),
+    ("critical", "--beta-sweep", "0", "inf", "3"),
 ])
 def test_invalid_settings_exit_two(capsys, argv):
     code, _, err = run(capsys, *argv)
@@ -262,6 +268,45 @@ def test_bad_environment_value_is_a_usage_error(capsys, monkeypatch):
     monkeypatch.setenv("ANELOR_FORMAT", "xml")
     code, _, err = run(capsys, "coeffs")
     assert code == 2 and "format" in err
+
+
+def test_huge_environment_integer_is_a_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("ANELOR_ORDER", "1e400")
+    code, _, err = run(capsys, "coeffs")
+    assert code == 2 and err.startswith("anelor:") and "order" in err
+
+
+# one value per setting, each unlike its default, in the form a flag takes
+SAMPLES = {
+    "beta": "0.5", "prandtl": "7", "rayleigh": "900", "gamma": "1",
+    "length": "3", "order": "3.0", "source": "closed_form", "format": "json",
+    "output": "table.csv", "quiet": "true", "workers": "2",
+    "beta_sweep": "0 1 3", "l_sweep": "2 3 2", "optimize_l": "true",
+    "coords": "abc", "t_end": "5", "samples": "11", "rtol": "1e-8",
+    "atol": "1e-9", "initial": "1 2 3", "n_modes": "1 2", "m": "2",
+    "report": "report.csv",
+}
+
+
+@pytest.mark.parametrize("name", list(_SETTINGS))
+def test_flag_environment_and_config_file_agree(name, monkeypatch, tmp_path):
+    def resolve(*argv):
+        return resolve_config(_build_parser().parse_args(argv))
+
+    setting, value = _SETTINGS[name], SAMPLES[name]
+    command = setting.owner or "coeffs"
+    base = ("--ra", "100") if command == "simulate" else ()
+    flag = [setting.flags[-1]]
+    if setting.keywords.get("action") != "store_const":
+        flag += value.split()
+    config = tmp_path / "run.cfg"
+    config.write_text(f"{name} = {value}\n")
+
+    from_flag = resolve(command, *base, *flag)
+    assert from_flag != resolve(command, *base)
+    assert resolve(command, *base, "--config", str(config)) == from_flag
+    monkeypatch.setenv("ANELOR_" + name.upper(), value)
+    assert resolve(command, *base) == from_flag
 
 
 def test_argparse_rejects_unknown_commands(capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -189,7 +190,7 @@ def test_report_covers_every_term_and_coefficient():
     assert names[:12] == list(TERM_NAMES)
     assert names[12:] == [f"e{k}" for k in range(1, 8)]
     for row in rows:
-        record = row.to_dict()
+        record = dataclasses.asdict(row)
         assert set(record) == {"term", "oracle", "closed_form", "published",
                                "rel_dev", "rel_dev_closed_form",
                                "rel_dev_published"}
