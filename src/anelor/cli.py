@@ -78,6 +78,10 @@ def _as_bool(value):
     raise ValueError(f"expected a boolean, got {value!r}")
 
 
+def _as_path(value):
+    return None if value is None else str(value)
+
+
 def _listify(value):
     if isinstance(value, (list, tuple)):
         return list(value)
@@ -133,7 +137,8 @@ _SETTINGS = {
     "source": _row(str, "oracle", None, "--source",
                    choices=("oracle", "closed_form", "published"), help="coefficient route"),
     "format": _row(str, "csv", None, "--format", choices=("csv", "json"), help="table format"),
-    "output": _row(str, None, None, "--output", help="write the table here instead of stdout"),
+    "output": _row(_as_path, None, None, "--output",
+                   help="write the table here instead of stdout"),
     "quiet": _row(_as_bool, False, None, "--quiet", action="store_const", const=True,
                   help="suppress summary lines"),
     "workers": _row(_as_int, 1, None, "--workers", help="thread pool size for sweeps"),
@@ -155,7 +160,7 @@ _SETTINGS = {
     "n_modes": _row(_as_int_list, (1, 2, 4, 8), "validate", "--n-modes", nargs="+",
                     metavar="N", help="vertical truncations to check"),
     "m": _row(_as_int, 1, "validate", "--m", help="horizontal mode number"),
-    "report": _row(str, None, "validate", "--report",
+    "report": _row(_as_path, None, "validate", "--report",
                    help="also write the coefficient discrepancy table to this path"),
 }
 
@@ -306,9 +311,12 @@ def _emit(config: RunConfig, columns, rows, extra: dict, command=None, path=None
     path = path or config.output
     if path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(path, "w", newline="") as handle:
             handle.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _note(config: RunConfig, message: str) -> None:
@@ -355,8 +363,12 @@ def _cmd_critical(config: RunConfig) -> int:
         return minimize_over_length(beta=beta, prandtl=config.prandtl,
                                     gamma=config.gamma, source=config.source)
 
+    base = config.physical().with_rayleigh(0.0)
     if config.optimize_l:
         flat = optimum(0.0)
+    else:  # the beta = 0 reference depends on the width alone
+        flat = {length: critical_rayleigh(replace(base, beta=0.0, length=length),
+                                          config.source) for length in lengths}
 
     def solve(point):
         beta, length = point
@@ -364,9 +376,8 @@ def _cmd_critical(config: RunConfig) -> int:
             best = optimum(beta)
             length, ra, ra_flat = best.length, best.rayleigh, flat.rayleigh
         else:
-            base = replace(config.physical(), beta=beta, rayleigh=0.0, length=length)
-            ra = critical_rayleigh(base, config.source)
-            ra_flat = critical_rayleigh(base.with_beta(0.0), config.source)
+            ra = critical_rayleigh(replace(base, beta=beta, length=length), config.source)
+            ra_flat = flat[length]
         ratio = ra / ra_flat
         taylor = (ratio - 1.0) / beta if beta > 0.0 else None
         return (beta, length, ra, ratio, taylor)
@@ -475,15 +486,13 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         config = resolve_config(args)
+        return _COMMANDS[config.subcommand][1](config)
     except ConfigError as exc:
         print(f"anelor: {exc}", file=sys.stderr)
         return 2
-    try:
-        return _COMMANDS[config.subcommand][1](config)
     except (ValueError, ArithmeticError, RuntimeError) as exc:
         print(f"anelor: {exc}", file=sys.stderr)
         return 1

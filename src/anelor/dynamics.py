@@ -7,7 +7,8 @@ dense output and the step control of Hairer, Norsett & Wanner, Solving ODEs I,
 Sec. II.4. Each system is written once, in `_SYSTEMS`. Its RHS function and
 its step loop are generated from that entry: the loop pastes the RHS into
 every stage, as a call and a tuple per stage cost as much as the arithmetic,
-and keeps accepted steps as one flat list of floats for `_dense_output`.
+steers the step size without min/max calls, and packs each accepted step as
+8n doubles into one bytearray that `_dense_output` reads without a copy.
 Also here: the decay/growth diagnostic of the trailing log amplitude.
 """
 
@@ -16,6 +17,7 @@ from __future__ import annotations
 import functools
 import linecache
 import math
+import struct
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -95,7 +97,7 @@ class _System(NamedTuple):
     """An autonomous ODE system: `params` unpacks its parameters from the
     run's argument `p`, `state` names its components and `rhs` gives their
     derivatives as Python expressions; no name may be a step loop local
-    (p, t, h, y0, k1_0, ...)."""
+    (p, t, h, limit, y0, ay0, az0, k1_0, ...)."""
 
     name: str
     params: str
@@ -182,32 +184,35 @@ def dopri45(p, y, t_end, rtol, atol, records):
     {params}
     ({k1}), h_abs = _initial_step(rhs, p, y, t_end, rtol, atol)
     {y} = y
+    {abs_y} = {abs_y0}
     nfev, t, bounds = 2, 0.0, [0.0]
+    ulp, hypot, append = math.ulp, math.hypot, bounds.append
     while t < t_end:
-        min_step = 10.0 * math.ulp(t)
-        h_abs = max(h_abs, min_step)
-        rejected = False
+        min_step = 10.0 * ulp(t)
+        h_abs = min_step if min_step > h_abs else h_abs
+        limit = {max_factor!r}
         while True:
             if not h_abs >= min_step:
                 raise IntegrationError("step size %.3g fell below the float "
                                        "spacing at t = %.17g" % (h_abs, t))
-            t_new = min(t + h_abs, t_end)
+            t_new = t_end if t_end < (t_new := t + h_abs) else t_new
             h = t_new - t
 {stages}
             nfev += 6
-            error = math.hypot({error}) / {sqrt_n!r}
+            error = hypot({error}) / {sqrt_n!r}
             if error < 1.0:
-                factor = (_MAX_FACTOR if error == 0.0 else
-                          min(_MAX_FACTOR, _SAFETY * error ** -0.2))
-                h_abs = h * (min(1.0, factor) if rejected else factor)
+                factor = limit if error == 0.0 else {safety!r} * error ** -0.2
+                h_abs = h * (factor if factor < limit else limit)
                 break
-            h_abs = h * max(_MIN_FACTOR, _SAFETY * error ** -0.2)
-            rejected = True
+            factor = {safety!r} * error ** -0.2
+            h_abs = h * (factor if factor > {min_factor!r} else {min_factor!r})
+            limit = 1.0
         if records is not None:
-            records += ({y} {k})
-        bounds.append(t_new)
+            records += pack({y} {k})
+        append(t_new)
         t = t_new
         {y} = {state}
+        {abs_y} = {abs_z}
         {k1} = {k7}
     return ({y}), nfev, bounds
 """
@@ -218,7 +223,8 @@ def _stepper(system: _System):
     """Compile _LOOP for `system`, tableau entries as literals, as namedtuple
     and dataclasses build code. Each stage writes its state into the state
     names and pastes the RHS expressions after it, so it costs no call and no
-    tuple; the last stage's state is y_new, the z of the error norm."""
+    tuple; the last stage's state is y_new, the z of the error norm. Each
+    |z_i| is taken once and carried over as |y_i| of the next step."""
     z, n = system.state.split(", "), len(system.rhs)
     def names(prefix):
         return ", ".join(f"{prefix}{i}" for i in range(n)) + ","
@@ -229,13 +235,15 @@ def _stepper(system: _System):
         lines += [f"{z[i]} = y{i} + h * ({combo(i, row)})" for i in range(n)]
         lines += [f"k{s}_{i} = {expr}" for i, expr in enumerate(system.rhs)]
     error = ", ".join(f"h * ({combo(i, _E)}) / (atol + rtol * "
-                      f"(abs(y{i}) if abs(y{i}) > abs({z[i]}) else abs({z[i]})))"
+                      f"(ay{i} if ay{i} > (az{i} := abs({z[i]})) else az{i}))"
                       for i in range(n))
     source = _LOOP.format(
         params=system.params, y=names("y"), k1=names("k1_"), k7=names("k7_"),
         k=" ".join(names(f"k{s}_") for s in range(1, 8)), state=system.state,
-        error=error, sqrt_n=math.sqrt(n), stages="\n".join(" " * 12 + x for x in lines))
-    namespace = dict(globals(), rhs=_rhs(system))
+        abs_y=names("ay"), abs_z=names("az"), abs_y0=", ".join(f"abs(y{i})" for i in range(n)),
+        error=error, sqrt_n=math.sqrt(n), stages="\n".join(" " * 12 + x for x in lines),
+        safety=_SAFETY, min_factor=_MIN_FACTOR, max_factor=_MAX_FACTOR)
+    namespace = dict(globals(), rhs=_rhs(system), pack=struct.Struct(f"{8 * n}d").pack)
     return _compile(source, f"<dopri45 {system.name}>", "dopri45", namespace)
 
 
@@ -245,11 +253,11 @@ def _dopri45(system: _System, arg, y, t_end, rtol, atol, records=None):
 
     A step is accepted when the RMS of the embedded error, scaled by atol +
     rtol * max(|y_old|, |y_new|), is below one; the next step is scaled by
-    0.9 * err^(-1/5), clipped to [0.2, 10] and to at most 1 after a
+    0.9 * err^(-1/5), clipped to [0.2, 10] and to at most 1 (`limit`) after a
     rejection. Returns (final y, RHS evaluations, step bounds [0, ..., t_end])
-    and, if `records` is a list, appends to it per step the 8n floats y, k1,
-    ..., k7 that `_dense_output` reads. Overflow, non-finite states and steps
-    below the float spacing raise IntegrationError."""
+    and, if `records` is a bytearray, appends to it per step the 8n doubles
+    y, k1, ..., k7 that `_dense_output` reads. Overflow, non-finite states
+    and steps below the float spacing raise IntegrationError."""
     try:
         y, nfev, bounds = _stepper(system)(arg, y, t_end, rtol, atol, records)
     except (OverflowError, ZeroDivisionError) as exc:
@@ -261,11 +269,11 @@ def _dopri45(system: _System, arg, y, t_end, rtol, atol, records=None):
 
 def _dense_output(t_eval, bounds, records) -> np.ndarray:
     """States at t_eval from the interpolant of the step (t_i, t_i+1] holding
-    each time; t = 0 falls in the first step. `records` is the flat list of
-    `_dopri45`, 8n floats per step."""
+    each time; t = 0 falls in the first step. `records` is the bytearray of
+    `_dopri45`, 8n packed doubles per step."""
     bounds = np.asarray(bounds)
     index = np.searchsorted(bounds[1:], t_eval, side="left")
-    table = np.fromiter(records, float, len(records)).reshape(bounds.size - 1, 8, -1)
+    table = np.frombuffer(records).reshape(bounds.size - 1, 8, -1)
     y_old, stages = table[index, 0], table[index, 1:]
     h = bounds[index + 1] - bounds[index]
     x = (t_eval - bounds[index]) / h
@@ -288,7 +296,7 @@ def _integrate(system, arg, initial, t_end, rtol, atol, labels, t_eval):
             or np.any(t_eval > t_end)):
         raise ValueError("t_eval must be a non-empty 1-d array of times in "
                          "[0, t_end]")
-    records = []
+    records = bytearray()
     _, nfev, bounds = _dopri45(system, arg, initial.tolist(), t_end, rtol, atol, records)
     states = _dense_output(t_eval, bounds, records)
     if not np.all(np.isfinite(states)):

@@ -7,7 +7,9 @@ from pathlib import Path
 
 import pytest
 
+from anelor import cli
 from anelor.cli import _SETTINGS, _build_parser, main, resolve_config
+from anelor.lorenz import critical_rayleigh
 
 REPORT_HEADER = ("term,oracle,closed_form,published,"
                  "rel_dev,rel_dev_closed_form,rel_dev_published")
@@ -54,6 +56,17 @@ def test_output_goes_to_file_not_stdout(capsys, tmp_path):
     text = path.read_bytes()
     assert b"\r" not in text
     assert text.decode().splitlines()[0] == REPORT_HEADER
+
+
+@pytest.mark.parametrize("argv", [
+    ("coeffs", "--quiet", "--output"),
+    ("validate", "--n-modes", "1", "--quiet", "--report"),
+])
+def test_unwritable_output_is_a_usage_error(capsys, tmp_path, argv):
+    path = tmp_path / "missing" / "table.csv"
+    code, out, err = run(capsys, *argv, str(path))
+    assert (code, out) == (2, "")
+    assert err == f"anelor: cannot write {path}: No such file or directory\n"
 
 
 def test_byte_identical_reruns(capsys, tmp_path):
@@ -104,6 +117,23 @@ def test_critical_json_document(capsys):
                                    "ra_ratio", "taylor_ratio"]
     (row,) = document["rows"]
     assert row[3] > 1.0 and row[4] > 0.0
+
+
+def test_critical_computes_each_flat_reference_once(capsys, monkeypatch):
+    # the beta = 0 reference depends on the width only: one call per width
+    calls = []
+
+    def counting(params, *args):
+        calls.append(params)
+        return critical_rayleigh(params, *args)
+
+    monkeypatch.setattr(cli, "critical_rayleigh", counting)
+    code, out, _ = run(capsys, "critical", "--source", "closed_form", "--quiet",
+                       "--beta-sweep", "0", "1", "5", "--l-sweep", "2", "3", "3")
+    assert code == 0
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert len(rows) == 15 and len(calls) == 15 + 3
+    assert [float(row[3]) for row in rows if row[0] == "0"] == [1.0] * 3
 
 
 def test_critical_optimize_l(capsys):
@@ -219,6 +249,19 @@ def test_json_config_file(capsys, tmp_path):
     assert code == 0
     assert err == ""
     assert json.loads(out)["params"]["beta"] == 0.15
+
+
+def test_json_null_output_and_report_mean_unset(capsys, tmp_path, monkeypatch):
+    # null is "not set": the table goes to stdout and no file named None appears
+    monkeypatch.chdir(tmp_path)
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"output": None, "report": None}))
+    for argv, header in ((("critical", "--source", "closed_form"), "beta,length,ra_critical"),
+                         (("validate", "--n-modes", "1"), "beta,m,n_modes")):
+        code, out, _ = run(capsys, *argv, "--quiet", "--config", str(config))
+        assert code == 0
+        assert out.startswith(header)
+    assert [path.name for path in tmp_path.iterdir()] == ["run.json"]
 
 
 @pytest.mark.parametrize("contents,fragment", [

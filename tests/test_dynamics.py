@@ -299,13 +299,13 @@ def test_six_state_linear_system_matches_its_exponential_solution():
     # the 6-float loop serves Lyapunov; check it on a flow known in closed form
     blocks = ((-0.5, 2.0), (0.25, -1.0), (-0.1, 3.5))
     initial = [1.0, -2.0, 0.5, 3.0, -1.5, 0.25]
-    records = []
+    records = bytearray()
     final, nfev, bounds = _dopri45(ROTATING, sum(blocks, ()), initial, 3.0,
                                    1e-10, 1e-12, records)
     steps = len(bounds) - 1
     assert bounds[0] == 0.0 and bounds[-1] == 3.0
     assert (nfev - 2) % 6 == 0 and nfev >= 2 + 6 * steps
-    assert len(records) == 8 * 6 * steps
+    assert len(np.frombuffer(records)) == 8 * 6 * steps
     times = np.linspace(0.0, 3.0, 61)
     exact = np.empty((times.size, 6))
     for k, (a, w) in enumerate(blocks):
@@ -345,10 +345,10 @@ def test_pasted_rhs_matches_the_public_functions_bit_for_bit():
         for _ in range(100):
             lp = LorenzParams(*rng.uniform(0.5, 30.0, 3))
             arg = rng.uniform(-2.0, 2.0, 7).tolist() if system.name == "reduced" else lp
-            records = []
+            records = bytearray()
             _, _, bounds = _dopri45(system, arg, rng.uniform(-5.0, 5.0, n).tolist(),
                                     0.05, 1e-10, 1e-12, records)
-            table = np.reshape(records, (-1, 8, n)).tolist()
+            table = np.reshape(np.frombuffer(records), (-1, 8, n)).tolist()
             for step, (y, *stages) in enumerate(table):
                 h = bounds[step + 1] - bounds[step]
                 assert list(rhs(0.0, y, arg)) == stages[0]
@@ -391,8 +391,9 @@ def test_step_counts_account_for_every_rhs_evaluation():
     for traj in (smooth, chaotic):
         assert traj.steps > 0 and traj.rejected >= 0
         assert traj.nfev == 2 + 6 * (traj.steps + traj.rejected)
-    # the chaotic run rejects some of its steps, so both counts are exercised
-    assert chaotic.rejected > 0
+    # the chaotic run rejects some of its steps, so both counts are exercised;
+    # the exact count pins the step control's clamps
+    assert chaotic.rejected == 22
     coeffs = closed_form_coefficients(make_params(rayleigh=1000.0))
     reduced = integrate_reduced(coeffs, [0.5, -0.3, 0.2], 2.0)
     mapped = map_trajectory(reduced, scale_to_lorenz(coeffs)[1])
@@ -410,6 +411,29 @@ def test_chaotic_run_matches_golden_values():
               800: [13.793346313568065, 12.952017919539907, 34.90175027930282]}
     for row, values in golden.items():
         assert np.max(np.abs(traj.states[row] / values - 1.0)) <= 1e-12
+
+
+def test_reduced_run_matches_golden_values():
+    # a chaotic reduced run (r = 26 after scaling), recorded before the step
+    # control lost its min/max calls and the records were packed: step
+    # sequence and interpolated rows must not move
+    params = make_params(beta=0.3, rayleigh=20000.0)
+    traj = integrate_reduced(closed_form_coefficients(params), [0.5, -0.3, 0.2], 2.0)
+    assert (traj.nfev, traj.steps, traj.rejected) == (48398, 8026, 40)
+    golden = {100: [-19.996085417521606, -19.760096273496057, -47.99328035437012],
+              400: [-32.20284924593663, -18.685790108247758, -73.45476012282039],
+              800: [34.19947076235237, 19.50728329150348, -76.17376677817141]}
+    for row, values in golden.items():
+        assert np.max(np.abs(traj.states[row] / values - 1.0)) <= 1e-12
+
+
+def test_stiff_run_rejects_steps_at_the_shrink_limit():
+    # a stiff start rejects steps with errors past 0.9^5 / 0.2^5 ~ 1850, so
+    # the step shrinks by the floor factor 0.2; counts recorded as above
+    stiff = GalerkinCoeffs(-1000.0, 1.0, 5.0, -1.0, 1.0, -5.0, -2000.0, "closed_form",
+                           make_params())
+    traj = integrate_reduced(stiff, [0.1, 0.0, 0.0], 0.1)
+    assert (traj.nfev, traj.steps, traj.rejected) == (1340, 217, 6)
 
 
 def test_lyapunov_matches_golden_value():
