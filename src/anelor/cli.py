@@ -436,14 +436,17 @@ def _cmd_simulate(config: RunConfig) -> int:
 
 def _cmd_validate(config: RunConfig) -> int:
     params = config.physical().with_rayleigh(0.0)
-    rule = QuadratureRule(config.order, params.length)
-    reduced_value = critical_rayleigh(params, "oracle", rule)
+
+    def rule_for(n_modes):
+        # high truncations need more points than --order may give
+        return QuadratureRule(max(config.order, default_order(n_modes)), params.length)
+
+    # on the N = 1 pencil's rule, so both sides of ROUTE_GATE integrate alike
+    reduced_value = critical_rayleigh(params, "oracle", rule_for(1))
 
     def solve(n_modes):
-        # high truncations need more points than --order may give
-        order = max(config.order, default_order(n_modes))
         spectral_value = critical_rayleigh_spectral(
-            params, config.m, n_modes, QuadratureRule(order, params.length))
+            params, config.m, n_modes, rule_for(n_modes))
         rel = float(abs(spectral_value - reduced_value) / reduced_value)
         return (params.beta, config.m, n_modes, spectral_value, reduced_value, rel)
 
@@ -453,7 +456,7 @@ def _cmd_validate(config: RunConfig) -> int:
     consistency = next((row[5] for row in rows if row[2] == 1), None)
     passed = consistency is None or consistency <= ROUTE_GATE
 
-    reports = discrepancy_report(params, rule)
+    reports = discrepancy_report(params, QuadratureRule(config.order, params.length))
     if config.report:
         _emit(config, _REPORT_COLUMNS, [astuple(report) for report in reports],
               {"params": asdict(params)}, command="validate-report", path=config.report)

@@ -16,8 +16,9 @@ The coefficients are produced by three routes:
 
   oracle        every projection integral evaluated by Gauss-Legendre
                 quadrature from exact mode derivatives, with no reuse of the
-                eigenvalue formula or of any hand integration; this is the
-                reference route
+                eigenvalue formula or of any hand integration, once per
+                (beta, l, order), with Ra, Pr and gamma applied at assembly;
+                this is the reference route
   closed_form   analytic integrals re-derived from scratch; they agree with
                 the oracle to near machine precision and carry series branches
                 so beta -> 0 is smooth
@@ -34,8 +35,10 @@ all routes side by side.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -128,30 +131,45 @@ class ProjectionTermReport:
     rel_dev_published: float | None
 
 
-def _default_rule(params: PhysicalParams, rule: QuadratureRule | None, order=64):
+def _rule_order(params: PhysicalParams, rule: QuadratureRule | None) -> int:
+    """Order of `rule`, which must be built for the params' width; 64 without one."""
     if rule is None:
-        return QuadratureRule(order, params.length)
+        return 64
     if not math.isclose(rule.length, params.length, rel_tol=0.0, abs_tol=0.0):
         raise ValueError(
             f"quadrature rule was built for length {rule.length}, params have {params.length}"
         )
-    return rule
+    return rule.order
 
 
-def _oracle_terms(params: PhysicalParams, rule: QuadratureRule) -> dict:
+def _oracle_terms(params: PhysicalParams, order: int) -> dict:
     """All projection integrals of the reduced system, by quadrature.
 
-    Values are per unit amplitude (A, B, C, or their products) and the
-    buoyancy/source entries include the sqrt(Ra) factor of the equations.
+    Values are per unit amplitude (A, B, C, or their products): a copy of the
+    cached geometry integrals, with the sqrt(Ra) factor of the equations on
+    the buoyancy/source entries and gamma * beta^2 on the gamma term.
     """
+    terms = dict(_oracle_integrals(params.beta, params.length, order))
+    sqrt_ra = math.sqrt(params.rayleigh)
+    terms["gamma-term"] = params.gamma * params.beta**2 * terms["gamma-term"]
+    terms["buoyancy-omega"] = sqrt_ra * terms["buoyancy-omega"]
+    terms["source-tau"] = sqrt_ra * terms["source-tau"]
+    return terms
+
+
+@functools.lru_cache(maxsize=16)
+def _oracle_integrals(beta: float, length: float, order: int) -> MappingProxyType:
+    """`_oracle_terms` without its Ra and gamma factors, which leaves a function
+    of (beta, l, order) alone; read-only, since hits share it."""
+    rule = QuadratureRule(order, length)
+    geometry = PhysicalParams(beta=beta, length=length)
     _, Z, W = rule.grid()
-    beta = params.beta
     Eb = np.exp(beta * Z)
     E2 = np.exp(2.0 * beta * Z)
 
-    a = ModeGrid(ModeIndex(-1, 1, 1), params, rule)
-    t1 = ModeGrid(ModeIndex(+1, 1, 1), params, rule)
-    t2 = ModeGrid(ModeIndex(+1, 0, 2), params, rule)
+    a = ModeGrid(ModeIndex(-1, 1, 1), geometry, rule)
+    t1 = ModeGrid(ModeIndex(+1, 1, 1), geometry, rule)
+    t2 = ModeGrid(ModeIndex(+1, 0, 2), geometry, rule)
 
     def quad(field):
         return float(np.sum(W * field))
@@ -167,9 +185,8 @@ def _oracle_terms(params: PhysicalParams, rule: QuadratureRule) -> dict:
     )
     diffusive_omega = quad(Eb * diffused * a.partial())
 
-    gamma_term = params.gamma * beta**2 * quad(E2 * a.partial(2, 0) * a.partial())
+    gamma_term = quad(E2 * a.partial(2, 0) * a.partial())
 
-    sqrt_ra = math.sqrt(params.rayleigh)
     buoyancy = -quad(Eb * t1.partial(1, 0) * a.partial())
     buoyancy_cross = -quad(Eb * t2.partial(1, 0) * a.partial())
 
@@ -228,20 +245,20 @@ def _oracle_terms(params: PhysicalParams, rule: QuadratureRule) -> dict:
                 f"so the rule does not resolve the integrands"
             )
 
-    return {
+    return MappingProxyType({
         "diffusive-omega": diffusive_omega,
         "gamma-term": gamma_term,
-        "buoyancy-omega": sqrt_ra * buoyancy,
+        "buoyancy-omega": buoyancy,
         "mass-omega": mass_omega,
         "mass-tau1": mass_tau1,
         "mass-tau2": mass_tau2,
         "diffusive-tau1": diffusive_tau1,
         "diffusive-tau2": diffusive_tau2,
-        "source-tau": sqrt_ra * source,
+        "source-tau": source,
         "nonlinear-tau-111": nl_111,
         "nonlinear-tau-102": nl_102,
         "nonlinear-omega": nonlinear_omega,
-    }
+    })
 
 
 def _closed_form_terms(params: PhysicalParams) -> dict:
@@ -318,11 +335,10 @@ def oracle_coefficients(
     With check_convergence=True the rule order is doubled and a relative
     move above 1e-9 in any coefficient raises QuadratureConvergenceError.
     """
-    rule = _default_rule(params, rule)
-    coeffs = _assemble(_oracle_terms(params, rule), params, "oracle")
+    order = _rule_order(params, rule)
+    coeffs = _assemble(_oracle_terms(params, order), params, "oracle")
     if check_convergence:
-        fine = QuadratureRule(2 * rule.order, params.length)
-        refined = _assemble(_oracle_terms(params, fine), params, "oracle")
+        refined = _assemble(_oracle_terms(params, 2 * order), params, "oracle")
         base, again = coeffs.as_array(), refined.as_array()
         moves = np.abs(again - base) / np.maximum(np.abs(again), _DEV_FLOOR)
         if np.any(moves > 1e-9):
@@ -401,8 +417,7 @@ def discrepancy_report(
     dominant magnitude of the system, so quadrature noise in a vanishing
     projection does not read as disagreement.
     """
-    rule = _default_rule(params, rule)
-    oracle_terms = _oracle_terms(params, rule)
+    oracle_terms = _oracle_terms(params, _rule_order(params, rule))
     closed_terms = _closed_form_terms(params)
     published_terms = _published_terms(params)
     oracle = _assemble(oracle_terms, params, "oracle").as_array().tolist()

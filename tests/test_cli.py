@@ -10,6 +10,7 @@ import pytest
 from anelor import cli
 from anelor.cli import _SETTINGS, _build_parser, main, resolve_config
 from anelor.lorenz import critical_rayleigh
+from anelor.params import PhysicalParams
 
 REPORT_HEADER = ("term,oracle,closed_form,published,"
                  "rel_dev,rel_dev_closed_form,rel_dev_published")
@@ -222,6 +223,17 @@ def test_validate_raises_the_order_for_high_truncations(capsys):
     assert code == 0
     ra = float(out.splitlines()[1].split(",")[3])
     assert math.isfinite(ra) and abs(ra - 1152.378) < 1e-3
+
+
+def test_validate_reduced_onset_uses_the_n1_pencil_rule(capsys):
+    # the N = 1 pencil runs at order 64 whatever --order says; so does the
+    # reduced side, else the two differ by 1.2e-10 at --order 8
+    code, out, _ = run(capsys, "validate", "--beta", "3", "--n-modes", "1",
+                       "--order", "8", "--format", "json", "--quiet")
+    assert code == 0
+    (row,) = json.loads(out)["rows"]
+    assert row[4] == critical_rayleigh(PhysicalParams(beta=3.0), "oracle")
+    assert row[5] < 1e-14
 
 
 def test_environment_and_config_precedence(capsys, tmp_path, monkeypatch):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from anelor.basis import QuadratureRule
+from anelor.lorenz import critical_rayleigh
 from anelor.params import PhysicalParams
 from anelor.projection import (
     TERM_NAMES,
@@ -16,6 +17,8 @@ from anelor.projection import (
     expm1_over,
     oracle_coefficients,
     published_coefficients,
+    _oracle_integrals,
+    _oracle_terms,
 )
 
 ROOT2 = math.sqrt(2.0)
@@ -253,3 +256,67 @@ def test_galerkin_coeffs_validation():
         GalerkinCoeffs(math.nan, 1, 1, 1, 1, 1, 1, "oracle", params)
     coeffs = GalerkinCoeffs(1, 2, 3, 4, 5, 6, 7, "oracle", params)
     assert coeffs.as_dict() == {f"e{k}": float(k) for k in range(1, 8)}
+
+
+# (Pr, Ra, gamma) settings that share one geometry
+PHYSICAL_SETTINGS = ((10.0, 100.0, 4.0 / 3.0), (0.7, 2.5e4, 1.0 / 3.0), (42.0, 0.0, 2.9))
+
+
+def _oracle_outputs(params, fresh):
+    """Coefficients, the report's oracle column and the oracle onset; with
+    fresh=True each one starts from an empty cache."""
+    calls = (lambda: oracle_coefficients(params).as_array().tolist(),
+             lambda: [row.oracle for row in discrepancy_report(params)],
+             lambda: critical_rayleigh(params, "oracle"))
+    outputs = []
+    for call in calls:
+        if fresh:
+            _oracle_integrals.cache_clear()
+        outputs.append(call())
+    return outputs
+
+
+def test_cached_integrals_give_the_fresh_result_bit_for_bit():
+    geometry = {"beta": 1.7, "length": 3.3}
+    variants = [PhysicalParams(prandtl=pr, rayleigh=ra, gamma=gamma, **geometry)
+                for pr, ra, gamma in PHYSICAL_SETTINGS]
+    fresh = [_oracle_outputs(params, fresh=True) for params in variants]
+    _oracle_integrals.cache_clear()
+    _oracle_outputs(variants[0], fresh=False)
+    hits = _oracle_integrals.cache_info().hits
+    for params, expected in zip(variants[::-1], fresh[::-1]):
+        assert _oracle_outputs(params, fresh=False) == expected
+    info = _oracle_integrals.cache_info()
+    assert info.currsize == 1 and info.hits > hits
+
+
+def test_integral_cache_stays_within_its_bound():
+    bound = _oracle_integrals.cache_info().maxsize
+    assert bound is not None
+    for k in range(bound + 4):
+        params = PhysicalParams(beta=0.1 * k, rayleigh=100.0, length=2.0 + 0.01 * k)
+        oracle_coefficients(params)
+        assert _oracle_integrals.cache_info().currsize <= bound
+
+
+def test_under_resolved_rule_raises_on_every_call():
+    params = PhysicalParams(beta=0.3, prandtl=10.0, rayleigh=100.0,
+                            gamma=4.0 / 3.0, length=2.0 * ROOT2)
+    coarse = QuadratureRule(4, params.length)
+    misses = _oracle_integrals.cache_info().misses
+    for _ in range(2):
+        with pytest.raises(QuadratureConvergenceError):
+            oracle_coefficients(params, coarse)
+    assert _oracle_integrals.cache_info().misses == misses + 2
+
+
+def test_mutating_returned_terms_leaves_the_cache_intact():
+    params = PhysicalParams(beta=0.9, prandtl=10.0, rayleigh=300.0,
+                            gamma=4.0 / 3.0, length=2.5)
+    expected = oracle_coefficients(params).as_array()
+    terms = _oracle_terms(params, 64)
+    for name in TERM_NAMES:
+        terms[name] = 0.0
+    with pytest.raises(TypeError):
+        _oracle_integrals(params.beta, params.length, 64)["mass-omega"] = 0.0
+    assert np.array_equal(oracle_coefficients(params).as_array(), expected)
