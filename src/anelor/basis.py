@@ -32,7 +32,9 @@ __all__ = [
     "QuadratureRule",
     "ModeGrid",
     "fourier_eval",
+    "fourier_factor",
     "fourier_partial",
+    "vertical_profiles",
     "vertical_partial",
     "mode_eval",
     "mode_partial",
@@ -78,36 +80,46 @@ def fourier_eval(parity, m, x, length):
     raise ValueError(f"parity must be +1 or -1, got {parity}")
 
 
-def fourier_partial(parity, m, x, length, order=0):
-    """d^order/dx^order of phi[parity, m].
+def fourier_factor(parity, m, length, order=0):
+    """(factor, parity') with d^order/dx^order phi[parity, m] = factor * phi[parity', m];
+    each derivative flips the parity and multiplies by -parity * 2*pi*m/l."""
+    factor, cur, wave = 1.0, parity, 2.0 * np.pi * m / length
+    for _ in range(order):
+        factor *= -cur * wave
+        cur = -cur
+    return factor, cur
 
-    Each derivative flips the parity and multiplies by -parity * 2*pi*m/l,
-    so the result is always a scaled copy of one of the two branches.
-    """
+
+def fourier_partial(parity, m, x, length, order=0):
+    """d^order/dx^order of phi[parity, m], a scaled copy of one of the two branches."""
     if order < 0:
         raise ValueError("derivative order must be >= 0")
     if m == 0 and order > 0:
         return np.zeros_like(np.asarray(x, dtype=float))
-    factor = 1.0
-    cur = parity
-    wave = 2.0 * np.pi * m / length
-    for _ in range(order):
-        factor *= -cur * wave
-        cur = -cur
+    factor, cur = fourier_factor(parity, m, length, order)
     return factor * fourier_eval(cur, m, x, length)
 
 
-def vertical_partial(n, z, beta, order=0):
-    """d^order/dz^order of sqrt(2) * sin(n*pi*z) * exp(-beta*z/2).
+def vertical_profiles(n_modes, z, beta, max_order=0):
+    """[d, k - 1] = d^d/dz^d of sqrt(2) * sin(k*pi*z) * exp(-beta*z/2) at z for k = 1..n_modes
+    and d = 0..max_order: sqrt(2) * Im(c_k^d * exp(c_k*z)) with c_k = -beta/2 + i*k*pi, so
+    each derivative is exact and one exp per mode serves every order."""
+    if max_order < 0:
+        raise ValueError("derivative order must be >= 0")
+    modes = np.arange(1, n_modes + 1).reshape((-1,) + (1,) * np.ndim(z))
+    return np.array(_vertical(-0.5 * beta + 1j * np.pi * modes, z, range(max_order + 1)))
 
-    The factor is the imaginary part of sqrt(2) * exp(c*z) with
-    c = i*n*pi - beta/2, so every derivative is exact.
-    """
+
+def vertical_partial(n, z, beta, order=0):
+    """d^order/dz^order of vertical mode n (see vertical_profiles)."""
     if order < 0:
         raise ValueError("derivative order must be >= 0")
-    z = np.asarray(z, dtype=float)
-    c = complex(-0.5 * beta, n * np.pi)
-    return np.sqrt(2.0) * np.imag(c**order * np.exp(c * z))
+    return _vertical(complex(-0.5 * beta, n * np.pi), z, (order,))[0]
+
+
+def _vertical(c, z, orders):
+    wave = np.exp(c * np.asarray(z, dtype=float))
+    return [np.sqrt(2.0) * np.imag(c**d * wave) for d in orders]
 
 
 def mode_partial(j: ModeIndex, x, z, params: PhysicalParams, dx=0, dz=0):
@@ -172,6 +184,13 @@ class QuadratureRule:
         self.x_weights = 0.5 * self.length * weights
         self.z_nodes = 0.5 * (nodes + 1.0)
         self.z_weights = 0.5 * weights
+
+    def checked(self, length: float) -> "QuadratureRule":
+        """This rule, or ValueError when it was built for another width."""
+        if self.length != length:
+            raise ValueError(
+                f"quadrature rule was built for length {self.length}, params have {length}")
+        return self
 
     def grid(self):
         """Meshed nodes X, Z and combined weights W, all (order, order)."""

@@ -133,13 +133,7 @@ class ProjectionTermReport:
 
 def _rule_order(params: PhysicalParams, rule: QuadratureRule | None) -> int:
     """Order of `rule`, which must be built for the params' width; 64 without one."""
-    if rule is None:
-        return 64
-    if not math.isclose(rule.length, params.length, rel_tol=0.0, abs_tol=0.0):
-        raise ValueError(
-            f"quadrature rule was built for length {rule.length}, params have {params.length}"
-        )
-    return rule.order
+    return 64 if rule is None else rule.checked(params.length).order
 
 
 def _oracle_terms(params: PhysicalParams, order: int) -> dict:

@@ -18,9 +18,11 @@ stacked vector x = (A_1..A_N, B_1..B_N), with
 
 The entries use the oracle's integrands, so the N = 1 pencil reproduces the
 reduced critical Rayleigh number by construction. Each integrand is an x-factor
-times a z-factor, so its tensor Gauss-Legendre sum is an x-quadrature of two
-Fourier lines times (N x order) @ (order x N) products of the shared vertical
-profiles. The onset is one eigenvalue solve (see critical_rayleigh_spectral).
+times a z-factor. The x-integrals are +-(2 pi m/l)^dx times an entry of the 2 x 2
+Gram matrix of the cos/sin lines on the rule's x-nodes; the vertical profiles and
+their z-derivatives take one complex exp per mode (basis.vertical_profiles); so a
+block is one (N x order) @ (order x N) product. L0 is block diagonal and L1 only
+couples the families, so the onset is an N x N eigenproblem.
 """
 
 from __future__ import annotations
@@ -30,7 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import QuadratureRule, fourier_partial, vertical_partial, vorticity_diffusion_terms
+from .basis import (QuadratureRule, fourier_eval, fourier_factor, vertical_profiles,
+                    vorticity_diffusion_terms)
 from .params import PhysicalParams
 
 __all__ = [
@@ -85,8 +88,8 @@ def assemble_pencil(
     """
     if n_modes < 1 or m < 1:
         raise ValueError("need n_modes >= 1 and m >= 1")
-    if rule is None:
-        rule = QuadratureRule(default_order(n_modes), params.length)
+    rule = (QuadratureRule(default_order(n_modes), params.length) if rule is None
+            else rule.checked(params.length))
     matrices = _assemble_matrices(params, m, n_modes, rule)
     if check_convergence:
         fine = _assemble_matrices(
@@ -101,24 +104,24 @@ def assemble_pencil(
 
 
 def _assemble_matrices(params, m, n, rule):
-    beta, pr = params.beta, params.prandtl
-    # profiles[d][k - 1] is the d-th z-derivative of vertical mode k; the
-    # psi and tau families share them
-    profiles = [
-        np.array([vertical_partial(k, rule.z_nodes, beta, d) for k in range(1, n + 1)])
-        for d in range(5)
-    ]
+    beta, pr, length = params.beta, params.prandtl, params.length
+    # profiles[d, k - 1] is the d-th z-derivative of vertical mode k (both families);
+    # tests[w] is profiles[0] times the z-weights and exp(w*beta*z); gram[p, q] is the
+    # x-quadrature of phi[p, m] * phi[q, m]
+    profiles = vertical_profiles(n, rule.z_nodes, beta, 4)
+    weights = rule.z_weights * np.exp(np.outer(np.arange(3) * beta, rule.z_nodes))
+    tests = profiles[0] * weights[:, None]
+    lines = {p: fourier_eval(p, m, rule.x_nodes, length) for p in (1, -1)}
+    gram = {(p, q): np.dot(rule.x_weights * lines[p], lines[q]) for p in lines for q in lines}
 
     def block(terms, weight, trial, test):
-        # [i, j] = sum of c * int exp(weight*beta*z) d^dx d^dz trial_j * test_i
-        test_x = fourier_partial(test, m, rule.x_nodes, params.length)
-        test_z = profiles[0] * (rule.z_weights * np.exp(weight * beta * rule.z_nodes))
-        out = np.zeros((n, n))
+        # [i, j] = sum of c * int exp(weight*beta*z) d^dx d^dz trial_j * test_i, with
+        # d^dx phi[trial] = factor * phi[parity]; sums by dz, then one product
+        by_dz = np.zeros(5)
         for c, dx, dz in terms:
-            trial_x = fourier_partial(trial, m, rule.x_nodes, params.length, dx)
-            x_part = float(np.dot(rule.x_weights * trial_x, test_x))
-            out += c * x_part * (test_z @ profiles[dz].T)
-        return out
+            factor, parity = fourier_factor(trial, m, length, dx)
+            by_dz[dz] += c * factor * gram[parity, test]
+        return tests[weight] @ np.dot(by_dz, profiles.reshape(5, -1)).reshape(n, -1).T
 
     psi, tau = -1, +1
     # vorticity rows: time-derivative projections are diagonal by weighted
@@ -161,20 +164,24 @@ def critical_rayleigh_spectral(
 ) -> float:
     """Rayleigh number where the truncated system's growth rate first crosses zero.
 
-    A real eigenvalue crosses zero where L0 + s*L1 is singular, s = sqrt(Ra),
-    so s = 1/mu for the largest positive real eigenvalue mu of -L0^-1 L1.
+    With L0 = blockdiag(A, D), L1 = [[0, B], [C, 0]] and M = blockdiag(I, G), the
+    rest state is stable when eig(A) and eig(G^-1 D) have negative real parts, and
+    L0 + sqrt(Ra)*L1 is singular where 1/Ra is an eigenvalue of A^-1 B D^-1 C; the
+    onset is Ra = 1/lambda for the largest positive real eigenvalue lambda.
     Raises SpectralBracketError when the rest state is not stable at Ra = 0,
-    when no positive real mu exists, or when the growth rate at the result is
-    positive beyond roundoff, i.e. an oscillatory mode crossed first.
+    when no positive real lambda exists, or when the growth rate at the result
+    is positive beyond roundoff, i.e. an oscillatory mode crossed first.
     """
     pencil = assemble_pencil(params, m, n_modes, rule)
-    if leading_growth_rate(pencil, 0.0) >= 0.0:
+    n, solve, eigvals = pencil.n_modes, np.linalg.solve, np.linalg.eigvals
+    a, d = pencil.l0[:n, :n], pencil.l0[n:, n:]
+    if max(eigvals(a).real.max(), eigvals(solve(pencil.mass[n:, n:], d)).real.max()) >= 0.0:
         raise SpectralBracketError("growth rate at Ra = 0 is not negative")
-    mu = np.linalg.eigvals(-np.linalg.solve(pencil.l0, pencil.l1))
-    real = mu.real[(mu.imag == 0.0) & (mu.real > 0.0)]
+    lam = eigvals(solve(a, pencil.l1[:n, n:]) @ solve(d, pencil.l1[n:, :n]))
+    real = lam.real[(lam.imag == 0.0) & (lam.real > 0.0)]
     if real.size == 0:
         raise SpectralBracketError("no real eigenvalue crosses zero at any Ra > 0")
-    rayleigh = float(np.max(real)) ** -2
+    rayleigh = 1.0 / float(np.max(real))
     spectrum = _spectrum(pencil, rayleigh)
     growth = float(np.max(spectrum.real))
     if growth > 1e-8 * float(np.max(np.abs(spectrum))):

@@ -6,7 +6,7 @@ import pytest
 from anelor.basis import ModeGrid, ModeIndex, QuadratureRule
 from anelor.lorenz import critical_rayleigh
 from anelor.params import PhysicalParams
-from anelor.projection import closed_form_coefficients
+from anelor.projection import closed_form_coefficients, oracle_coefficients
 from anelor.spectral import (
     LinearOperatorPencil,
     SpectralBracketError,
@@ -125,6 +125,22 @@ def test_assemble_pencil_validates_arguments():
         assemble_pencil(make_params(), m=0)
 
 
+def test_rule_for_another_width_is_rejected_like_the_oracle():
+    # a rule for 2.37 at l = 2 used to give a tau mass block of 0.766 for 0.617
+    params = make_params(beta=1.0, length=2.0)
+    rule = QuadratureRule(64, 2.37)
+    message = "quadrature rule was built for length 2.37, params have 2.0"
+    with pytest.raises(ValueError, match=message):
+        oracle_coefficients(params, rule)
+    with pytest.raises(ValueError, match=message):
+        assemble_pencil(params, n_modes=2, rule=rule)
+    with pytest.raises(ValueError, match=message):
+        critical_rayleigh_spectral(params, n_modes=2, rule=rule)
+    matched = QuadratureRule(64, 2.0)
+    assert critical_rayleigh_spectral(params, n_modes=2, rule=matched) == (
+        critical_rayleigh_spectral(params, n_modes=2))
+
+
 def test_convergence_check_rejects_coarse_quadrature():
     coarse = QuadratureRule(4, 2.0 * ROOT2)
     with pytest.raises(ValueError):
@@ -157,6 +173,23 @@ def test_bracket_failures_raise(monkeypatch):
     monkeypatch.setattr(spectral, "assemble_pencil",
                         lambda *a, **k: never_unstable)
     with pytest.raises(SpectralBracketError):
+        critical_rayleigh_spectral(make_params())
+
+
+def test_rest_state_stability_uses_the_temperature_gram(monkeypatch):
+    import anelor.spectral as spectral
+
+    # eig(D) = {-1, -1} alone looks stable, but with the Gram mass G the
+    # temperature rows grow at Ra = 0: eig(G^-1 D) has a positive real part
+    mass, l0, l1 = np.eye(4), -np.eye(4), np.zeros((4, 4))
+    mass[2:, 2:] = [[1.0, 0.8], [0.8, 1.0]]
+    l0[2:, 2:] = [[-1.0, -4.0], [0.0, -1.0]]
+    l1[:2, 2:] = l1[2:, :2] = np.eye(2)
+    pencil = LinearOperatorPencil(params=make_params(), m=1, n_modes=2,
+                                  mass=mass, l0=l0, l1=l1)
+    assert leading_growth_rate(pencil, 0.0) > 0.0
+    monkeypatch.setattr(spectral, "assemble_pencil", lambda *a, **k: pencil)
+    with pytest.raises(SpectralBracketError, match="Ra = 0"):
         critical_rayleigh_spectral(make_params())
 
 
@@ -247,15 +280,18 @@ def test_onset_settles_at_strong_stratification():
 def test_oscillatory_onset_raises(monkeypatch):
     import anelor.spectral as spectral
 
-    # a complex pair -1 + s(1 +- 2i) crosses at s = 1, before the real
-    # eigenvalue -1 + s/2 crosses at s = 2; the complex eigenvalues 1 +- 2i
-    # of -L0^-1 L1 mark no real crossing and must not set the onset
-    l0 = -np.eye(4)
-    l1 = np.zeros((4, 4))
-    l1[:2, :2] = [[1.0, 2.0], [-2.0, 1.0]]
-    l1[2:, 2:] = [[0.0, 0.5], [0.5, 0.0]]
-    pencil = LinearOperatorPencil(params=make_params(), m=1, n_modes=2,
-                                  mass=np.eye(4), l0=l0, l1=l1)
+    # L0 = -I and L1 = [[0, I], [C, 0]] couple only the two families, like an
+    # assembled pencil, so the growth rates are -1 + s*nu with nu^2 an
+    # eigenvalue of C: a complex pair -1 + s(1 +- i/2) crosses at s = 1,
+    # before the real eigenvalue -1 + s/2 crosses at s = 2; the complex
+    # eigenvalues 3/4 +- i of C mark no real crossing and must not set the onset
+    l0 = -np.eye(6)
+    l1 = np.zeros((6, 6))
+    l1[:3, 3:] = np.eye(3)
+    l1[3:5, :2] = [[0.75, 1.0], [-1.0, 0.75]]
+    l1[5, 2] = 0.25
+    pencil = LinearOperatorPencil(params=make_params(), m=1, n_modes=3,
+                                  mass=np.eye(6), l0=l0, l1=l1)
     monkeypatch.setattr(spectral, "assemble_pencil", lambda *a, **k: pencil)
     with pytest.raises(SpectralBracketError, match="oscillatory"):
         critical_rayleigh_spectral(make_params())
