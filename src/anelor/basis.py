@@ -13,9 +13,11 @@ with eigenvalues mu[m, n] = -(beta^2/4 + 4*m^2*pi^2/l^2 + n^2*pi^2), where
     phi[+1, 0](x) = sqrt(1/l)
 
 Orthonormality holds in the weighted product <f, g> = int f * exp(beta*z) * g.
-Everything downstream (Galerkin projections, the linear-stability pencil) is
-built from pointwise evaluations of these modes and their exact partial
-derivatives, integrated with tensor-product Gauss-Legendre quadrature.
+The quadrature oracle (projection) is built from pointwise evaluations of these
+modes and their exact partial derivatives, integrated with tensor-product
+Gauss-Legendre quadrature. The linear-stability pencil (spectral) uses only
+fourier_factor and the exponential form of the vertical factor, and integrates
+in closed form.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ __all__ = [
     "fourier_eval",
     "fourier_factor",
     "fourier_partial",
-    "vertical_profiles",
     "vertical_partial",
     "mode_eval",
     "mode_partial",
@@ -100,26 +101,14 @@ def fourier_partial(parity, m, x, length, order=0):
     return factor * fourier_eval(cur, m, x, length)
 
 
-def vertical_profiles(n_modes, z, beta, max_order=0):
-    """[d, k - 1] = d^d/dz^d of sqrt(2) * sin(k*pi*z) * exp(-beta*z/2) at z for k = 1..n_modes
-    and d = 0..max_order: sqrt(2) * Im(c_k^d * exp(c_k*z)) with c_k = -beta/2 + i*k*pi, so
-    each derivative is exact and one exp per mode serves every order."""
-    if max_order < 0:
-        raise ValueError("derivative order must be >= 0")
-    modes = np.arange(1, n_modes + 1).reshape((-1,) + (1,) * np.ndim(z))
-    return np.array(_vertical(-0.5 * beta + 1j * np.pi * modes, z, range(max_order + 1)))
-
-
 def vertical_partial(n, z, beta, order=0):
-    """d^order/dz^order of vertical mode n (see vertical_profiles)."""
+    """d^order/dz^order of sqrt(2) * sin(n*pi*z) * exp(-beta*z/2) at z: the mode is
+    sqrt(2) * Im(exp(c*z)) with c = -beta/2 + i*n*pi, so the derivative is
+    sqrt(2) * Im(c^order * exp(c*z)), exact at every order."""
     if order < 0:
         raise ValueError("derivative order must be >= 0")
-    return _vertical(complex(-0.5 * beta, n * np.pi), z, (order,))[0]
-
-
-def _vertical(c, z, orders):
-    wave = np.exp(c * np.asarray(z, dtype=float))
-    return [np.sqrt(2.0) * np.imag(c**d * wave) for d in orders]
+    c = complex(-0.5 * beta, n * np.pi)
+    return np.sqrt(2.0) * np.imag(c**order * np.exp(c * np.asarray(z, dtype=float)))
 
 
 def mode_partial(j: ModeIndex, x, z, params: PhysicalParams, dx=0, dz=0):

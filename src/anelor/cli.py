@@ -47,7 +47,7 @@ from .dynamics import integrate_lorenz, integrate_reduced, map_trajectory, rende
 from .lorenz import critical_rayleigh, minimize_over_length, scale_to_lorenz
 from .params import PhysicalParams
 from .projection import ProjectionTermReport, coefficients, discrepancy_report
-from .spectral import critical_rayleigh_spectral, default_order
+from .spectral import critical_rayleigh_spectral
 
 __all__ = ["ConfigError", "RunConfig", "main", "entry"]
 
@@ -436,17 +436,14 @@ def _cmd_simulate(config: RunConfig) -> int:
 
 def _cmd_validate(config: RunConfig) -> int:
     params = config.physical().with_rayleigh(0.0)
-
-    def rule_for(n_modes):
-        # high truncations need more points than --order may give
-        return QuadratureRule(max(config.order, default_order(n_modes)), params.length)
-
-    # on the N = 1 pencil's rule, so both sides of ROUTE_GATE integrate alike
-    reduced_value = critical_rayleigh(params, "oracle", rule_for(1))
+    # the m-th harmonic pencil at width l is the first harmonic's at l/m; the
+    # reduced side keeps at least 64 points whatever --order says
+    reduced = replace(params, length=params.length / config.m)
+    reduced_value = critical_rayleigh(
+        reduced, "oracle", QuadratureRule(max(config.order, 64), reduced.length))
 
     def solve(n_modes):
-        spectral_value = critical_rayleigh_spectral(
-            params, config.m, n_modes, rule_for(n_modes))
+        spectral_value = critical_rayleigh_spectral(params, config.m, n_modes)
         rel = float(abs(spectral_value - reduced_value) / reduced_value)
         return (params.beta, config.m, n_modes, spectral_value, reduced_value, rel)
 

@@ -18,11 +18,20 @@ stacked vector x = (A_1..A_N, B_1..B_N), with
 
 The entries use the oracle's integrands, so the N = 1 pencil reproduces the
 reduced critical Rayleigh number by construction. Each integrand is an x-factor
-times a z-factor. The x-integrals are +-(2 pi m/l)^dx times an entry of the 2 x 2
-Gram matrix of the cos/sin lines on the rule's x-nodes; the vertical profiles and
-their z-derivatives take one complex exp per mode (basis.vertical_profiles); so a
-block is one (N x order) @ (order x N) product. L0 is block diagonal and L1 only
-couples the families, so the onset is an N x N eigenproblem.
+times a z-factor, and both integrals are exact. In x, d^dx phi[p, m] is
++-(2 pi m/l)^dx times a cos/sin line, and the Gram matrix of those lines over
+a period is the identity. In z, vertical mode k is sqrt(2) Im exp(c_k z) with
+c_k = -beta/2 + i pi k, so its d-th derivative is sqrt(2) Im(c_k^d exp(c_k z)).
+Entry (i, j) of a block with weight exp(w beta z) and summed term polynomial
+p(c) = sum_d by_dz[d] c^d is then Re[p(c_j) K_w[i, j]], where
+
+    K_w[i, j] = (sigma e^a - 1) * 2j pi i / (s1 * s2),
+    a = (w - 1) beta, sigma = (-1)^(i + j), s1 = a + 1j pi (j - i),
+    s2 = a + 1j pi (j + i),
+
+and (e^a - 1)/s1 is expm1_over(a) on the diagonal. No quadrature enters, so the
+pencil's only error is rounding. L0 is block diagonal and L1 only couples the
+families, so the onset is an N x N eigenproblem.
 """
 
 from __future__ import annotations
@@ -32,14 +41,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import (QuadratureRule, fourier_eval, fourier_factor, vertical_profiles,
-                    vorticity_diffusion_terms)
+from .basis import fourier_factor, vorticity_diffusion_terms
 from .params import PhysicalParams
+from .projection import expm1_over
 
 __all__ = [
     "LinearOperatorPencil",
     "SpectralBracketError",
-    "default_order",
     "assemble_pencil",
     "leading_growth_rate",
     "critical_rayleigh_spectral",
@@ -65,63 +73,51 @@ class LinearOperatorPencil:
     l1: np.ndarray
 
 
-def default_order(n_modes: int) -> int:
-    """Gauss-Legendre points per axis that resolve products of the first
-    n_modes vertical modes: 64 up to N = 24, then 2N + 16."""
-    return max(64, 2 * n_modes + 16)
-
-
 def assemble_pencil(
     params: PhysicalParams,
     m: int = 1,
     n_modes: int = 4,
-    rule: QuadratureRule | None = None,
-    check_convergence: bool = False,
 ) -> LinearOperatorPencil:
     """Project the linearized equations onto n_modes vertical modes.
 
     The Rayleigh number of `params` is ignored; it enters only through the
-    sqrt(Ra) factor applied to l1 later. Without a rule the quadrature order
-    is default_order(n_modes). With check_convergence=True the assembly is
-    repeated at twice the quadrature order and a relative entry move above
-    1e-9 raises ValueError.
+    sqrt(Ra) factor applied to l1 later.
     """
     if n_modes < 1 or m < 1:
         raise ValueError("need n_modes >= 1 and m >= 1")
-    rule = (QuadratureRule(default_order(n_modes), params.length) if rule is None
-            else rule.checked(params.length))
-    matrices = _assemble_matrices(params, m, n_modes, rule)
-    if check_convergence:
-        fine = _assemble_matrices(
-            params, m, n_modes, QuadratureRule(2 * rule.order, params.length)
-        )
-        for name in ("mass", "l0", "l1"):
-            a, b = matrices[name], fine[name]
-            scale = max(float(np.max(np.abs(b))), 1.0)
-            if float(np.max(np.abs(a - b))) > 1e-9 * scale:
-                raise ValueError(f"{name} entries move at double quadrature order")
-    return LinearOperatorPencil(params=params, m=m, n_modes=n_modes, **matrices)
+    return LinearOperatorPencil(params=params, m=m, n_modes=n_modes,
+                                **_assemble_matrices(params, m, n_modes))
 
 
-def _assemble_matrices(params, m, n, rule):
+def _kernels(beta, n):
+    """K_w of the module docstring for w = 0, 1, 2 (stacked) and modes 1..n. The
+    product 1/(s1 * s2) avoids the cancellation of 1/s1 - 1/s2, and expm1_over
+    keeps the diagonal finite as a -> 0."""
+    a = np.array([-beta, 0.0, beta])[:, None, None]
+    i = np.arange(1, n + 1)[:, None]
+    j, diagonal = i.T, np.arange(n)
+    s1 = a + 1j * np.pi * (j - i)
+    numerator = np.where((i + j) % 2 == 0, np.expm1(a), -(np.exp(a) + 1.0))
+    s1[:, diagonal, diagonal] = 1.0
+    numerator[:, diagonal, diagonal] = [[expm1_over(-beta)], [1.0], [expm1_over(beta)]]
+    return numerator / s1 * ((2j * np.pi) * i / (a + 1j * np.pi * (j + i)))
+
+
+def _assemble_matrices(params, m, n):
     beta, pr, length = params.beta, params.prandtl, params.length
-    # profiles[d, k - 1] is the d-th z-derivative of vertical mode k (both families);
-    # tests[w] is profiles[0] times the z-weights and exp(w*beta*z); gram[p, q] is the
-    # x-quadrature of phi[p, m] * phi[q, m]
-    profiles = vertical_profiles(n, rule.z_nodes, beta, 4)
-    weights = rule.z_weights * np.exp(np.outer(np.arange(3) * beta, rule.z_nodes))
-    tests = profiles[0] * weights[:, None]
-    lines = {p: fourier_eval(p, m, rule.x_nodes, length) for p in (1, -1)}
-    gram = {(p, q): np.dot(rule.x_weights * lines[p], lines[q]) for p in lines for q in lines}
+    # powers[d, k - 1] = c_k^d; kernels[w] integrates against the weight exp(w*beta*z)
+    powers = (-0.5 * beta + 1j * np.pi * np.arange(1, n + 1)) ** np.arange(5)[:, None]
+    kernels = _kernels(beta, n)
 
     def block(terms, weight, trial, test):
         # [i, j] = sum of c * int exp(weight*beta*z) d^dx d^dz trial_j * test_i, with
-        # d^dx phi[trial] = factor * phi[parity]; sums by dz, then one product
+        # d^dx phi[trial] = factor * phi[parity], orthonormal to phi[test] unless equal
         by_dz = np.zeros(5)
         for c, dx, dz in terms:
             factor, parity = fourier_factor(trial, m, length, dx)
-            by_dz[dz] += c * factor * gram[parity, test]
-        return tests[weight] @ np.dot(by_dz, profiles.reshape(5, -1)).reshape(n, -1).T
+            if parity == test:
+                by_dz[dz] += c * factor
+        return (np.dot(by_dz, powers) * kernels[weight]).real
 
     psi, tau = -1, +1
     # vorticity rows: time-derivative projections are diagonal by weighted
@@ -160,7 +156,6 @@ def critical_rayleigh_spectral(
     params: PhysicalParams,
     m: int = 1,
     n_modes: int = 1,
-    rule: QuadratureRule | None = None,
 ) -> float:
     """Rayleigh number where the truncated system's growth rate first crosses zero.
 
@@ -172,7 +167,7 @@ def critical_rayleigh_spectral(
     when no positive real lambda exists, or when the growth rate at the result
     is positive beyond roundoff, i.e. an oscillatory mode crossed first.
     """
-    pencil = assemble_pencil(params, m, n_modes, rule)
+    pencil = assemble_pencil(params, m, n_modes)
     n, solve, eigvals = pencil.n_modes, np.linalg.solve, np.linalg.eigvals
     a, d = pencil.l0[:n, :n], pencil.l0[n:, n:]
     if max(eigvals(a).real.max(), eigvals(solve(pencil.mass[n:, n:], d)).real.max()) >= 0.0:

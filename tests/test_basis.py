@@ -12,7 +12,6 @@ from anelor.basis import (
     mode_eval,
     mode_partial,
     vertical_partial,
-    vertical_profiles,
     vorticity_eigenvalue,
     vorticity_residual,
     weighted_inner_product,
@@ -148,14 +147,14 @@ def test_vertical_factor_and_derivative_values():
 
 @pytest.mark.parametrize("beta", [0.0, 3.0, 13.0])
 def test_vertical_profiles_rows_match_the_complex_exponential(beta):
+    # profile k, order d: sqrt(2) Im(c^d exp(c z)) with c = -beta/2 + i k pi
     z = QuadratureRule(80, 1.0).z_nodes
-    profiles = vertical_profiles(64, z, beta, 4)
-    assert profiles.shape == (5, 64, 80)
     for k in range(1, 65):
         c = complex(-0.5 * beta, k * math.pi)
         for d in range(5):
             expected = math.sqrt(2.0) * np.imag(c**d * np.exp(c * z))
-            row = profiles[d, k - 1]
+            row = vertical_partial(k, z, beta, d)
+            assert row.shape == (80,)
             assert np.max(np.abs(row - expected)) <= 1e-14 * np.max(np.abs(row))
 
 
@@ -163,28 +162,27 @@ def test_vertical_profiles_rows_match_the_complex_exponential(beta):
 def test_vertical_profiles_match_the_real_product_rule(beta):
     # d/dz of s(z) = sqrt(2) sin(k pi z) exp(-beta z / 2), written out in reals
     z = np.linspace(0.0, 1.0, 41)
-    profiles = vertical_profiles(64, z, beta, 2)
     for k in (1, 7, 64):
         w, h = k * math.pi, 0.5 * beta
         sin, cos, decay = np.sin(w * z), np.cos(w * z), math.sqrt(2.0) * np.exp(-h * z)
         exact = (sin * decay, (w * cos - h * sin) * decay,
                  ((h * h - w * w) * sin - 2.0 * h * w * cos) * decay)
         for d, expected in enumerate(exact):
-            row = profiles[d, k - 1]
+            row = vertical_partial(k, z, beta, d)
             assert np.max(np.abs(row - expected)) <= 1e-12 * np.max(np.abs(row))
 
 
 @pytest.mark.parametrize("beta", [0.0, 1.7, 13.0])
 def test_vertical_partial_agrees_with_the_profiles(beta):
+    # a scalar z gives the matching entry of the profile over an array of z
     z = QuadratureRule(64, 1.0).z_nodes
-    profiles = vertical_profiles(16, z, beta, 4)
     for k in (1, 5, 16):
         for d in range(5):
-            row = profiles[d, k - 1]
-            assert np.max(np.abs(vertical_partial(k, z, beta, d) - row)) <= (
-                1e-15 * np.max(np.abs(row)))
+            row = vertical_partial(k, z, beta, d)
+            points = np.array([vertical_partial(k, point, beta, d) for point in z])
+            assert np.max(np.abs(points - row)) <= 1e-15 * np.max(np.abs(row))
     with pytest.raises(ValueError):
-        vertical_profiles(4, z, beta, -1)
+        vertical_partial(4, z, beta, -1)
 
 
 def test_quadrature_is_exact_on_polynomials():

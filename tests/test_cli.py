@@ -217,7 +217,7 @@ def test_validate_onsets_match_golden_values(capsys, beta):
 
 
 def test_validate_raises_the_order_for_high_truncations(capsys):
-    # --order 64 cannot resolve N = 56; the pencil is built at 128 points
+    # the exact pencil does not depend on --order
     code, out, _ = run(capsys, "validate", "--beta", "1", "--l", "2.83",
                        "--n-modes", "56", "--order", "64", "--quiet")
     assert code == 0
@@ -226,14 +226,29 @@ def test_validate_raises_the_order_for_high_truncations(capsys):
 
 
 def test_validate_reduced_onset_uses_the_n1_pencil_rule(capsys):
-    # the N = 1 pencil runs at order 64 whatever --order says; so does the
-    # reduced side, else the two differ by 1.2e-10 at --order 8
+    # the reduced side runs at no fewer than 64 points whatever --order says,
+    # else it differs from the exact N = 1 pencil by 1.2e-10 at --order 8
     code, out, _ = run(capsys, "validate", "--beta", "3", "--n-modes", "1",
                        "--order", "8", "--format", "json", "--quiet")
     assert code == 0
     (row,) = json.loads(out)["rows"]
     assert row[4] == critical_rayleigh(PhysicalParams(beta=3.0), "oracle")
     assert row[5] < 1e-14
+
+
+@pytest.mark.parametrize("harmonic", [2, 3])
+def test_validate_compares_a_harmonic_with_the_reduced_onset_at_its_width(capsys, harmonic):
+    # the pencil of harmonic m at width l is the first harmonic's at l/m
+    code, out, _ = run(capsys, "validate", "--beta", "1.5", "--m", str(harmonic),
+                       "--n-modes", "1", "2", "--format", "json", "--quiet")
+    assert code == 0
+    document = json.loads(out)
+    narrow = PhysicalParams(beta=1.5, length=PhysicalParams().length / harmonic)
+    expected = critical_rayleigh(narrow, "oracle")
+    for row in document["rows"]:
+        assert row[1] == harmonic and row[4] == expected
+    gate = document["route_consistency"]
+    assert gate["passed"] is True and gate["rel_dev"] <= cli.ROUTE_GATE
 
 
 def test_environment_and_config_precedence(capsys, tmp_path, monkeypatch):

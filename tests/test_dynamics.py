@@ -436,6 +436,6 @@ def test_stiff_run_rejects_steps_at_the_shrink_limit():
     assert (traj.nfev, traj.steps, traj.rejected) == (1340, 217, 6)
 
 
-def test_lyapunov_matches_golden_value():
-    estimate = largest_lyapunov(LorenzParams(10.0, 8.0 / 3.0, 28.0), seed=0)
+def test_lyapunov_matches_golden_value(chaotic_lyapunov_seed0):
+    estimate = chaotic_lyapunov_seed0
     assert estimate == pytest.approx(0.9135453489127642, rel=1e-12)

@@ -1,8 +1,11 @@
+import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
 
+import anelor.basis
 from anelor.basis import ModeGrid, ModeIndex, QuadratureRule
 from anelor.lorenz import critical_rayleigh
 from anelor.params import PhysicalParams
@@ -12,8 +15,14 @@ from anelor.spectral import (
     SpectralBracketError,
     assemble_pencil,
     critical_rayleigh_spectral,
-    default_order,
     leading_growth_rate,
+)
+
+from reference_pencil import (
+    max_block_deviation,
+    pencil_blocks,
+    quadrature_integral,
+    reference_blocks,
 )
 
 ROOT2 = math.sqrt(2.0)
@@ -126,27 +135,57 @@ def test_assemble_pencil_validates_arguments():
 
 
 def test_rule_for_another_width_is_rejected_like_the_oracle():
-    # a rule for 2.37 at l = 2 used to give a tau mass block of 0.766 for 0.617
+    # the pencil takes no rule (its integrals are exact); the oracle, which
+    # integrates by quadrature, rejects a rule built for another width
     params = make_params(beta=1.0, length=2.0)
     rule = QuadratureRule(64, 2.37)
     message = "quadrature rule was built for length 2.37, params have 2.0"
     with pytest.raises(ValueError, match=message):
         oracle_coefficients(params, rule)
-    with pytest.raises(ValueError, match=message):
-        assemble_pencil(params, n_modes=2, rule=rule)
-    with pytest.raises(ValueError, match=message):
-        critical_rayleigh_spectral(params, n_modes=2, rule=rule)
-    matched = QuadratureRule(64, 2.0)
-    assert critical_rayleigh_spectral(params, n_modes=2, rule=matched) == (
-        critical_rayleigh_spectral(params, n_modes=2))
 
 
-def test_convergence_check_rejects_coarse_quadrature():
-    coarse = QuadratureRule(4, 2.0 * ROOT2)
-    with pytest.raises(ValueError):
-        assemble_pencil(make_params(beta=1.0), n_modes=4, rule=coarse,
-                        check_convergence=True)
-    assemble_pencil(make_params(beta=1.0), n_modes=4, check_convergence=True)
+def test_onset_builds_no_quadrature_rule(monkeypatch):
+    built = []
+    original = anelor.basis.QuadratureRule.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(anelor.basis.QuadratureRule, "__init__", counting_init)
+    QuadratureRule(8, 1.0)
+    assert len(built) == 1
+    for n_modes in (1, 4, 16):
+        critical_rayleigh_spectral(make_params(beta=1.0), n_modes=n_modes)
+    assert len(built) == 1
+
+
+def test_pencil_matches_the_40_digit_reference_at_strong_stratification():
+    # blocks of the defining integrals from mpmath (tests/data/make_pencil_reference.py);
+    # a 64-point Gauss-Legendre pencil is 1.5e-14 off in the psi diffusion block
+    document = json.loads(
+        (pathlib.Path(__file__).parent / "data" / "pencil_beta13_n8.json").read_text())
+    setup = document["params"]
+    params = make_params(beta=setup["beta"], prandtl=setup["prandtl"],
+                         gamma=setup["gamma"], length=setup["length"])
+    assert params.length == 2.0 * ROOT2
+    pencil = assemble_pencil(params, m=setup["m"], n_modes=setup["n_modes"])
+    expected = {name: np.array(rows) for name, rows in document["blocks"].items()}
+    assert max_block_deviation(pencil_blocks(pencil), expected) <= 2e-15
+
+
+@pytest.mark.parametrize("beta", [5e-324, 2.2250738585e-313, 1e-300, 1e-8])
+def test_tiny_stratification_gives_a_finite_continuous_pencil(beta):
+    params = make_params(beta=beta)
+    pencil = assemble_pencil(params, n_modes=4)
+    for matrix in (pencil.mass, pencil.l0, pencil.l1):
+        assert np.all(np.isfinite(matrix))
+    blocks = pencil_blocks(pencil)
+    flat = pencil_blocks(assemble_pencil(make_params(beta=0.0), n_modes=4))
+    # the exact pencil moves by O(beta) of each block's scale (5e-9 at beta = 1e-8)
+    assert max_block_deviation(blocks, flat) <= 1e-12 + beta
+    reference = reference_blocks(params, quadrature_integral(beta, 4, 64))
+    assert max_block_deviation(blocks, reference) <= 1e-12
 
 
 def test_growth_rate_rejects_negative_rayleigh():
@@ -233,7 +272,7 @@ def tensor_grid_pencil(params, n_modes, rule):
 def test_separable_pencil_matches_the_tensor_grid_sum(beta):
     params = make_params(beta=beta, prandtl=7.0, gamma=0.8, length=3.1)
     rule = QuadratureRule(64, params.length)
-    pencil = assemble_pencil(params, n_modes=4, rule=rule)
+    pencil = assemble_pencil(params, n_modes=4)
     reference = tensor_grid_pencil(params, 4, rule)
     for name, expected in reference.items():
         actual = getattr(pencil, name)
@@ -297,23 +336,21 @@ def test_oscillatory_onset_raises(monkeypatch):
         critical_rayleigh_spectral(make_params())
 
 
-def test_default_order_keeps_64_points_up_to_24_modes():
-    assert [default_order(n) for n in (1, 16, 24, 25, 32, 56, 64)] == [
-        64, 64, 64, 66, 80, 128, 144]
-
-
 @pytest.mark.parametrize("n_modes", [32, 48, 64])
 def test_default_rule_resolves_high_truncations(n_modes):
-    # a fixed 64-point rule moved the pencil at double order from N = 32 on
-    assemble_pencil(make_params(beta=1.0, length=2.83), n_modes=n_modes,
-                    check_convergence=True)
+    # the exact pencil against an in-test Gauss-Legendre rule of 4N + 64 points
+    params = make_params(beta=1.0, length=2.83)
+    pencil = pencil_blocks(assemble_pencil(params, n_modes=n_modes))
+    reference = reference_blocks(params, quadrature_integral(1.0, n_modes, 4 * n_modes + 64))
+    for name, expected in reference.items():
+        scale = max(float(np.max(np.abs(expected))), 1.0)
+        assert float(np.max(np.abs(pencil[name] - expected))) <= 1e-9 * scale, name
 
 
 def test_high_truncation_onset_at_the_default_rule():
-    # with 64 points the N = 56 pencil was unstable at Ra = 0
+    # with 64 points the N = 56 pencil was unstable at Ra = 0; 1152.37846336931
+    # is the onset of a 256-point quadrature pencil
     params = make_params(beta=1.0, length=2.83)
     onset = critical_rayleigh_spectral(params, n_modes=56)
     assert math.isfinite(onset)
-    fine = critical_rayleigh_spectral(params, n_modes=56,
-                                      rule=QuadratureRule(256, 2.83))
-    assert onset == pytest.approx(fine, rel=1e-9)
+    assert onset == pytest.approx(1152.37846336931, rel=1e-9)
