@@ -2,11 +2,12 @@
 
 The quadrature oracle projects the governing equations term by term with no
 algebra beyond the integrands themselves; the closed forms evaluate the
-hand-derived expressions; the display route evaluates the printed versions
-of those expressions verbatim. Oracle and closed forms agree to roundoff
-everywhere. The display column differs in one nonlinear term (a factor-of-4
-scale in its printed prefactor), which this report quantifies rather than
-hides.
+hand-derived expressions; the display route is the closed forms with the two
+printed typos as term overrides. Oracle and closed forms agree to roundoff
+everywhere. The display column differs in two terms, which this report
+quantifies rather than hides: the nonlinear AC term (a factor-of-4 scale in
+its printed prefactor at beta = 0), and the gamma term of e1, printed with
+4 pi^2 / l where the projection gives 4 pi^2 / l^2.
 """
 
 from anelor.params import PhysicalParams
@@ -28,4 +29,4 @@ for row in rows:
 worst = max(r.rel_dev_closed_form for r in rows if r.term.startswith("e"))
 print(f"\nmax oracle vs closed-form deviation over e1..e7: {worst:.2e}")
 print("the display column's nonlinear-tau-111 row carries the printed "
-      "factor-of-4 discrepancy")
+      "factor-of-4 discrepancy, and its gamma-term row the printed 4 pi^2 / l")

@@ -160,7 +160,7 @@ class QuadratureRule:
     up to 2*order - 1 exactly on each axis.
     """
 
-    def __init__(self, order: int = 64, length: float = 1.0):
+    def __init__(self, order: int, length: float = 1.0):
         if order < 1:
             raise ValueError(f"order must be >= 1, got {order}")
         if length <= 0.0:
@@ -174,27 +174,11 @@ class QuadratureRule:
         self.z_nodes = 0.5 * (nodes + 1.0)
         self.z_weights = 0.5 * weights
 
-    def checked(self, length: float) -> "QuadratureRule":
-        """This rule, or ValueError when it was built for another width."""
-        if self.length != length:
-            raise ValueError(
-                f"quadrature rule was built for length {self.length}, params have {length}")
-        return self
-
     def grid(self):
         """Meshed nodes X, Z and combined weights W, all (order, order)."""
         X, Z = np.meshgrid(self.x_nodes, self.z_nodes, indexing="ij")
         W = np.outer(self.x_weights, self.z_weights)
         return X, Z, W
-
-    def integrate(self, values) -> float:
-        """Integrate a field sampled on self.grid() over the layer."""
-        values = np.asarray(values, dtype=float)
-        return float(np.sum(np.outer(self.x_weights, self.z_weights) * values))
-
-    def integrate_z(self, values) -> float:
-        """Integrate a 1D profile sampled on z_nodes over (0, 1)."""
-        return float(np.dot(self.z_weights, np.asarray(values, dtype=float)))
 
 
 def weighted_inner_product(f, g, beta, rule: QuadratureRule) -> float:

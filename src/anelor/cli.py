@@ -42,11 +42,10 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .basis import QuadratureRule
 from .dynamics import integrate_lorenz, integrate_reduced, map_trajectory, render_csv
 from .lorenz import critical_rayleigh, minimize_over_length, scale_to_lorenz
 from .params import PhysicalParams
-from .projection import ProjectionTermReport, coefficients, discrepancy_report
+from .projection import ORDER, ProjectionTermReport, coefficients, discrepancy_report
 from .spectral import critical_rayleigh_spectral
 
 __all__ = ["ConfigError", "RunConfig", "main", "entry"]
@@ -133,7 +132,7 @@ _SETTINGS = {
     "gamma": _row(float, None, None, "--gamma",
                   help="viscosity ratio (bulk over shear plus one third)"),
     "length": _row(float, None, None, "--l", "--length", help="domain width"),
-    "order": _row(_as_int, 64, None, "--order", help="quadrature order per axis"),
+    "order": _row(_as_int, ORDER, None, "--order", help="oracle quadrature points per axis"),
     "source": _row(str, "oracle", None, "--source",
                    choices=("oracle", "closed_form", "published"), help="coefficient route"),
     "format": _row(str, "csv", None, "--format", choices=("csv", "json"), help="table format"),
@@ -340,7 +339,7 @@ def _pool_map(config: RunConfig, function, items) -> list:
 
 def _cmd_coeffs(config: RunConfig) -> int:
     params = config.physical()
-    reports = discrepancy_report(params, QuadratureRule(config.order, params.length))
+    reports = discrepancy_report(params, config.order)
     worst = float(max(
         report.rel_dev_closed_form for report in reports if report.term.startswith("e")
     ))
@@ -360,15 +359,15 @@ def _cmd_critical(config: RunConfig) -> int:
     points = [(beta, length) for beta in betas for length in lengths]
 
     def optimum(beta):
-        return minimize_over_length(beta=beta, prandtl=config.prandtl,
-                                    gamma=config.gamma, source=config.source)
+        return minimize_over_length(beta=beta, prandtl=config.prandtl, gamma=config.gamma,
+                                    source=config.source, order=config.order)
 
     base = config.physical().with_rayleigh(0.0)
     if config.optimize_l:
         flat = optimum(0.0)
     else:  # the beta = 0 reference depends on the width alone
         flat = {length: critical_rayleigh(replace(base, beta=0.0, length=length),
-                                          config.source) for length in lengths}
+                                          config.source, config.order) for length in lengths}
 
     def solve(point):
         beta, length = point
@@ -376,7 +375,8 @@ def _cmd_critical(config: RunConfig) -> int:
             best = optimum(beta)
             length, ra, ra_flat = best.length, best.rayleigh, flat.rayleigh
         else:
-            ra = critical_rayleigh(replace(base, beta=beta, length=length), config.source)
+            ra = critical_rayleigh(replace(base, beta=beta, length=length),
+                                   config.source, config.order)
             ra_flat = flat[length]
         ratio = ra / ra_flat
         taylor = (ratio - 1.0) / beta if beta > 0.0 else None
@@ -395,7 +395,7 @@ def _cmd_simulate(config: RunConfig) -> int:
     initial = np.asarray(config.initial, dtype=float)
     extra = {"params": asdict(params)}
     deviation = None
-    coeffs = coefficients(params, config.source, QuadratureRule(config.order, params.length))
+    coeffs = coefficients(params, config.source, config.order)
     grid = np.linspace(0.0, config.t_end, config.samples)
 
     if config.coords == "abc":
@@ -437,10 +437,9 @@ def _cmd_simulate(config: RunConfig) -> int:
 def _cmd_validate(config: RunConfig) -> int:
     params = config.physical().with_rayleigh(0.0)
     # the m-th harmonic pencil at width l is the first harmonic's at l/m; the
-    # reduced side keeps at least 64 points whatever --order says
+    # reduced side keeps at least ORDER points whatever --order says
     reduced = replace(params, length=params.length / config.m)
-    reduced_value = critical_rayleigh(
-        reduced, "oracle", QuadratureRule(max(config.order, 64), reduced.length))
+    reduced_value = critical_rayleigh(reduced, "oracle", max(config.order, ORDER))
 
     def solve(n_modes):
         spectral_value = critical_rayleigh_spectral(params, config.m, n_modes)
@@ -453,7 +452,7 @@ def _cmd_validate(config: RunConfig) -> int:
     consistency = next((row[5] for row in rows if row[2] == 1), None)
     passed = consistency is None or consistency <= ROUTE_GATE
 
-    reports = discrepancy_report(params, QuadratureRule(config.order, params.length))
+    reports = discrepancy_report(params, config.order)
     if config.report:
         _emit(config, _REPORT_COLUMNS, [astuple(report) for report in reports],
               {"params": asdict(params)}, command="validate-report", path=config.report)

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .params import PhysicalParams
-from .projection import GalerkinCoeffs, coefficients
+from .projection import ORDER, GalerkinCoeffs, coefficients
 
 __all__ = [
     "BracketError",
@@ -148,9 +148,9 @@ def scale_to_lorenz(coeffs: GalerkinCoeffs) -> tuple[LorenzParams, ScalingMap]:
 
 
 def lorenz_parameters(
-    params: PhysicalParams, source: str = "oracle", rule=None
+    params: PhysicalParams, source: str = "oracle", order: int = ORDER
 ) -> LorenzParams:
-    lp, _ = scale_to_lorenz(coefficients(params, source, rule))
+    lp, _ = scale_to_lorenz(coefficients(params, source, order))
     return lp
 
 
@@ -191,14 +191,14 @@ def classify_rest_state(lp: LorenzParams, tol: float = 1e-12) -> StabilityReport
 
 
 def critical_rayleigh(
-    params: PhysicalParams, source: str = "oracle", rule=None
+    params: PhysicalParams, source: str = "oracle", order: int = ORDER
 ) -> float:
     """Rayleigh number where the conducting state loses stability (r = 1).
 
     r is exactly linear in Ra, so one evaluation at a reference Rayleigh
     number fixes the crossing.
     """
-    reference = coefficients(params.with_rayleigh(1.0), source, rule)
+    reference = coefficients(params.with_rayleigh(1.0), source, order)
     e1, e2, _, e4, e5, _, _ = reference.as_array()
     slope = float(e2 * e5 / (e1 * e4))
     if not slope > 0.0:
@@ -229,12 +229,14 @@ def minimize_over_length(
     source: str = "closed_form",
     bracket: tuple[float, float] = (0.5, 10.0),
     tol: float = 1e-8,
+    order: int = ORDER,
 ) -> LengthOptimum:
     """Domain width that minimizes the critical Rayleigh number.
 
     Coarse scan over the bracket, then golden-section refinement to |dl| <=
     tol. Raises BracketError when the scan minimum sits on an edge. At
-    beta = 0 the optimum is l = 2*sqrt(2) with Ra* = 27*pi^4/4.
+    beta = 0 the optimum is l = 2*sqrt(2) with Ra* = 27*pi^4/4. `order` is
+    the oracle's quadrature order, as in `critical_rayleigh`.
     """
     lo, hi = bracket
     if not (0.0 < lo < hi):
@@ -247,7 +249,7 @@ def minimize_over_length(
         p = PhysicalParams(
             beta=beta, prandtl=prandtl, rayleigh=0.0, gamma=gamma, length=length
         )
-        return critical_rayleigh(p, source)
+        return critical_rayleigh(p, source, order)
 
     grid = np.linspace(lo, hi, 41)
     values = [ra_star(l) for l in grid]

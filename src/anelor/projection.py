@@ -23,11 +23,11 @@ The coefficients are produced by three routes:
                 the oracle to near machine precision and carry series branches
                 so beta -> 0 is smooth
   published     the final reduced system as printed in the literature this
-                model comes from, transcribed verbatim; two of its
-                coefficients carry typos (the gamma term of e1 and the AC
-                coefficient e3), so this route exists only so the discrepancy
-                report can quantify the drift, and nothing downstream
-                consumes it by default
+                model comes from: the closed-form terms with two printed
+                overrides, the gamma term of e1 (4 pi^2/l for 4 pi^2/l^2)
+                and the AC projection that the printed e3 implies; this route
+                exists only so the discrepancy report can quantify the drift,
+                and nothing downstream consumes it by default
 
 `discrepancy_report` lists every projected term and every coefficient with
 all routes side by side.
@@ -46,6 +46,7 @@ from .basis import ModeGrid, ModeIndex, QuadratureRule, vorticity_diffusion_term
 from .params import PhysicalParams
 
 __all__ = [
+    "ORDER",
     "GalerkinCoeffs",
     "ProjectionTermReport",
     "QuadratureConvergenceError",
@@ -59,6 +60,9 @@ __all__ = [
 ]
 
 PROVENANCES = ("oracle", "closed_form", "published")
+
+# oracle quadrature points per axis, unless a caller asks for another order
+ORDER = 64
 
 TERM_NAMES = (
     "diffusive-omega",
@@ -129,11 +133,6 @@ class ProjectionTermReport:
     rel_dev: float
     rel_dev_closed_form: float
     rel_dev_published: float | None
-
-
-def _rule_order(params: PhysicalParams, rule: QuadratureRule | None) -> int:
-    """Order of `rule`, which must be built for the params' width; 64 without one."""
-    return 64 if rule is None else rule.checked(params.length).order
 
 
 def _oracle_terms(params: PhysicalParams, order: int) -> dict:
@@ -286,17 +285,23 @@ def _closed_form_terms(params: PhysicalParams) -> dict:
 
 
 def _published_terms(params: PhysicalParams) -> dict:
-    """Projection values as printed; only the AC projection differs.
+    """Projection values as printed: the closed forms with two overrides.
 
-    The printed chain for the AC term ends with a form that has dropped the
-    sqrt(2/l) * 4/l normalization and replaced the quarter-depth denominator,
-    so its value disagrees with the oracle for every l (by a factor 4 at
-    beta = 0).
+    The printed e1 carries gamma * beta^2 * 4 pi^2 / l where the projection
+    gives 4 pi^2 / l^2. The printed e3, sqrt(2/l) * (R4/Q16) * 64 pi^2 /
+    (l * (1 + e^{-beta/2})), is carried as the AC projection it implies,
+    -e3 * mass-tau1; it disagrees with the oracle for every l (by a factor 4
+    at beta = 0).
     """
-    terms = dict(_closed_form_terms(params))
-    beta = params.beta
-    Eh = expm1_over(-0.5 * beta)
-    terms["nonlinear-tau-111"] = -32.0 * math.pi**4 * Eh / (beta**2 + 64.0 * math.pi**2)
+    terms = _closed_form_terms(params)
+    beta, l = params.beta, params.length
+    pi2 = math.pi**2
+    R4 = beta**2 + 4.0 * pi2
+    Q16 = beta**2 + 16.0 * pi2
+    terms["gamma-term"] = (
+        -params.gamma * beta**2 * (4.0 * pi2 / l) * (4.0 * pi2 / R4) * expm1_over(beta))
+    terms["nonlinear-tau-111"] = (-math.sqrt(2.0 / l) * 256.0 * math.pi**4 * expm1_over(-beta)
+                                  / (l * Q16 * (1.0 + math.exp(-0.5 * beta))))
     return terms
 
 
@@ -320,16 +325,13 @@ def _assemble(terms: dict, params: PhysicalParams, provenance: str) -> GalerkinC
 
 
 def oracle_coefficients(
-    params: PhysicalParams,
-    rule: QuadratureRule | None = None,
-    check_convergence: bool = False,
+    params: PhysicalParams, order: int = ORDER, check_convergence: bool = False
 ) -> GalerkinCoeffs:
-    """Reference coefficients, every integral by quadrature.
+    """Reference coefficients, every integral by `order`-point quadrature per axis.
 
-    With check_convergence=True the rule order is doubled and a relative
-    move above 1e-9 in any coefficient raises QuadratureConvergenceError.
+    With check_convergence=True the order is doubled and a relative move
+    above 1e-9 in any coefficient raises QuadratureConvergenceError.
     """
-    order = _rule_order(params, rule)
     coeffs = _assemble(_oracle_terms(params, order), params, "oracle")
     if check_convergence:
         refined = _assemble(_oracle_terms(params, 2 * order), params, "oracle")
@@ -349,47 +351,24 @@ def closed_form_coefficients(params: PhysicalParams) -> GalerkinCoeffs:
 
 
 def published_coefficients(params: PhysicalParams) -> GalerkinCoeffs:
-    """The reduced system exactly as printed; kept for comparison only.
+    """The reduced system as printed; kept for comparison only.
 
-    e1 carries gamma * beta^2 * 4 pi^2 / l where the projection gives
-    gamma * beta^2 * 4 pi^2 / l^2, and e3 disagrees with the oracle in both
-    normalization and beta dependence. Do not feed these into anything that
-    matters; `discrepancy_report` quantifies the drift.
+    These are the closed-form terms with two printed overrides: e1's gamma
+    term has 4 pi^2 / l for 4 pi^2 / l^2, and e3 is the printed one, which
+    disagrees with the oracle in both normalization and beta dependence. Do
+    not feed these into anything that matters; `discrepancy_report`
+    quantifies the drift.
     """
-    beta, l, gamma, pr = params.beta, params.length, params.gamma, params.prandtl
-    pi2 = math.pi**2
-    mu = 0.25 * beta**2 + 4.0 * pi2 / l**2 + pi2
-    R4 = beta**2 + 4.0 * pi2
-    Q16 = beta**2 + 16.0 * pi2
-    P64 = beta**2 + 64.0 * pi2
-    E1 = expm1_over(beta)
-    inv_Em = 1.0 / expm1_over(-beta)  # beta / (1 - e^-beta)
-    half = 1.0 + math.exp(-0.5 * beta)
-    sqrt_ra = math.sqrt(params.rayleigh)
-    return GalerkinCoeffs(
-        e1=-(4.0 * pi2 * pr / (mu * R4))
-        * E1
-        * (mu**2 + beta**2 * 4.0 * pi2 / l**2 + gamma * beta**2 * 4.0 * pi2 / l),
-        e2=2.0 * math.pi * pr * sqrt_ra / (mu * l),
-        e3=math.sqrt(2.0 / l) * (R4 / Q16) * (64.0 * pi2 / half) / l,
-        e4=-(R4 / (4.0 * pi2)) * inv_Em * (pi2 + 4.0 * pi2 / l**2 - 0.25 * beta**2),
-        e5=sqrt_ra * (R4 / (2.0 * math.pi * l)) * inv_Em,
-        e6=math.sqrt(2.0 / l)
-        * (Q16 / (8.0 * l))
-        * (2.0 / half)
-        * (4.0 * beta**2 / Q16 - 3.0 * beta**2 / P64 - 1.0),
-        e7=(Q16 / (8.0 * pi2)) * inv_Em * (beta**2 / 8.0 - 2.0 * pi2),
-        provenance="published",
-        params=params,
-    )
+    return _assemble(_published_terms(params), params, "published")
 
 
 def coefficients(
-    params: PhysicalParams, source: str = "oracle", rule: QuadratureRule | None = None
+    params: PhysicalParams, source: str = "oracle", order: int = ORDER
 ) -> GalerkinCoeffs:
-    """Dispatch on provenance; the oracle is the default everywhere."""
+    """Dispatch on provenance; the oracle is the default everywhere, and the
+    only route that reads `order`."""
     if source == "oracle":
-        return oracle_coefficients(params, rule)
+        return oracle_coefficients(params, order)
     if source == "closed_form":
         return closed_form_coefficients(params)
     if source == "published":
@@ -402,7 +381,7 @@ def _rel_dev(value: float, reference: float, floor: float = _DEV_FLOOR) -> float
 
 
 def discrepancy_report(
-    params: PhysicalParams, rule: QuadratureRule | None = None
+    params: PhysicalParams, order: int = ORDER
 ) -> list[ProjectionTermReport]:
     """Route comparison for every projected term and every coefficient.
 
@@ -411,12 +390,12 @@ def discrepancy_report(
     dominant magnitude of the system, so quadrature noise in a vanishing
     projection does not read as disagreement.
     """
-    oracle_terms = _oracle_terms(params, _rule_order(params, rule))
+    oracle_terms = _oracle_terms(params, order)
     closed_terms = _closed_form_terms(params)
     published_terms = _published_terms(params)
     oracle = _assemble(oracle_terms, params, "oracle").as_array().tolist()
     closed = _assemble(closed_terms, params, "closed_form").as_array().tolist()
-    published = published_coefficients(params).as_array().tolist()
+    published = _assemble(published_terms, params, "published").as_array().tolist()
     terms = [(name, oracle_terms[name], closed_terms[name], published_terms[name])
              for name in TERM_NAMES]
     coefficients = zip([f"e{i}" for i in range(1, 8)], oracle, closed, published)

@@ -190,7 +190,7 @@ def test_quadrature_is_exact_on_polynomials():
     X, Z, W = rule.grid()
     # int_0^2 x^3 dx * int_0^1 z^2 dz = 4 * 1/3
     assert float(np.sum(W * X**3 * Z**2)) == pytest.approx(4.0 / 3.0, rel=1e-14)
-    assert rule.integrate(X**5 * Z) == pytest.approx((2.0**6 / 6.0) * 0.5, rel=1e-14)
+    assert float(np.sum(W * X**5 * Z)) == pytest.approx((2.0**6 / 6.0) * 0.5, rel=1e-14)
 
 
 def test_quadrature_rules_of_one_order_share_no_writable_nodes():
@@ -198,7 +198,7 @@ def test_quadrature_rules_of_one_order_share_no_writable_nodes():
     first.x_nodes[:] = 0.0
     first.z_weights[:] = 0.0
     second = QuadratureRule(8, 2.0)
-    assert second.integrate_z(np.ones(8)) == pytest.approx(1.0, rel=1e-14)
+    assert float(np.sum(second.z_weights)) == pytest.approx(1.0, rel=1e-14)
     assert np.all(np.diff(second.x_nodes) > 0.0)
 
 
@@ -206,7 +206,7 @@ def test_quadrature_weighted_line_integral():
     # int_0^1 exp(z) (1 - cos 2 pi z) dz = (e - 1) * 4 pi^2 / (1 + 4 pi^2)
     rule = QuadratureRule(32, 1.0)
     z = rule.z_nodes
-    value = rule.integrate_z(np.exp(z) * (1.0 - np.cos(2.0 * math.pi * z)))
+    value = float(np.dot(rule.z_weights, np.exp(z) * (1.0 - np.cos(2.0 * math.pi * z))))
     expected = (math.e - 1.0) * 4.0 * math.pi**2 / (1.0 + 4.0 * math.pi**2)
     assert value == pytest.approx(expected, rel=1e-14)
 

@@ -146,6 +146,26 @@ def test_critical_optimize_l(capsys):
     assert row[2] == pytest.approx(27.0 * math.pi**4 / 4.0, rel=1e-6)
 
 
+@pytest.mark.parametrize("extra", [(), ("--optimize-l",)], ids=["fixed-l", "optimize-l"])
+def test_critical_fails_at_an_unresolving_order(capsys, extra):
+    # four points per axis do not resolve the oracle's integrands
+    code, out, err = run(capsys, "critical", "--order", "4", "--beta", "0.5", *extra)
+    assert (code, out) == (1, "")
+    assert err.startswith("anelor:") and "orthogonality" in err
+
+
+def test_critical_sweep_runs_the_oracle_at_the_given_order(capsys):
+    code, out, _ = run(capsys, "critical", "--order", "96", "--beta-sweep", "0", "1", "3",
+                       "--quiet")
+    assert code == 0
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert len(rows) == 3
+    flat = critical_rayleigh(PhysicalParams(beta=0.0), "oracle", 96)
+    for row in rows:
+        ra = critical_rayleigh(PhysicalParams(beta=float(row[0])), "oracle", 96)
+        assert (float(row[2]), float(row[3])) == (ra, ra / flat)
+
+
 def test_simulate_reduced_csv(capsys):
     code, out, _ = run(capsys, "simulate", "--coords", "abc", "--ra", "500",
                        "--t-end", "2", "--samples", "5", "--initial",

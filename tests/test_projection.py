@@ -4,7 +4,6 @@ import math
 import numpy as np
 import pytest
 
-from anelor.basis import QuadratureRule
 from anelor.lorenz import critical_rayleigh
 from anelor.params import PhysicalParams
 from anelor.projection import (
@@ -17,6 +16,7 @@ from anelor.projection import (
     expm1_over,
     oracle_coefficients,
     published_coefficients,
+    _assemble,
     _oracle_integrals,
     _oracle_terms,
 )
@@ -171,18 +171,27 @@ def test_published_route_is_a_literal_transcription():
     assert np.max(np.abs(got - PUBLISHED_BETA05) / np.abs(PUBLISHED_BETA05)) < 1e-13
 
 
-def test_published_route_deviations_are_reported_not_reconciled():
-    # the printed AC coefficient is 4x the projected value at beta = 0, and
-    # the printed momentum row drifts once beta > 0; both stay report-only
-    params = PhysicalParams(beta=0.0, prandtl=10.0, rayleigh=657.51,
-                            gamma=4.0 / 3.0, length=2.0 * ROOT2)
+@pytest.mark.parametrize("beta", [0.0, 0.5, 3.0], ids=["b0", "b0.5", "b3"])
+@pytest.mark.parametrize("length", LENGTHS, ids=["l2", "l2rt2", "l4"])
+def test_published_route_deviations_are_reported_not_reconciled(beta, length):
+    # the published e-rows are the published term column assembled; the
+    # printed AC coefficient is 4x the projected value at beta = 0, and the
+    # printed gamma term of e1 drifts once beta > 0; both stay report-only
+    params = PhysicalParams(beta=beta, prandtl=10.0, rayleigh=657.51,
+                            gamma=4.0 / 3.0, length=length)
     rows = {r.term: r for r in discrepancy_report(params)}
-    assert rows["e3"].published / rows["e3"].oracle == pytest.approx(4.0, rel=1e-12)
-    assert rows["e3"].rel_dev_published == pytest.approx(0.75, rel=1e-10)
+    assembled = _assemble({name: rows[name].published for name in TERM_NAMES},
+                          params, "published").as_array()
+    published = np.array([rows[f"e{k}"].published for k in range(1, 8)])
+    assert np.max(np.abs(assembled - published) / np.abs(published)) <= 1e-13
     assert rows["e3"].rel_dev_closed_form < 1e-10
-    lifted = {r.term: r for r in discrepancy_report(params.with_beta(0.5))}
-    assert lifted["e1"].rel_dev_published > 1e-6
-    assert lifted["e1"].rel_dev_closed_form < 1e-10
+    assert rows["e1"].rel_dev_closed_form < 1e-10
+    if beta == 0.0:
+        for name in ("nonlinear-tau-111", "e3"):
+            assert rows[name].published / rows[name].oracle == pytest.approx(4.0, rel=1e-12)
+        assert rows["e3"].rel_dev_published == pytest.approx(0.75, rel=1e-10)
+    else:
+        assert rows["e1"].rel_dev_published > 1e-6
 
 
 def test_report_covers_every_term_and_coefficient():
@@ -211,8 +220,8 @@ def test_report_beta0_closed_column_within_1e10():
 def test_oracle_column_stable_under_order_doubling():
     params = PhysicalParams(beta=0.8, prandtl=10.0, rayleigh=120.0,
                             gamma=4.0 / 3.0, length=2.0)
-    coarse = oracle_coefficients(params, QuadratureRule(64, params.length))
-    fine = oracle_coefficients(params, QuadratureRule(128, params.length))
+    coarse = oracle_coefficients(params, 64)
+    fine = oracle_coefficients(params, 128)
     assert np.max(rel_dev(coarse.as_array(), fine.as_array())) < 1e-12
 
 
@@ -226,15 +235,7 @@ def test_convergence_check_rejects_coarse_rule():
     params = PhysicalParams(beta=0.3, prandtl=10.0, rayleigh=100.0,
                             gamma=4.0 / 3.0, length=2.0 * ROOT2)
     with pytest.raises(QuadratureConvergenceError):
-        oracle_coefficients(params, QuadratureRule(4, params.length),
-                            check_convergence=True)
-
-
-def test_rule_length_must_match_params():
-    params = PhysicalParams(beta=0.0, prandtl=10.0, rayleigh=0.0,
-                            gamma=4.0 / 3.0, length=2.0)
-    with pytest.raises(ValueError):
-        oracle_coefficients(params, QuadratureRule(32, 3.0))
+        oracle_coefficients(params, 4, check_convergence=True)
 
 
 def test_coefficients_dispatch():
@@ -302,11 +303,10 @@ def test_integral_cache_stays_within_its_bound():
 def test_under_resolved_rule_raises_on_every_call():
     params = PhysicalParams(beta=0.3, prandtl=10.0, rayleigh=100.0,
                             gamma=4.0 / 3.0, length=2.0 * ROOT2)
-    coarse = QuadratureRule(4, params.length)
     misses = _oracle_integrals.cache_info().misses
     for _ in range(2):
         with pytest.raises(QuadratureConvergenceError):
-            oracle_coefficients(params, coarse)
+            oracle_coefficients(params, 4)
     assert _oracle_integrals.cache_info().misses == misses + 2
 
 

@@ -9,7 +9,7 @@ import anelor.basis
 from anelor.basis import ModeGrid, ModeIndex, QuadratureRule
 from anelor.lorenz import critical_rayleigh
 from anelor.params import PhysicalParams
-from anelor.projection import closed_form_coefficients, oracle_coefficients
+from anelor.projection import closed_form_coefficients
 from anelor.spectral import (
     LinearOperatorPencil,
     SpectralBracketError,
@@ -132,16 +132,6 @@ def test_assemble_pencil_validates_arguments():
         assemble_pencil(make_params(), n_modes=0)
     with pytest.raises(ValueError):
         assemble_pencil(make_params(), m=0)
-
-
-def test_rule_for_another_width_is_rejected_like_the_oracle():
-    # the pencil takes no rule (its integrals are exact); the oracle, which
-    # integrates by quadrature, rejects a rule built for another width
-    params = make_params(beta=1.0, length=2.0)
-    rule = QuadratureRule(64, 2.37)
-    message = "quadrature rule was built for length 2.37, params have 2.0"
-    with pytest.raises(ValueError, match=message):
-        oracle_coefficients(params, rule)
 
 
 def test_onset_builds_no_quadrature_rule(monkeypatch):
