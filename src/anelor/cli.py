@@ -132,7 +132,7 @@ _SETTINGS = {
     "gamma": _row(float, None, None, "--gamma",
                   help="viscosity ratio (bulk over shear plus one third)"),
     "length": _row(float, None, None, "--l", "--length", help="domain width"),
-    "order": _row(_as_int, ORDER, None, "--order", help="oracle quadrature points per axis"),
+    "order": _row(_as_int, ORDER, None, "--order", help="oracle Gauss points per axis, 2-512"),
     "source": _row(str, "oracle", None, "--source",
                    choices=("oracle", "closed_form", "published"), help="coefficient route"),
     "format": _row(str, "csv", None, "--format", choices=("csv", "json"), help="table format"),
@@ -178,8 +178,8 @@ def _check(config) -> None:
         if choices and getattr(config, name) not in choices:
             raise ConfigError(f"{name} must be one of {', '.join(choices)}, "
                               f"got {getattr(config, name)!r}")
-    if config.order < 2:
-        raise ConfigError("quadrature order must be at least 2")
+    if not 2 <= config.order <= 512:  # the oracle's memory grows as order^2
+        raise ConfigError(f"quadrature order must lie in [2, 512], got {config.order}")
     if config.workers < 1:
         raise ConfigError("workers must be at least 1")
     if config.samples < 2:

@@ -14,11 +14,13 @@ then dividing by the time-derivative Gram factors, yields
 
 The coefficients are produced by three routes:
 
-  oracle        every projection integral evaluated by Gauss-Legendre
-                quadrature from exact mode derivatives, with no reuse of the
-                eigenvalue formula or of any hand integration, once per
-                (beta, l, order), with Ra, Pr and gamma applied at assembly;
-                this is the reference route
+  oracle        every projection integral is a row of one term table (a
+                weight exp(w*beta*z), a test mode and a sum of products of
+                exact mode derivatives), evaluated on the tensor-product
+                Gauss-Legendre grid, with no reuse of the eigenvalue formula
+                or of any hand integration, once per (beta, l, order), with
+                Ra, Pr and gamma applied at assembly; this is the reference
+                route
   closed_form   analytic integrals re-derived from scratch; they agree with
                 the oracle to near machine precision and carry series branches
                 so beta -> 0 is smooth
@@ -89,10 +91,14 @@ class QuadratureConvergenceError(RuntimeError):
 
 
 def expm1_over(x: float) -> float:
-    """(exp(x) - 1) / x with a series branch for |x| < 1e-6."""
+    """(exp(x) - 1) / x with a series branch for |x| < 1e-6; inf where exp(x)
+    overflows, so a huge beta gives non-finite values, not an OverflowError."""
     if abs(x) < 1e-6:
         return 1.0 + x * (0.5 + x * (1.0 / 6.0 + x / 24.0))
-    return math.expm1(x) / x
+    try:
+        return math.expm1(x) / x
+    except OverflowError:
+        return math.inf
 
 
 @dataclass(frozen=True)
@@ -150,108 +156,86 @@ def _oracle_terms(params: PhysicalParams, order: int) -> dict:
     return terms
 
 
+# the truncation's modes: psi[-1, 1, 1] carries A, psi[+1, 1, 1] B, psi[+1, 0, 2] C
+_MODES = {"psi": ModeIndex(-1, 1, 1), "tau1": ModeIndex(+1, 1, 1), "tau2": ModeIndex(+1, 0, 2)}
+
+
+def _oracle_table(beta: float) -> tuple:
+    """Every projection integral as a row (name, w, test, terms): the integral of
+    exp(w*beta*z) * test * sum(c * product of d^dx d^dz mode) over the terms
+    (c, ((mode, dx, dz), ...)). Rows whose name is not in TERM_NAMES vanish by
+    horizontal orthogonality."""
+    def linear(mode, *terms):  # sum of c * d^dx d^dz mode over (c, dx, dz)
+        return tuple((c, ((mode, dx, dz),)) for c, dx, dz in terms)
+
+    def advection(tau):  # the Jacobian psi_x * tau_z - psi_z * tau_x
+        return ((1.0, (("psi", 1, 0), (tau, 0, 1))), (-1.0, (("psi", 0, 1), (tau, 1, 0))))
+
+    # with vorticity w = exp(beta z) v, v = -(Lap psi + beta psi_z), the momentum
+    # advection exp(beta z)(psi_x w_z - psi_z w_x + beta w psi_x) is
+    # exp(2 beta z)(2 beta psi_x v + psi_x v_z - psi_z v_x)
+    vorticity = ((-1.0, 2, 0), (-1.0, 0, 2), (-beta, 0, 1))
+    advected = tuple(term for c, dx, dz in vorticity for term in (
+        (2.0 * beta * c, (("psi", 1, 0), ("psi", dx, dz))),
+        (c, (("psi", 1, 0), ("psi", dx, dz + 1))),
+        (-c, (("psi", 0, 1), ("psi", dx + 1, dz)))))
+    # Lap(w - beta exp(beta z) psi_z) = -exp(beta z) * (the sum of these terms)
+    diffusion = [(-c, dx, dz) for c, dx, dz in vorticity_diffusion_terms(beta)]
+    laplacian = ((1.0, 2, 0), (1.0, 0, 2))
+    return (
+        ("diffusive-omega", 2, "psi", linear("psi", *diffusion)),
+        ("gamma-term", 2, "psi", linear("psi", (1.0, 2, 0))),
+        ("buoyancy-omega", 1, "psi", linear("tau1", (-1.0, 1, 0))),
+        ("mass-omega", 1, "psi", linear("psi", *vorticity)),
+        # temperature equation: weight-free Gram factors, weighted diffusion
+        ("mass-tau1", 0, "tau1", linear("tau1", (1.0, 0, 0))),
+        ("mass-tau2", 0, "tau2", linear("tau2", (1.0, 0, 0))),
+        ("diffusive-tau1", 1, "tau1", linear("tau1", *laplacian)),
+        ("diffusive-tau2", 1, "tau2", linear("tau2", *laplacian)),
+        ("source-tau", 1, "tau1", linear("psi", (1.0, 1, 0))),
+        ("nonlinear-tau-111", 1, "tau1", advection("tau2")),
+        ("nonlinear-tau-102", 1, "tau2", advection("tau1")),
+        ("nonlinear-omega", 2, "psi", advected),
+        ("buoyancy cross", 1, "psi", linear("tau2", (-1.0, 1, 0))),
+        ("gram cross", 0, "tau2", linear("tau1", (1.0, 0, 0))),
+        ("diffusion cross 12", 1, "tau1", linear("tau2", *laplacian)),
+        ("diffusion cross 21", 1, "tau2", linear("tau1", *laplacian)),
+        ("source cross", 1, "tau2", linear("psi", (1.0, 1, 0))),
+        ("advection diagonal 1", 1, "tau1", advection("tau1")),
+        ("advection diagonal 2", 1, "tau2", advection("tau2")),
+    )
+
+
 @functools.lru_cache(maxsize=16)
 def _oracle_integrals(beta: float, length: float, order: int) -> MappingProxyType:
     """`_oracle_terms` without its Ra and gamma factors, which leaves a function
-    of (beta, l, order) alone; read-only, since hits share it."""
+    of (beta, l, order) alone: each `_oracle_table` row summed on the tensor
+    grid against W * exp(w*beta*z) * test (z is the grid's last axis), formed
+    once per (w, test); read-only, since hits share it."""
     rule = QuadratureRule(order, length)
     geometry = PhysicalParams(beta=beta, length=length)
-    _, Z, W = rule.grid()
-    Eb = np.exp(beta * Z)
-    E2 = np.exp(2.0 * beta * Z)
+    W = rule.grid()[2]
+    grids = {name: ModeGrid(j, geometry, rule) for name, j in _MODES.items()}
+    table = _oracle_table(beta)
+    weighted = {(w, test): W * np.exp(w * beta * rule.z_nodes) * grids[test].partial()
+                for w, test in {row[1:3] for row in table}}
+    values = {}
+    for name, w, test, terms in table:
+        field = 0.0
+        for c, ((mode, dx, dz), *rest) in terms:
+            term = grids[mode].partial(dx, dz)
+            for mode, dx, dz in rest:
+                term = term * grids[mode].partial(dx, dz)
+            field = field + (term if c == 1.0 else c * term)
+        values[name] = float(np.sum(field * weighted[w, test]))
 
-    a = ModeGrid(ModeIndex(-1, 1, 1), geometry, rule)
-    t1 = ModeGrid(ModeIndex(+1, 1, 1), geometry, rule)
-    t2 = ModeGrid(ModeIndex(+1, 0, 2), geometry, rule)
-
-    def quad(field):
-        return float(np.sum(W * field))
-
-    # vorticity of the streamfunction mode, w = -exp(beta z)(Lap + beta d/dz) psi
-    lap_a = a.laplacian()
-    vort = -Eb * (lap_a + beta * a.partial(0, 1))
-    mass_omega = quad(vort * a.partial())
-
-    # diffusion of (w - beta exp(beta z) psi_z) = -exp(beta z)(Lap psi + 2 beta psi_z)
-    diffused = -Eb * sum(
-        c * a.partial(dx, dz) for c, dx, dz in vorticity_diffusion_terms(beta)
-    )
-    diffusive_omega = quad(Eb * diffused * a.partial())
-
-    gamma_term = quad(E2 * a.partial(2, 0) * a.partial())
-
-    buoyancy = -quad(Eb * t1.partial(1, 0) * a.partial())
-    buoyancy_cross = -quad(Eb * t2.partial(1, 0) * a.partial())
-
-    # momentum nonlinearity, projects to zero
-    vort_x = -Eb * (a.partial(3, 0) + a.partial(1, 2) + beta * a.partial(1, 1))
-    vort_z = -Eb * (
-        beta * (lap_a + beta * a.partial(0, 1))
-        + a.partial(2, 1)
-        + a.partial(0, 3)
-        + beta * a.partial(0, 2)
-    )
-    advected = beta * Eb * vort * a.partial(1, 0) + Eb * (
-        a.partial(1, 0) * vort_z - a.partial(0, 1) * vort_x
-    )
-    nonlinear_omega = quad(advected * a.partial())
-
-    # temperature equation: weight-free Gram factors, weighted diffusion
-    mass_tau1 = quad(t1.partial() * t1.partial())
-    mass_tau2 = quad(t2.partial() * t2.partial())
-    gram_cross = quad(t1.partial() * t2.partial())
-
-    diffusive_tau1 = quad(Eb * t1.laplacian() * t1.partial())
-    diffusive_tau2 = quad(Eb * t2.laplacian() * t2.partial())
-    diff_cross_12 = quad(Eb * t2.laplacian() * t1.partial())
-    diff_cross_21 = quad(Eb * t1.laplacian() * t2.partial())
-
-    source = quad(Eb * a.partial(1, 0) * t1.partial())
-    source_cross = quad(Eb * a.partial(1, 0) * t2.partial())
-
-    def advection(tau: ModeGrid, onto: ModeGrid) -> float:
-        field = Eb * (
-            a.partial(1, 0) * tau.partial(0, 1) - a.partial(0, 1) * tau.partial(1, 0)
-        )
-        return quad(field * onto.partial())
-
-    nl_111 = advection(t2, t1)
-    nl_102 = advection(t1, t2)
-    nl_diag_1 = advection(t1, t1)
-    nl_diag_2 = advection(t2, t2)
-
-    # projections that vanish by horizontal orthogonality; a violation means
-    # the quadrature is too coarse for the integrands
-    scale = max(abs(mass_omega), abs(diffusive_tau1), 1.0)
-    for name, value in (
-        ("buoyancy cross", buoyancy_cross),
-        ("gram cross", gram_cross),
-        ("diffusion cross 12", diff_cross_12),
-        ("diffusion cross 21", diff_cross_21),
-        ("source cross", source_cross),
-        ("advection diagonal 1", nl_diag_1),
-        ("advection diagonal 2", nl_diag_2),
-    ):
-        if abs(value) > 1e-9 * scale:
+    scale = max(abs(values["mass-omega"]), abs(values["diffusive-tau1"]), 1.0)
+    for name, value in values.items():
+        if name not in TERM_NAMES and abs(value) > 1e-9 * scale:
             raise QuadratureConvergenceError(
                 f"{name} projection is {value}; it vanishes by orthogonality, "
-                f"so the rule does not resolve the integrands"
-            )
-
-    return MappingProxyType({
-        "diffusive-omega": diffusive_omega,
-        "gamma-term": gamma_term,
-        "buoyancy-omega": buoyancy,
-        "mass-omega": mass_omega,
-        "mass-tau1": mass_tau1,
-        "mass-tau2": mass_tau2,
-        "diffusive-tau1": diffusive_tau1,
-        "diffusive-tau2": diffusive_tau2,
-        "source-tau": source,
-        "nonlinear-tau-111": nl_111,
-        "nonlinear-tau-102": nl_102,
-        "nonlinear-omega": nonlinear_omega,
-    })
+                f"so the rule does not resolve the integrands")
+    return MappingProxyType({name: values[name] for name in TERM_NAMES})
 
 
 def _closed_form_terms(params: PhysicalParams) -> dict:

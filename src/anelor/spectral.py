@@ -81,12 +81,14 @@ def assemble_pencil(
     """Project the linearized equations onto n_modes vertical modes.
 
     The Rayleigh number of `params` is ignored; it enters only through the
-    sqrt(Ra) factor applied to l1 later.
+    sqrt(Ra) factor applied to l1 later. Overflowing entries raise ValueError.
     """
     if n_modes < 1 or m < 1:
         raise ValueError("need n_modes >= 1 and m >= 1")
-    return LinearOperatorPencil(params=params, m=m, n_modes=n_modes,
-                                **_assemble_matrices(params, m, n_modes))
+    blocks = _assemble_matrices(params, m, n_modes)
+    if not all(np.isfinite(block).all() for block in blocks.values()):
+        raise ValueError(f"pencil entries are not finite at beta = {params.beta}")
+    return LinearOperatorPencil(params=params, m=m, n_modes=n_modes, **blocks)
 
 
 def _kernels(beta, n):

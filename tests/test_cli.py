@@ -317,6 +317,7 @@ def test_json_null_output_and_report_mean_unset(capsys, tmp_path, monkeypatch):
     ("beta = fast\n", "beta"),
     ('{"beta": [1, 2]}', "beta"),
     ('{"order": 1%s}' % ("0" * 400), "order"),
+    ('{"order": 513}', "order"),
 ])
 def test_malformed_config_is_a_usage_error(capsys, tmp_path, contents,
                                            fragment):
@@ -347,6 +348,7 @@ def test_missing_config_file(capsys, tmp_path):
     ("critical", "--beta-sweep", "-1", "1", "3"),
     ("critical", "--l-sweep", "0", "2", "3"),
     ("critical", "--beta-sweep", "0", "inf", "3"),
+    ("coeffs", "--order", "513"),
 ])
 def test_invalid_settings_exit_two(capsys, argv):
     code, _, err = run(capsys, *argv)
@@ -358,6 +360,24 @@ def test_bad_environment_value_is_a_usage_error(capsys, monkeypatch):
     monkeypatch.setenv("ANELOR_FORMAT", "xml")
     code, _, err = run(capsys, "coeffs")
     assert code == 2 and "format" in err
+
+
+def test_order_above_512_is_a_usage_error_from_the_environment(capsys, monkeypatch):
+    assert resolve_config(_build_parser().parse_args(["coeffs", "--order", "512"])).order == 512
+    monkeypatch.setenv("ANELOR_ORDER", "513")
+    code, _, err = run(capsys, "coeffs")
+    assert code == 2 and "order" in err
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("argv", [
+    ("coeffs", "--beta", "711"),
+    ("critical", "--beta", "800", "--source", "closed_form"),
+    ("validate", "--beta", "709", "--n-modes", "2"),
+])
+def test_overflowing_stratification_is_a_numeric_failure(capsys, argv):
+    code, _, err = run(capsys, *argv)
+    assert code == 1 and err.startswith("anelor:")
 
 
 def test_huge_environment_integer_is_a_usage_error(capsys, monkeypatch):

@@ -20,6 +20,7 @@ from anelor.projection import (
     _oracle_integrals,
     _oracle_terms,
 )
+from anelor.spectral import critical_rayleigh_spectral
 
 ROOT2 = math.sqrt(2.0)
 
@@ -40,6 +41,37 @@ ORACLE_BETA07 = np.array([
     -22.613804528315033, 79.11416154229592, -8.227718600780602,
     -54.89435738020777,
 ])
+# frozen quadrature-oracle integrals (order 64), term by term: an error in one
+# integral can cancel in a coefficient quotient (a factor on both mass-tau2
+# and diffusive-tau2 leaves e7 alone), never in the terms themselves
+ORACLE_INTEGRALS = {
+    (5.8, 6.6): {
+        "diffusive-omega": -12218.533047768498,
+        "gamma-term": -27.782285826881864,
+        "buoyancy-omega": 0.9519977738150918,
+        "mass-omega": 19.1859041624383,
+        "mass-tau1": 0.09280857711732717,
+        "mass-tau2": 0.14170475113618036,
+        "diffusive-tau1": -2.3659041624382438,
+        "diffusive-tau2": -31.06841760435748,
+        "source-tau": 0.9519977738150891,
+        "nonlinear-tau-111": -0.5093515621231763,
+        "nonlinear-tau-102": 0.24099982792015684,
+    },
+    (0.3, 1.2): {
+        "diffusive-omega": -1622.3633312775714,
+        "gamma-term": -31.899204709522685,
+        "buoyancy-omega": 5.235987755983005,
+        "mass-omega": 37.307672181893246,
+        "mass-tau1": 0.8619741988570835,
+        "mass-tau2": 0.8634471585236327,
+        "diffusive-tau1": -37.26267218189314,
+        "diffusive-tau2": -39.4559176043575,
+        "source-tau": 5.23598775598299,
+        "nonlinear-tau-111": -19.71723366913662,
+        "nonlinear-tau-102": 19.6835404449438,
+    },
+}
 PUBLISHED_BETA05 = np.array([
     -26.118963364424776, 1.5865260341795018, 44.59816030175036,
     -25.16245992869916, 40.17450278549427, -11.057406937892917,
@@ -57,6 +89,33 @@ def test_expm1_over_series_branch_is_smooth():
     for x in (1e-7, -1e-7, 9.999e-7):
         assert expm1_over(x) == pytest.approx(np.expm1(x) / x, rel=1e-14)
     assert expm1_over(2.0) == pytest.approx((math.e**2 - 1.0) / 2.0, rel=1e-15)
+
+
+def test_expm1_over_is_inf_where_exp_overflows():
+    assert math.isfinite(expm1_over(709.0))
+    assert expm1_over(710.0) == math.inf
+    assert expm1_over(1e300) == math.inf
+    assert expm1_over(-800.0) == pytest.approx(1.0 / 800.0, rel=1e-15)
+
+
+ROUTES = {
+    "pencil": lambda params: critical_rayleigh_spectral(params, n_modes=2),
+    "closed_form": closed_form_coefficients,
+    "oracle": oracle_coefficients,
+    "published": published_coefficients,
+}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("route", list(ROUTES))
+@pytest.mark.parametrize("beta", [709.0, 711.0, 800.0])
+def test_overflowing_stratification_raises_one_error_type(beta, route):
+    with pytest.raises(ValueError) as excinfo:
+        ROUTES[route](PhysicalParams(beta=beta, rayleigh=100.0))
+    # numpy's LinAlgError subclasses ValueError; only the plain one is typed
+    assert excinfo.type is ValueError
+    if route == "pencil":
+        assert f"beta = {beta}" in str(excinfo.value)
 
 
 @pytest.mark.parametrize("beta", BETAS)
@@ -83,6 +142,15 @@ def test_frozen_oracle_values_beta07():
                             gamma=1.2, length=2.5)
     got = oracle_coefficients(params).as_array()
     assert np.max(np.abs(got - ORACLE_BETA07) / np.abs(ORACLE_BETA07)) < 1e-13
+
+
+@pytest.mark.parametrize("geometry", sorted(ORACLE_INTEGRALS), ids=str)
+def test_frozen_oracle_integrals_term_by_term(geometry):
+    got = _oracle_integrals(*geometry, 64)
+    assert set(got) == set(TERM_NAMES)
+    for name, expected in ORACLE_INTEGRALS[geometry].items():
+        assert abs(got[name] - expected) <= 1e-13 * abs(expected), name
+    assert abs(got["nonlinear-omega"]) < 1e-10
 
 
 def test_classic_limit_values():

@@ -1,4 +1,5 @@
-"""Property tests of the N-mode pencil over the onset_scan parameter box.
+"""Property tests of the N-mode pencil and the coefficient routes over the
+onset_scan parameter box.
 
 They add to the fixed-point tests in test_spectral.py and replace none. Draws
 are derandomized, so every run checks the same examples.
@@ -16,7 +17,9 @@ from anelor.basis import ModeGrid, ModeIndex, QuadratureRule  # noqa: E402
 from anelor.cli import ROUTE_GATE  # noqa: E402
 from anelor.lorenz import critical_rayleigh  # noqa: E402
 from anelor.params import PhysicalParams  # noqa: E402
+from anelor.projection import closed_form_coefficients, oracle_coefficients  # noqa: E402
 from anelor.spectral import assemble_pencil, critical_rayleigh_spectral  # noqa: E402
+from test_projection import rel_dev  # noqa: E402
 
 BOX = st.builds(
     PhysicalParams,
@@ -109,3 +112,11 @@ def test_single_mode_onset_matches_the_oracle_on_the_box(params):
     spectral = critical_rayleigh_spectral(params, n_modes=1)
     reduced = critical_rayleigh(params, "oracle")
     assert abs(spectral - reduced) / reduced <= ROUTE_GATE
+
+
+@box_settings(30)
+@given(params=BOX)
+def test_oracle_matches_the_closed_form_on_the_box(params):
+    oracle = oracle_coefficients(params).as_array()
+    closed = closed_form_coefficients(params).as_array()
+    assert np.max(rel_dev(oracle, closed)) <= 1e-12
