@@ -13,11 +13,11 @@ with eigenvalues mu[m, n] = -(beta^2/4 + 4*m^2*pi^2/l^2 + n^2*pi^2), where
     phi[+1, 0](x) = sqrt(1/l)
 
 Orthonormality holds in the weighted product <f, g> = int f * exp(beta*z) * g.
-The quadrature oracle (projection) is built from pointwise evaluations of these
-modes and their exact partial derivatives, integrated with tensor-product
-Gauss-Legendre quadrature. The linear-stability pencil (spectral) uses only
-fourier_factor and the exponential form of the vertical factor, and integrates
-in closed form.
+The projected equations are not written here but in projection's term table.
+The quadrature oracle evaluates its rows from these modes' exact partial
+derivatives with tensor-product Gauss-Legendre quadrature; the stability
+pencil (spectral) integrates the linear rows in closed form, using only
+fourier_factor and the exponential form of the vertical factor.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ __all__ = [
     "mode_eval",
     "mode_partial",
     "vorticity_eigenvalue",
-    "vorticity_diffusion_terms",
     "weighted_inner_product",
     "vorticity_residual",
 ]
@@ -133,15 +132,6 @@ def vorticity_eigenvalue(j: ModeIndex, params: PhysicalParams) -> float:
     m, n = j.horizontal, j.vertical
     wave = 2.0 * np.pi * m / params.length
     return -(0.25 * params.beta**2 + wave**2 + (n * np.pi) ** 2)
-
-
-def vorticity_diffusion_terms(beta: float) -> tuple:
-    """(coefficient, dx, dz) terms whose sum of coefficient * d^dx d^dz psi is
-    exp(-beta*z) * Lap(exp(beta*z) * (Lap psi + 2*beta*psi_z)); shared by the
-    projection oracle and the spectral pencil."""
-    return ((1.0, 4, 0), (2.0, 2, 2), (1.0, 0, 4),
-            (4.0 * beta, 2, 1), (4.0 * beta, 0, 3),
-            (beta**2, 2, 0), (5.0 * beta**2, 0, 2), (2.0 * beta**3, 0, 1))
 
 
 @functools.lru_cache(maxsize=16)

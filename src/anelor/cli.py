@@ -157,7 +157,7 @@ _SETTINGS = {
     "initial": _row(_as_triple, (1e-3, 1e-3, 1e-3), "simulate", "--initial", nargs=3,
                     metavar=("A", "B", "C"), help="initial reduced state"),
     "n_modes": _row(_as_int_list, (1, 2, 4, 8), "validate", "--n-modes", nargs="+",
-                    metavar="N", help="vertical truncations to check"),
+                    metavar="N", help="vertical truncations to check, 1-512"),
     "m": _row(_as_int, 1, "validate", "--m", help="horizontal mode number"),
     "report": _row(_as_path, None, "validate", "--report",
                    help="also write the coefficient discrepancy table to this path"),
@@ -203,8 +203,8 @@ def _check(config) -> None:
                 replace(params, **{field: point})
         except ValueError as exc:
             raise ConfigError(f"{name}: {exc}") from exc
-    if config.m < 1 or not config.n_modes or min(config.n_modes) < 1:
-        raise ConfigError("m and every n_modes entry must be at least 1")
+    if config.m < 1 or not config.n_modes or not all(1 <= n <= 512 for n in config.n_modes):
+        raise ConfigError("m must be at least 1 and every n_modes entry in [1, 512]")
     if not all(math.isfinite(v) for v in config.initial):
         raise ConfigError("initial state must be finite")
     if config.subcommand == "critical" and config.l_sweep and config.optimize_l:

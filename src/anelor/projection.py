@@ -44,7 +44,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .basis import ModeGrid, ModeIndex, QuadratureRule, vorticity_diffusion_terms
+from .basis import ModeGrid, ModeIndex, QuadratureRule
 from .params import PhysicalParams
 
 __all__ = [
@@ -160,27 +160,19 @@ def _oracle_terms(params: PhysicalParams, order: int) -> dict:
 _MODES = {"psi": ModeIndex(-1, 1, 1), "tau1": ModeIndex(+1, 1, 1), "tau2": ModeIndex(+1, 0, 2)}
 
 
-def _oracle_table(beta: float) -> tuple:
-    """Every projection integral as a row (name, w, test, terms): the integral of
-    exp(w*beta*z) * test * sum(c * product of d^dx d^dz mode) over the terms
-    (c, ((mode, dx, dz), ...)). Rows whose name is not in TERM_NAMES vanish by
-    horizontal orthogonality."""
+def _linear_table(beta: float) -> tuple:
+    """The rows of `_oracle_table` that are linear in the amplitudes, one mode
+    derivative per term; `spectral` integrates them in closed form, reading each
+    mode as its parity family at every harmonic and vertical index."""
     def linear(mode, *terms):  # sum of c * d^dx d^dz mode over (c, dx, dz)
         return tuple((c, ((mode, dx, dz),)) for c, dx, dz in terms)
 
-    def advection(tau):  # the Jacobian psi_x * tau_z - psi_z * tau_x
-        return ((1.0, (("psi", 1, 0), (tau, 0, 1))), (-1.0, (("psi", 0, 1), (tau, 1, 0))))
-
-    # with vorticity w = exp(beta z) v, v = -(Lap psi + beta psi_z), the momentum
-    # advection exp(beta z)(psi_x w_z - psi_z w_x + beta w psi_x) is
-    # exp(2 beta z)(2 beta psi_x v + psi_x v_z - psi_z v_x)
+    # vorticity w = exp(beta z) v with v = -(Lap psi + beta psi_z); the diffusion
+    # terms sum to exp(-beta z) * Lap(w - beta exp(beta z) psi_z)
     vorticity = ((-1.0, 2, 0), (-1.0, 0, 2), (-beta, 0, 1))
-    advected = tuple(term for c, dx, dz in vorticity for term in (
-        (2.0 * beta * c, (("psi", 1, 0), ("psi", dx, dz))),
-        (c, (("psi", 1, 0), ("psi", dx, dz + 1))),
-        (-c, (("psi", 0, 1), ("psi", dx + 1, dz)))))
-    # Lap(w - beta exp(beta z) psi_z) = -exp(beta z) * (the sum of these terms)
-    diffusion = [(-c, dx, dz) for c, dx, dz in vorticity_diffusion_terms(beta)]
+    diffusion = ((-1.0, 4, 0), (-2.0, 2, 2), (-1.0, 0, 4), (-4.0 * beta, 2, 1),
+                 (-4.0 * beta, 0, 3), (-beta**2, 2, 0), (-5.0 * beta**2, 0, 2),
+                 (-2.0 * beta**3, 0, 1))
     laplacian = ((1.0, 2, 0), (1.0, 0, 2))
     return (
         ("diffusive-omega", 2, "psi", linear("psi", *diffusion)),
@@ -193,25 +185,45 @@ def _oracle_table(beta: float) -> tuple:
         ("diffusive-tau1", 1, "tau1", linear("tau1", *laplacian)),
         ("diffusive-tau2", 1, "tau2", linear("tau2", *laplacian)),
         ("source-tau", 1, "tau1", linear("psi", (1.0, 1, 0))),
-        ("nonlinear-tau-111", 1, "tau1", advection("tau2")),
-        ("nonlinear-tau-102", 1, "tau2", advection("tau1")),
-        ("nonlinear-omega", 2, "psi", advected),
         ("buoyancy cross", 1, "psi", linear("tau2", (-1.0, 1, 0))),
         ("gram cross", 0, "tau2", linear("tau1", (1.0, 0, 0))),
         ("diffusion cross 12", 1, "tau1", linear("tau2", *laplacian)),
         ("diffusion cross 21", 1, "tau2", linear("tau1", *laplacian)),
         ("source cross", 1, "tau2", linear("psi", (1.0, 1, 0))),
+    )
+
+
+def _oracle_table(beta: float) -> tuple:
+    """Every projection integral as a row (name, w, test, terms): the integral of
+    exp(w*beta*z) * test * sum(c * product of d^dx d^dz mode) over the terms
+    (c, ((mode, dx, dz), ...)); rows not in TERM_NAMES vanish by orthogonality."""
+    def advection(tau):  # the Jacobian psi_x * tau_z - psi_z * tau_x
+        return ((1.0, (("psi", 1, 0), (tau, 0, 1))), (-1.0, (("psi", 0, 1), (tau, 1, 0))))
+
+    linear = _linear_table(beta)
+    # with the mass-omega row's v, the momentum advection exp(beta z)(psi_x w_z -
+    # psi_z w_x + beta w psi_x) is exp(2 beta z)(2 beta psi_x v + psi_x v_z - psi_z v_x)
+    vorticity = next(terms for name, _, _, terms in linear if name == "mass-omega")
+    advected = tuple(term for c, ((_, dx, dz),) in vorticity for term in (
+        (2.0 * beta * c, (("psi", 1, 0), ("psi", dx, dz))),
+        (c, (("psi", 1, 0), ("psi", dx, dz + 1))),
+        (-c, (("psi", 0, 1), ("psi", dx + 1, dz)))))
+    return linear + (
+        ("nonlinear-tau-111", 1, "tau1", advection("tau2")),
+        ("nonlinear-tau-102", 1, "tau2", advection("tau1")),
+        ("nonlinear-omega", 2, "psi", advected),
         ("advection diagonal 1", 1, "tau1", advection("tau1")),
         ("advection diagonal 2", 1, "tau2", advection("tau2")),
     )
 
 
 @functools.lru_cache(maxsize=16)
+@np.errstate(over="ignore", invalid="ignore")
 def _oracle_integrals(beta: float, length: float, order: int) -> MappingProxyType:
     """`_oracle_terms` without its Ra and gamma factors, which leaves a function
     of (beta, l, order) alone: each `_oracle_table` row summed on the tensor
     grid against W * exp(w*beta*z) * test (z is the grid's last axis), formed
-    once per (w, test); read-only, since hits share it."""
+    once per (w, test); read-only, since hits share it. Overflow raises ValueError."""
     rule = QuadratureRule(order, length)
     geometry = PhysicalParams(beta=beta, length=length)
     W = rule.grid()[2]
@@ -228,7 +240,8 @@ def _oracle_integrals(beta: float, length: float, order: int) -> MappingProxyTyp
                 term = term * grids[mode].partial(dx, dz)
             field = field + (term if c == 1.0 else c * term)
         values[name] = float(np.sum(field * weighted[w, test]))
-
+    if not all(map(math.isfinite, values.values())):
+        raise ValueError(f"oracle integrals are not finite at beta = {beta}")
     scale = max(abs(values["mass-omega"]), abs(values["diffusive-tau1"]), 1.0)
     for name, value in values.items():
         if name not in TERM_NAMES and abs(value) > 1e-9 * scale:

@@ -16,14 +16,15 @@ stacked vector x = (A_1..A_N, B_1..B_N), with
     L(Ra)  = L0 + sqrt(Ra) * L1, where L0 holds the diffusion blocks and L1
              only the buoyancy/source cross blocks
 
-The entries use the oracle's integrands, so the N = 1 pencil reproduces the
-reduced critical Rayleigh number by construction. Each integrand is an x-factor
-times a z-factor, and both integrals are exact. In x, d^dx phi[p, m] is
-+-(2 pi m/l)^dx times a cos/sin line, and the Gram matrix of those lines over
-a period is the identity. In z, vertical mode k is sqrt(2) Im exp(c_k z) with
-c_k = -beta/2 + i pi k, so its d-th derivative is sqrt(2) Im(c_k^d exp(c_k z)).
-Entry (i, j) of a block with weight exp(w beta z) and summed term polynomial
-p(c) = sum_d by_dz[d] c^d is then Re[p(c_j) K_w[i, j]], where
+Each block integrates one named row of the oracle's linear term table
+(`projection._linear_table`), each term's psi/tau1 mode standing for its
+parity family at every vertical index, so the N = 1 pencil reproduces the
+reduced onset by construction. Every integrand is an x-factor times a z-factor,
+both integrated exactly. In x, d^dx phi[p, m] is +-(2 pi m/l)^dx times a cos/sin
+line, whose Gram matrix over a period is the identity. In z, vertical mode k
+is sqrt(2) Im exp(c_k z) with c_k = -beta/2 + i pi k, so its d-th derivative
+is sqrt(2) Im(c_k^d exp(c_k z)). Entry (i, j) of a block with weight exp(w beta z)
+and summed term polynomial p(c) = sum_d by_dz[d] c^d is Re[p(c_j) K_w[i, j]], where
 
     K_w[i, j] = (sigma e^a - 1) * 2j pi i / (s1 * s2),
     a = (w - 1) beta, sigma = (-1)^(i + j), s1 = a + 1j pi (j - i),
@@ -41,9 +42,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import fourier_factor, vorticity_diffusion_terms
+from . import projection
+from .basis import fourier_factor
 from .params import PhysicalParams
-from .projection import expm1_over
 
 __all__ = [
     "LinearOperatorPencil",
@@ -101,44 +102,39 @@ def _kernels(beta, n):
     s1 = a + 1j * np.pi * (j - i)
     numerator = np.where((i + j) % 2 == 0, np.expm1(a), -(np.exp(a) + 1.0))
     s1[:, diagonal, diagonal] = 1.0
-    numerator[:, diagonal, diagonal] = [[expm1_over(-beta)], [1.0], [expm1_over(beta)]]
+    numerator[:, diagonal, diagonal] = [[projection.expm1_over(-beta)], [1.0],
+                                        [projection.expm1_over(beta)]]
     return numerator / s1 * ((2j * np.pi) * i / (a + 1j * np.pi * (j + i)))
 
 
+@np.errstate(over="ignore", invalid="ignore")  # assemble_pencil rejects inf and nan
 def _assemble_matrices(params, m, n):
     beta, pr, length = params.beta, params.prandtl, params.length
     # powers[d, k - 1] = c_k^d; kernels[w] integrates against the weight exp(w*beta*z)
     powers = (-0.5 * beta + 1j * np.pi * np.arange(1, n + 1)) ** np.arange(5)[:, None]
     kernels = _kernels(beta, n)
+    table = {name: row for name, *row in projection._linear_table(beta)}
 
-    def block(terms, weight, trial, test):
-        # [i, j] = sum of c * int exp(weight*beta*z) d^dx d^dz trial_j * test_i, with
-        # d^dx phi[trial] = factor * phi[parity], orthonormal to phi[test] unless equal
+    def block(weight, test, terms, extra=()):
+        # [i, j] = the row's integral with test_i and each term's mode at index j, where
+        # d^dx phi[mode] = factor * phi[parity], orthonormal to phi[test] unless equal
         by_dz = np.zeros(5)
-        for c, dx, dz in terms:
-            factor, parity = fourier_factor(trial, m, length, dx)
-            if parity == test:
+        for c, ((mode, dx, dz),) in terms + extra:
+            factor, parity = fourier_factor(projection._MODES[mode].parity, m, length, dx)
+            if parity == projection._MODES[test].parity:
                 by_dz[dz] += c * factor
         return (np.dot(by_dz, powers) * kernels[weight]).real
 
-    psi, tau = -1, +1
     # vorticity rows: time-derivative projections are diagonal by weighted
     # orthonormality; normalize each row by its diagonal entry
-    vorticity = ((-1.0, 2, 0), (-1.0, 0, 2), (-beta, 0, 1))
-    rows = pr / np.diag(block(vorticity, 1, psi, psi))[:, None]
-    diffusion = [(-c, dx, dz) for c, dx, dz in vorticity_diffusion_terms(beta)]
-    diffusion.append((params.gamma * beta**2, 2, 0))
-    buoyancy = ((1.0, 1, 0),)
-
-    mass = np.eye(2 * n)
-    l0 = np.zeros((2 * n, 2 * n))
-    l1 = np.zeros((2 * n, 2 * n))
-    l0[:n, :n] = rows * block(diffusion, 2, psi, psi)
-    l1[:n, n:] = -rows * block(buoyancy, 1, tau, psi)
-    # temperature rows: unweighted Gram mass, weighted diffusion
-    mass[n:, n:] = block(((1.0, 0, 0),), 0, tau, tau)
-    l0[n:, n:] = block(((1.0, 2, 0), (1.0, 0, 2)), 1, tau, tau)
-    l1[n:, :n] = block(buoyancy, 1, psi, tau)
+    rows = pr / np.diag(block(*table["mass-omega"]))[:, None]
+    gamma = tuple((params.gamma * beta**2 * c, f) for c, f in table["gamma-term"][2])
+    mass, l0, l1 = np.eye(2 * n), np.zeros((2 * n, 2 * n)), np.zeros((2 * n, 2 * n))
+    l0[:n, :n] = rows * block(*table["diffusive-omega"], gamma)
+    l1[:n, n:] = rows * block(*table["buoyancy-omega"])
+    mass[n:, n:] = block(*table["mass-tau1"])
+    l0[n:, n:] = block(*table["diffusive-tau1"])
+    l1[n:, :n] = block(*table["source-tau"])
     return {"mass": mass, "l0": l0, "l1": l1}
 
 

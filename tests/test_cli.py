@@ -369,7 +369,7 @@ def test_order_above_512_is_a_usage_error_from_the_environment(capsys, monkeypat
     assert code == 2 and "order" in err
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("argv", [
     ("coeffs", "--beta", "711"),
     ("critical", "--beta", "800", "--source", "closed_form"),
@@ -377,7 +377,21 @@ def test_order_above_512_is_a_usage_error_from_the_environment(capsys, monkeypat
 ])
 def test_overflowing_stratification_is_a_numeric_failure(capsys, argv):
     code, _, err = run(capsys, *argv)
-    assert code == 1 and err.startswith("anelor:")
+    assert code == 1 and err.startswith("anelor:") and len(err.splitlines()) == 1
+
+
+def test_n_modes_above_512_is_a_usage_error_from_every_source(capsys, monkeypatch, tmp_path):
+    parsed = _build_parser().parse_args(["validate", "--n-modes", "1", "512"])
+    assert resolve_config(parsed).n_modes == (1, 512)
+    code, _, err = run(capsys, "validate", "--n-modes", "2", "513")
+    assert code == 2 and "n_modes" in err
+    config = tmp_path / "run.cfg"
+    config.write_text("n_modes = 513\n")
+    code, _, err = run(capsys, "validate", "--config", str(config))
+    assert code == 2 and "n_modes" in err
+    monkeypatch.setenv("ANELOR_N_MODES", "513")
+    code, _, err = run(capsys, "validate")
+    assert code == 2 and "n_modes" in err
 
 
 def test_huge_environment_integer_is_a_usage_error(capsys, monkeypatch):

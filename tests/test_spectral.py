@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import anelor.basis
+import anelor.projection
 from anelor.basis import ModeGrid, ModeIndex, QuadratureRule
 from anelor.lorenz import critical_rayleigh
 from anelor.params import PhysicalParams
@@ -74,6 +75,35 @@ def test_single_mode_pencil_reproduces_the_reduced_linear_block(beta):
     expected = np.array([[coeffs.e1, coeffs.e2], [coeffs.e5, coeffs.e4]])
     scale = np.max(np.abs(expected))
     assert np.max(np.abs(operator - expected)) < 1e-10 * scale
+
+
+def test_oracle_and_pencil_read_one_linear_row(monkeypatch):
+    # doubling one row of the projection's linear table doubles the oracle's term
+    # and the pencil block built from it; neither holds a copy of the integrand
+    linear_table = anelor.projection._linear_table
+
+    def doubled(beta):
+        return tuple((name, w, test, tuple((2.0 * c, f) for c, f in terms))
+                     if name == "diffusive-tau1" else (name, w, test, terms)
+                     for name, w, test, terms in linear_table(beta))
+
+    params = make_params(beta=0.7, length=2.5)
+
+    def tau_diffusion():
+        oracle = anelor.projection._oracle_integrals(params.beta, params.length, 64)
+        return oracle["diffusive-tau1"], assemble_pencil(params, n_modes=1).l0[1, 1]
+
+    anelor.projection._oracle_integrals.cache_clear()
+    try:
+        before = tau_diffusion()
+        with monkeypatch.context() as patch:
+            patch.setattr(anelor.projection, "_linear_table", doubled)
+            anelor.projection._oracle_integrals.cache_clear()
+            after = tau_diffusion()
+    finally:
+        anelor.projection._oracle_integrals.cache_clear()
+    assert before[0] != 0.0 and before[1] != 0.0
+    assert after == (2.0 * before[0], 2.0 * before[1])
 
 
 @pytest.mark.parametrize("beta", [0.0, 0.1, 0.5, 1.0])
