@@ -13,11 +13,12 @@ with eigenvalues mu[m, n] = -(beta^2/4 + 4*m^2*pi^2/l^2 + n^2*pi^2), where
     phi[+1, 0](x) = sqrt(1/l)
 
 Orthonormality holds in the weighted product <f, g> = int f * exp(beta*z) * g.
-The projected equations are not written here but in projection's term table.
-The quadrature oracle evaluates its rows from these modes' exact partial
-derivatives with tensor-product Gauss-Legendre quadrature; the stability
-pencil (spectral) integrates the linear rows in closed form, using only
-fourier_factor and the exponential form of the vertical factor.
+The projected equations are not written here but as projection's operator
+rows. The quadrature oracle evaluates their instances on three of these modes
+from the exact partial derivatives with tensor-product Gauss-Legendre
+quadrature; the stability pencil (spectral) integrates the linear rows on
+whole parity families in closed form, using only fourier_factor and the
+exponential form of the vertical factor.
 """
 
 from __future__ import annotations
@@ -107,7 +108,8 @@ def vertical_partial(n, z, beta, order=0):
     if order < 0:
         raise ValueError("derivative order must be >= 0")
     c = complex(-0.5 * beta, n * np.pi)
-    return np.sqrt(2.0) * np.imag(c**order * np.exp(c * np.asarray(z, dtype=float)))
+    power = np.complex128(c) ** order  # inf on overflow, where complex ** would raise
+    return np.sqrt(2.0) * np.imag(power * np.exp(c * np.asarray(z, dtype=float)))
 
 
 def mode_partial(j: ModeIndex, x, z, params: PhysicalParams, dx=0, dz=0):

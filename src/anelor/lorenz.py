@@ -252,7 +252,7 @@ def minimize_over_length(
         return critical_rayleigh(p, source, order)
 
     grid = np.linspace(lo, hi, 41)
-    values = [ra_star(l) for l in grid]
+    values = [ra_star(l) for l in grid.tolist()]  # floats: numpy scalars warn on overflow
     k = int(np.argmin(values))
     if k == 0 or k == len(grid) - 1:
         raise BracketError(

@@ -14,13 +14,13 @@ then dividing by the time-derivative Gram factors, yields
 
 The coefficients are produced by three routes:
 
-  oracle        every projection integral is a row of one term table (a
-                weight exp(w*beta*z), a test mode and a sum of products of
-                exact mode derivatives), evaluated on the tensor-product
-                Gauss-Legendre grid, with no reuse of the eigenvalue formula
-                or of any hand integration, once per (beta, l, order), with
-                Ra, Pr and gamma applied at assembly; this is the reference
-                route
+  oracle        every projection integral is an instance of one of nine
+                operator rows (a weight exp(w*beta*z), a test field and a sum
+                of products of exact field derivatives) on the three modes,
+                evaluated on the tensor-product Gauss-Legendre grid with no
+                reuse of the eigenvalue formula or of any hand integration,
+                once per (beta, l, order), with Ra, Pr and gamma applied at
+                assembly; this is the reference route
   closed_form   analytic integrals re-derived from scratch; they agree with
                 the oracle to near machine precision and carry series branches
                 so beta -> 0 is smooth
@@ -38,6 +38,7 @@ all routes side by side.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -65,21 +66,6 @@ PROVENANCES = ("oracle", "closed_form", "published")
 
 # oracle quadrature points per axis, unless a caller asks for another order
 ORDER = 64
-
-TERM_NAMES = (
-    "diffusive-omega",
-    "gamma-term",
-    "buoyancy-omega",
-    "mass-omega",
-    "mass-tau1",
-    "mass-tau2",
-    "diffusive-tau1",
-    "diffusive-tau2",
-    "source-tau",
-    "nonlinear-tau-111",
-    "nonlinear-tau-102",
-    "nonlinear-omega",
-)
 
 # relative-deviation floor; keeps identically-zero projections (quadrature
 # noise ~1e-16) from reporting O(1) spurious deviations
@@ -142,12 +128,9 @@ class ProjectionTermReport:
 
 
 def _oracle_terms(params: PhysicalParams, order: int) -> dict:
-    """All projection integrals of the reduced system, by quadrature.
-
-    Values are per unit amplitude (A, B, C, or their products): a copy of the
-    cached geometry integrals, with the sqrt(Ra) factor of the equations on
-    the buoyancy/source entries and gamma * beta^2 on the gamma term.
-    """
+    """The named projection integrals by quadrature, per unit amplitude: a copy of
+    the cached geometry integrals with the equations' sqrt(Ra) on the buoyancy
+    and source entries and gamma * beta^2 on the gamma term."""
     terms = dict(_oracle_integrals(params.beta, params.length, order))
     sqrt_ra = math.sqrt(params.rayleigh)
     terms["gamma-term"] = params.gamma * params.beta**2 * terms["gamma-term"]
@@ -156,127 +139,138 @@ def _oracle_terms(params: PhysicalParams, order: int) -> dict:
     return terms
 
 
-# the truncation's modes: psi[-1, 1, 1] carries A, psi[+1, 1, 1] B, psi[+1, 0, 2] C
-_MODES = {"psi": ModeIndex(-1, 1, 1), "tau1": ModeIndex(+1, 1, 1), "tau2": ModeIndex(+1, 0, 2)}
+# the truncation's modes by field: psi[-1, 1, 1] carries A, psi[+1, 1, 1] B, psi[+1, 0, 2] C
+_MODES = {"psi": {"A": ModeIndex(-1, 1, 1)},
+          "tau": {"B": ModeIndex(+1, 1, 1), "C": ModeIndex(+1, 0, 2)}}
 
 
-def _linear_table(beta: float) -> tuple:
-    """The rows of `_oracle_table` that are linear in the amplitudes, one mode
-    derivative per term; `spectral` integrates them in closed form, reading each
-    mode as its parity family at every harmonic and vertical index."""
-    def linear(mode, *terms):  # sum of c * d^dx d^dz mode over (c, dx, dz)
-        return tuple((c, ((mode, dx, dz),)) for c, dx, dz in terms)
+def _operators(beta: float) -> dict:
+    """The projected equations, one row per operator: name -> (test field, w, terms).
+    On a test mode the row integrates exp(w*beta*z) * test * sum(c * product of
+    d^dx d^dz field) over its terms (c, ((field, dx, dz), ...)). The powers of beta
+    are numpy's: they overflow to inf under the callers' errstate, not raise."""
+    beta = np.float64(beta)
+
+    def linear(field, *terms):  # sum of c * d^dx d^dz field over (c, dx, dz)
+        return [(c, ((field, dx, dz),)) for c, dx, dz in terms]
 
     # vorticity w = exp(beta z) v with v = -(Lap psi + beta psi_z); the diffusion
-    # terms sum to exp(-beta z) * Lap(w - beta exp(beta z) psi_z)
+    # terms sum to exp(-beta z) * Lap(w - beta exp(beta z) psi_z), and the
+    # advection exp(beta z)(psi_x w_z - psi_z w_x + beta w psi_x) is
+    # exp(2 beta z)(2 beta psi_x v + psi_x v_z - psi_z v_x)
     vorticity = ((-1.0, 2, 0), (-1.0, 0, 2), (-beta, 0, 1))
     diffusion = ((-1.0, 4, 0), (-2.0, 2, 2), (-1.0, 0, 4), (-4.0 * beta, 2, 1),
                  (-4.0 * beta, 0, 3), (-beta**2, 2, 0), (-5.0 * beta**2, 0, 2),
                  (-2.0 * beta**3, 0, 1))
-    laplacian = ((1.0, 2, 0), (1.0, 0, 2))
-    return (
-        ("diffusive-omega", 2, "psi", linear("psi", *diffusion)),
-        ("gamma-term", 2, "psi", linear("psi", (1.0, 2, 0))),
-        ("buoyancy-omega", 1, "psi", linear("tau1", (-1.0, 1, 0))),
-        ("mass-omega", 1, "psi", linear("psi", *vorticity)),
-        # temperature equation: weight-free Gram factors, weighted diffusion
-        ("mass-tau1", 0, "tau1", linear("tau1", (1.0, 0, 0))),
-        ("mass-tau2", 0, "tau2", linear("tau2", (1.0, 0, 0))),
-        ("diffusive-tau1", 1, "tau1", linear("tau1", *laplacian)),
-        ("diffusive-tau2", 1, "tau2", linear("tau2", *laplacian)),
-        ("source-tau", 1, "tau1", linear("psi", (1.0, 1, 0))),
-        ("buoyancy cross", 1, "psi", linear("tau2", (-1.0, 1, 0))),
-        ("gram cross", 0, "tau2", linear("tau1", (1.0, 0, 0))),
-        ("diffusion cross 12", 1, "tau1", linear("tau2", *laplacian)),
-        ("diffusion cross 21", 1, "tau2", linear("tau1", *laplacian)),
-        ("source cross", 1, "tau2", linear("psi", (1.0, 1, 0))),
-    )
-
-
-def _oracle_table(beta: float) -> tuple:
-    """Every projection integral as a row (name, w, test, terms): the integral of
-    exp(w*beta*z) * test * sum(c * product of d^dx d^dz mode) over the terms
-    (c, ((mode, dx, dz), ...)); rows not in TERM_NAMES vanish by orthogonality."""
-    def advection(tau):  # the Jacobian psi_x * tau_z - psi_z * tau_x
-        return ((1.0, (("psi", 1, 0), (tau, 0, 1))), (-1.0, (("psi", 0, 1), (tau, 1, 0))))
-
-    linear = _linear_table(beta)
-    # with the mass-omega row's v, the momentum advection exp(beta z)(psi_x w_z -
-    # psi_z w_x + beta w psi_x) is exp(2 beta z)(2 beta psi_x v + psi_x v_z - psi_z v_x)
-    vorticity = next(terms for name, _, _, terms in linear if name == "mass-omega")
-    advected = tuple(term for c, ((_, dx, dz),) in vorticity for term in (
+    advection = [term for c, dx, dz in vorticity for term in (
         (2.0 * beta * c, (("psi", 1, 0), ("psi", dx, dz))),
         (c, (("psi", 1, 0), ("psi", dx, dz + 1))),
-        (-c, (("psi", 0, 1), ("psi", dx + 1, dz)))))
-    return linear + (
-        ("nonlinear-tau-111", 1, "tau1", advection("tau2")),
-        ("nonlinear-tau-102", 1, "tau2", advection("tau1")),
-        ("nonlinear-omega", 2, "psi", advected),
-        ("advection diagonal 1", 1, "tau1", advection("tau1")),
-        ("advection diagonal 2", 1, "tau2", advection("tau2")),
-    )
+        (-c, (("psi", 0, 1), ("psi", dx + 1, dz))))]
+    # the temperature test weight is exp(tau*beta*z): the paper's test is
+    # weight-free, and tau = -1 would give the Galerkin test exp(-beta*z) * mode
+    tau = 0
+    return {
+        "vorticity time derivative": ("psi", 1, linear("psi", *vorticity)),
+        "vorticity diffusion": ("psi", 2, linear("psi", *diffusion)),
+        "gamma": ("psi", 2, linear("psi", (1.0, 2, 0))),
+        "buoyancy": ("psi", 1, linear("tau", (-1.0, 1, 0))),
+        "vorticity advection": ("psi", 2, advection),
+        "temperature time derivative": ("tau", tau, linear("tau", (1.0, 0, 0))),
+        "temperature diffusion": ("tau", tau + 1, linear("tau", (1.0, 2, 0), (1.0, 0, 2))),
+        "source": ("tau", tau + 1, linear("psi", (1.0, 1, 0))),
+        "temperature advection": ("tau", tau + 1, (  # the Jacobian psi_x tau_z - psi_z tau_x
+            (1.0, (("psi", 1, 0), ("tau", 0, 1))), (-1.0, (("psi", 0, 1), ("tau", 1, 0))))),
+    }
+
+
+# the reported projections as instances (operator, test mode, trial modes in the
+# order the row's fields appear); every other instance vanishes by orthogonality
+_TERMS = {
+    "diffusive-omega": ("vorticity diffusion", "A", "A"),
+    "gamma-term": ("gamma", "A", "A"),
+    "buoyancy-omega": ("buoyancy", "A", "B"),
+    "mass-omega": ("vorticity time derivative", "A", "A"),
+    "mass-tau1": ("temperature time derivative", "B", "B"),
+    "mass-tau2": ("temperature time derivative", "C", "C"),
+    "diffusive-tau1": ("temperature diffusion", "B", "B"),
+    "diffusive-tau2": ("temperature diffusion", "C", "C"),
+    "source-tau": ("source", "B", "A"),
+    "nonlinear-tau-111": ("temperature advection", "B", "AC"),
+    "nonlinear-tau-102": ("temperature advection", "C", "AB"),
+    "nonlinear-omega": ("vorticity advection", "A", "A"),
+}
+TERM_NAMES = tuple(_TERMS)
+
+
+def _instances(beta: float):
+    """Each operator row on every (test, trial) pair of the truncation's modes, as
+    (key, w, test mode, terms, the trial mode of each field), keyed as in _TERMS."""
+    for name, (field, w, terms) in _operators(beta).items():
+        fields = list(dict.fromkeys([f for _, factors in terms for f, _, _ in factors]))
+        for test, *trial in itertools.product(_MODES[field], *map(_MODES.get, fields)):
+            yield (name, test, "".join(trial)), w, test, terms, dict(zip(fields, trial))
 
 
 @functools.lru_cache(maxsize=16)
 @np.errstate(over="ignore", invalid="ignore")
 def _oracle_integrals(beta: float, length: float, order: int) -> MappingProxyType:
-    """`_oracle_terms` without its Ra and gamma factors, which leaves a function
-    of (beta, l, order) alone: each `_oracle_table` row summed on the tensor
-    grid against W * exp(w*beta*z) * test (z is the grid's last axis), formed
-    once per (w, test); read-only, since hits share it. Overflow raises ValueError."""
+    """`_oracle_terms` without its Ra and gamma factors, a function of (beta, l,
+    order) alone: each instance summed on the tensor grid against W * exp(w*beta*z)
+    * test, formed once per (w, test); read-only, since hits share it. Overflow
+    raises ValueError, a nonzero orthogonality instance QuadratureConvergenceError."""
     rule = QuadratureRule(order, length)
     geometry = PhysicalParams(beta=beta, length=length)
     W = rule.grid()[2]
-    grids = {name: ModeGrid(j, geometry, rule) for name, j in _MODES.items()}
-    table = _oracle_table(beta)
+    grids = {k: ModeGrid(j, geometry, rule) for modes in _MODES.values() for k, j in modes.items()}
+    instances = list(_instances(beta))
     weighted = {(w, test): W * np.exp(w * beta * rule.z_nodes) * grids[test].partial()
-                for w, test in {row[1:3] for row in table}}
+                for w, test in {instance[1:3] for instance in instances}}
     values = {}
-    for name, w, test, terms in table:
+    for key, w, test, terms, mode in instances:
         field = 0.0
-        for c, ((mode, dx, dz), *rest) in terms:
-            term = grids[mode].partial(dx, dz)
-            for mode, dx, dz in rest:
-                term = term * grids[mode].partial(dx, dz)
+        for c, ((f, dx, dz), *rest) in terms:
+            term = grids[mode[f]].partial(dx, dz)
+            for f, dx, dz in rest:
+                term = term * grids[mode[f]].partial(dx, dz)
             field = field + (term if c == 1.0 else c * term)
-        values[name] = float(np.sum(field * weighted[w, test]))
+        values[key] = float(np.sum(field * weighted[w, test]))
     if not all(map(math.isfinite, values.values())):
         raise ValueError(f"oracle integrals are not finite at beta = {beta}")
-    scale = max(abs(values["mass-omega"]), abs(values["diffusive-tau1"]), 1.0)
-    for name, value in values.items():
-        if name not in TERM_NAMES and abs(value) > 1e-9 * scale:
-            raise QuadratureConvergenceError(
-                f"{name} projection is {value}; it vanishes by orthogonality, "
-                f"so the rule does not resolve the integrands")
-    return MappingProxyType({name: values[name] for name in TERM_NAMES})
+    named = {name: values.pop(key) for name, key in _TERMS.items()}
+    scale = max(abs(named["mass-omega"]), abs(named["diffusive-tau1"]), 1.0)
+    for key, value in values.items():  # the instances that vanish by orthogonality
+        if abs(value) > 1e-9 * scale:
+            raise QuadratureConvergenceError(f"{key} projection is {value}; it vanishes by "
+                                             "orthogonality, so the rule does not resolve it")
+    return MappingProxyType(named)
 
 
 def _closed_form_terms(params: PhysicalParams) -> dict:
     beta, l, gamma = params.beta, params.length, params.gamma
     pi2 = math.pi**2
-    mu = 0.25 * beta**2 + 4.0 * pi2 / l**2 + pi2
-    R4 = beta**2 + 4.0 * pi2
-    Q16 = beta**2 + 16.0 * pi2
-    P64 = beta**2 + 64.0 * pi2
+    mu = 0.25 * beta * beta + 4.0 * pi2 / l**2 + pi2
+    R4 = beta * beta + 4.0 * pi2
+    Q16 = beta * beta + 16.0 * pi2
+    P64 = beta * beta + 64.0 * pi2
     E1 = expm1_over(beta)  # (e^beta - 1)/beta
     Em = expm1_over(-beta)  # (1 - e^-beta)/beta
     Eh = expm1_over(-0.5 * beta)  # (1 - e^{-beta/2})/(beta/2)
     sqrt_ra = math.sqrt(params.rayleigh)
     return {
-        "diffusive-omega": -(mu**2 + beta**2 * 4.0 * pi2 / l**2) * 4.0 * pi2 * E1 / R4,
-        "gamma-term": -gamma * beta**2 * (4.0 * pi2 / l**2) * (4.0 * pi2 / R4) * E1,
+        "diffusive-omega": -(mu * mu + beta * beta * 4.0 * pi2 / l**2) * 4.0 * pi2 * E1 / R4,
+        "gamma-term": -gamma * beta * beta * (4.0 * pi2 / l**2) * (4.0 * pi2 / R4) * E1,
         "buoyancy-omega": sqrt_ra * 2.0 * math.pi / l,
         "mass-omega": mu,
         "mass-tau1": Em * 4.0 * pi2 / R4,
         "mass-tau2": Em * 16.0 * pi2 / Q16,
-        "diffusive-tau1": 0.25 * beta**2 - pi2 - 4.0 * pi2 / l**2,
-        "diffusive-tau2": 0.25 * beta**2 - 4.0 * pi2,
+        "diffusive-tau1": 0.25 * beta * beta - pi2 - 4.0 * pi2 / l**2,
+        "diffusive-tau2": 0.25 * beta * beta - 4.0 * pi2,
         "source-tau": sqrt_ra * 2.0 * math.pi / l,
         "nonlinear-tau-111": -math.sqrt(2.0 / l) * (128.0 * math.pi**4 / l) * Eh / P64,
         "nonlinear-tau-102": math.sqrt(2.0 / l)
         * (4.0 * pi2 / l)
         * (0.5 * Eh)
-        * (1.0 + 3.0 * beta**2 / P64 - 4.0 * beta**2 / Q16),
+        * (1.0 + 3.0 * beta * beta / P64 - 4.0 * beta * beta / Q16),
         "nonlinear-omega": 0.0,
     }
 
@@ -292,11 +286,8 @@ def _published_terms(params: PhysicalParams) -> dict:
     """
     terms = _closed_form_terms(params)
     beta, l = params.beta, params.length
-    pi2 = math.pi**2
-    R4 = beta**2 + 4.0 * pi2
-    Q16 = beta**2 + 16.0 * pi2
-    terms["gamma-term"] = (
-        -params.gamma * beta**2 * (4.0 * pi2 / l) * (4.0 * pi2 / R4) * expm1_over(beta))
+    terms["gamma-term"] *= l
+    Q16 = beta * beta + 16.0 * math.pi**2
     terms["nonlinear-tau-111"] = (-math.sqrt(2.0 / l) * 256.0 * math.pi**4 * expm1_over(-beta)
                                   / (l * Q16 * (1.0 + math.exp(-0.5 * beta))))
     return terms
@@ -304,6 +295,8 @@ def _published_terms(params: PhysicalParams) -> dict:
 
 def _assemble(terms: dict, params: PhysicalParams, provenance: str) -> GalerkinCoeffs:
     """Divide each projected equation by its time-derivative Gram factor."""
+    if not all(map(math.isfinite, terms.values())):  # a Gram factor may have underflowed to 0
+        raise ValueError(f"projection terms are not finite at beta = {params.beta}")
     pr = params.prandtl
     mass_omega = terms["mass-omega"]
     g1 = terms["mass-tau1"]

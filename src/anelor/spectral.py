@@ -16,10 +16,10 @@ stacked vector x = (A_1..A_N, B_1..B_N), with
     L(Ra)  = L0 + sqrt(Ra) * L1, where L0 holds the diffusion blocks and L1
              only the buoyancy/source cross blocks
 
-Each block integrates one named row of the oracle's linear term table
-(`projection._linear_table`), each term's psi/tau1 mode standing for its
-parity family at every vertical index, so the N = 1 pencil reproduces the
-reduced onset by construction. Every integrand is an x-factor times a z-factor,
+Each block integrates operator rows of `projection._operators`, read by name,
+with psi and tau standing for their whole families. The oracle instantiates
+the same rows on three modes, so the N = 1 pencil reproduces the reduced onset
+by construction. Every integrand is an x-factor times a z-factor,
 both integrated exactly. In x, d^dx phi[p, m] is +-(2 pi m/l)^dx times a cos/sin
 line, whose Gram matrix over a period is the identity. In z, vertical mode k
 is sqrt(2) Im exp(c_k z) with c_k = -beta/2 + i pi k, so its d-th derivative
@@ -113,28 +113,31 @@ def _assemble_matrices(params, m, n):
     # powers[d, k - 1] = c_k^d; kernels[w] integrates against the weight exp(w*beta*z)
     powers = (-0.5 * beta + 1j * np.pi * np.arange(1, n + 1)) ** np.arange(5)[:, None]
     kernels = _kernels(beta, n)
-    table = {name: row for name, *row in projection._linear_table(beta)}
+    operators = projection._operators(beta)
+    parity = {"psi": -1, "tau": +1}  # the families the fields expand in
+    scale = {"gamma": params.gamma * np.float64(beta) ** 2}  # as the oracle's gamma-term
 
-    def block(weight, test, terms, extra=()):
-        # [i, j] = the row's integral with test_i and each term's mode at index j, where
-        # d^dx phi[mode] = factor * phi[parity], orthonormal to phi[test] unless equal
+    def block(*names):
+        # [i, j] sums the named operators (times their scale) on test_i and trial member j;
+        # d^dx phi[field] = factor * phi[parity], orthonormal to phi[test] unless equal
         by_dz = np.zeros(5)
-        for c, ((mode, dx, dz),) in terms + extra:
-            factor, parity = fourier_factor(projection._MODES[mode].parity, m, length, dx)
-            if parity == projection._MODES[test].parity:
-                by_dz[dz] += c * factor
+        for name in names:
+            test, weight, terms = operators[name]
+            for c, ((field, dx, dz),) in terms:
+                factor, flipped = fourier_factor(parity[field], m, length, dx)
+                if flipped == parity[test]:
+                    by_dz[dz] += scale.get(name, 1.0) * c * factor
         return (np.dot(by_dz, powers) * kernels[weight]).real
 
     # vorticity rows: time-derivative projections are diagonal by weighted
     # orthonormality; normalize each row by its diagonal entry
-    rows = pr / np.diag(block(*table["mass-omega"]))[:, None]
-    gamma = tuple((params.gamma * beta**2 * c, f) for c, f in table["gamma-term"][2])
+    rows = pr / np.diag(block("vorticity time derivative"))[:, None]
     mass, l0, l1 = np.eye(2 * n), np.zeros((2 * n, 2 * n)), np.zeros((2 * n, 2 * n))
-    l0[:n, :n] = rows * block(*table["diffusive-omega"], gamma)
-    l1[:n, n:] = rows * block(*table["buoyancy-omega"])
-    mass[n:, n:] = block(*table["mass-tau1"])
-    l0[n:, n:] = block(*table["diffusive-tau1"])
-    l1[n:, :n] = block(*table["source-tau"])
+    l0[:n, :n] = rows * block("vorticity diffusion", "gamma")
+    l1[:n, n:] = rows * block("buoyancy")
+    mass[n:, n:] = block("temperature time derivative")
+    l0[n:, n:] = block("temperature diffusion")
+    l1[n:, :n] = block("source")
     return {"mass": mass, "l0": l0, "l1": l1}
 
 

@@ -245,7 +245,7 @@ def test_validate_raises_the_order_for_high_truncations(capsys):
     assert math.isfinite(ra) and abs(ra - 1152.378) < 1e-3
 
 
-def test_validate_reduced_onset_uses_the_n1_pencil_rule(capsys):
+def test_validate_reduced_onset_matches_the_exact_n1_pencil(capsys):
     # the reduced side runs at no fewer than 64 points whatever --order says,
     # else it differs from the exact N = 1 pencil by 1.2e-10 at --order 8
     code, out, _ = run(capsys, "validate", "--beta", "3", "--n-modes", "1",
@@ -374,6 +374,10 @@ def test_order_above_512_is_a_usage_error_from_the_environment(capsys, monkeypat
     ("coeffs", "--beta", "711"),
     ("critical", "--beta", "800", "--source", "closed_form"),
     ("validate", "--beta", "709", "--n-modes", "2"),
+    *((command, "--beta", beta, *extra) for beta in ("1e78", "1e103", "1e300")
+      for command, *extra in (("coeffs",), ("critical", "--source", "closed_form"),
+                              ("validate", "--n-modes", "2"))),
+    ("critical", "--beta", "1e300", "--optimize-l", "--source", "closed_form"),
 ])
 def test_overflowing_stratification_is_a_numeric_failure(capsys, argv):
     code, _, err = run(capsys, *argv)

@@ -1,9 +1,11 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
 
+import anelor.projection
 from anelor.lorenz import critical_rayleigh
 from anelor.params import PhysicalParams
 from anelor.projection import (
@@ -16,7 +18,9 @@ from anelor.projection import (
     expm1_over,
     oracle_coefficients,
     published_coefficients,
+    _TERMS,
     _assemble,
+    _instances,
     _oracle_integrals,
     _oracle_terms,
 )
@@ -108,7 +112,7 @@ ROUTES = {
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("route", list(ROUTES))
-@pytest.mark.parametrize("beta", [709.0, 711.0, 800.0])
+@pytest.mark.parametrize("beta", [709.0, 711.0, 800.0, 1e78, 1e103, 1e300])
 def test_overflowing_stratification_raises_one_error_type(beta, route):
     with pytest.raises(ValueError) as excinfo:
         ROUTES[route](PhysicalParams(beta=beta, rayleigh=100.0))
@@ -376,6 +380,46 @@ def test_under_resolved_rule_raises_on_every_call():
         with pytest.raises(QuadratureConvergenceError):
             oracle_coefficients(params, 4)
     assert _oracle_integrals.cache_info().misses == misses + 2
+
+
+# the instances of the operator rows that vanish by orthogonality, keyed
+# (operator, test mode, trial modes); A is the psi mode, B and C the tau modes
+ORTHOGONAL_INSTANCES = {
+    ("buoyancy", "A", "C"),
+    ("temperature time derivative", "B", "C"),
+    ("temperature time derivative", "C", "B"),
+    ("temperature diffusion", "B", "C"),
+    ("temperature diffusion", "C", "B"),
+    ("source", "C", "A"),
+    ("temperature advection", "B", "AB"),
+    ("temperature advection", "C", "AC"),
+}
+
+
+def test_oracle_checks_exactly_the_unnamed_instances(monkeypatch):
+    keys = [key for key, *_ in _instances(0.4)]
+    assert len(keys) == len(set(keys)) == 20
+    assert set(keys) - set(_TERMS.values()) == ORTHOGONAL_INSTANCES
+    assert set(_TERMS.values()) <= set(keys) and len(_TERMS) == 12
+    # give one unnamed instance the integrand of mass-omega: the oracle must
+    # reject exactly that instance
+    instances = anelor.projection._instances
+    params = PhysicalParams(beta=0.4, rayleigh=100.0, length=2.5)
+    try:
+        for target in sorted(ORTHOGONAL_INSTANCES):
+            def swapped(beta, target=target):
+                rows = list(instances(beta))
+                mass = next(row[1:] for row in rows if row[0] == _TERMS["mass-omega"])
+                return [(key, *mass) if key == target else (key, *rest) for key, *rest in rows]
+
+            monkeypatch.setattr(anelor.projection, "_instances", swapped)
+            _oracle_integrals.cache_clear()
+            with pytest.raises(QuadratureConvergenceError, match=re.escape(f"{target} projection")):
+                oracle_coefficients(params)
+    finally:
+        monkeypatch.undo()
+        _oracle_integrals.cache_clear()
+    oracle_coefficients(params)
 
 
 def test_mutating_returned_terms_leaves_the_cache_intact():

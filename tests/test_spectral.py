@@ -78,32 +78,36 @@ def test_single_mode_pencil_reproduces_the_reduced_linear_block(beta):
 
 
 def test_oracle_and_pencil_read_one_linear_row(monkeypatch):
-    # doubling one row of the projection's linear table doubles the oracle's term
-    # and the pencil block built from it; neither holds a copy of the integrand
-    linear_table = anelor.projection._linear_table
+    # doubling the projection's temperature diffusion operator doubles both of the
+    # oracle's diffusive-tau terms and the pencil's tau diffusion block; neither
+    # holds a copy of the integrand
+    operators = anelor.projection._operators
 
     def doubled(beta):
-        return tuple((name, w, test, tuple((2.0 * c, f) for c, f in terms))
-                     if name == "diffusive-tau1" else (name, w, test, terms)
-                     for name, w, test, terms in linear_table(beta))
+        rows = dict(operators(beta))
+        test, w, terms = rows["temperature diffusion"]
+        rows["temperature diffusion"] = (test, w, tuple((2.0 * c, f) for c, f in terms))
+        return rows
 
     params = make_params(beta=0.7, length=2.5)
 
     def tau_diffusion():
         oracle = anelor.projection._oracle_integrals(params.beta, params.length, 64)
-        return oracle["diffusive-tau1"], assemble_pencil(params, n_modes=1).l0[1, 1]
+        block = assemble_pencil(params, n_modes=3).l0[3:, 3:]
+        return oracle["diffusive-tau1"], oracle["diffusive-tau2"], block
 
     anelor.projection._oracle_integrals.cache_clear()
     try:
         before = tau_diffusion()
         with monkeypatch.context() as patch:
-            patch.setattr(anelor.projection, "_linear_table", doubled)
+            patch.setattr(anelor.projection, "_operators", doubled)
             anelor.projection._oracle_integrals.cache_clear()
             after = tau_diffusion()
     finally:
         anelor.projection._oracle_integrals.cache_clear()
-    assert before[0] != 0.0 and before[1] != 0.0
-    assert after == (2.0 * before[0], 2.0 * before[1])
+    assert before[0] != 0.0 and before[1] != 0.0 and np.all(np.diag(before[2]) != 0.0)
+    assert after[:2] == (2.0 * before[0], 2.0 * before[1])
+    assert np.array_equal(after[2], 2.0 * before[2])
 
 
 @pytest.mark.parametrize("beta", [0.0, 0.1, 0.5, 1.0])
@@ -357,7 +361,7 @@ def test_oscillatory_onset_raises(monkeypatch):
 
 
 @pytest.mark.parametrize("n_modes", [32, 48, 64])
-def test_default_rule_resolves_high_truncations(n_modes):
+def test_exact_pencil_matches_a_fine_quadrature_at_high_truncations(n_modes):
     # the exact pencil against an in-test Gauss-Legendre rule of 4N + 64 points
     params = make_params(beta=1.0, length=2.83)
     pencil = pencil_blocks(assemble_pencil(params, n_modes=n_modes))
@@ -367,7 +371,7 @@ def test_default_rule_resolves_high_truncations(n_modes):
         assert float(np.max(np.abs(pencil[name] - expected))) <= 1e-9 * scale, name
 
 
-def test_high_truncation_onset_at_the_default_rule():
+def test_high_truncation_onset_matches_a_fine_quadrature_pencil():
     # with 64 points the N = 56 pencil was unstable at Ra = 0; 1152.37846336931
     # is the onset of a 256-point quadrature pencil
     params = make_params(beta=1.0, length=2.83)
