@@ -133,7 +133,7 @@ def vorticity_eigenvalue(j: ModeIndex, params: PhysicalParams) -> float:
     """Eigenvalue of Laplacian + beta*d/dz on psi[j]; always negative."""
     m, n = j.horizontal, j.vertical
     wave = 2.0 * np.pi * m / params.length
-    return -(0.25 * params.beta**2 + wave**2 + (n * np.pi) ** 2)
+    return -(0.25 * params.beta * params.beta + wave * wave + (n * np.pi) ** 2)
 
 
 @functools.lru_cache(maxsize=16)

@@ -45,7 +45,7 @@ import numpy as np
 from .dynamics import integrate_lorenz, integrate_reduced, map_trajectory, render_csv
 from .lorenz import critical_rayleigh, minimize_over_length, scale_to_lorenz
 from .params import PhysicalParams
-from .projection import ORDER, ProjectionTermReport, coefficients, discrepancy_report
+from .projection import ORDER, PROVENANCES, ProjectionTermReport, coefficients, discrepancy_report
 from .spectral import critical_rayleigh_spectral
 
 __all__ = ["ConfigError", "RunConfig", "main", "entry"]
@@ -133,8 +133,7 @@ _SETTINGS = {
                   help="viscosity ratio (bulk over shear plus one third)"),
     "length": _row(float, None, None, "--l", "--length", help="domain width"),
     "order": _row(_as_int, ORDER, None, "--order", help="oracle Gauss points per axis, 2-512"),
-    "source": _row(str, "oracle", None, "--source",
-                   choices=("oracle", "closed_form", "published"), help="coefficient route"),
+    "source": _row(str, "oracle", None, "--source", choices=PROVENANCES, help="coefficient route"),
     "format": _row(str, "csv", None, "--format", choices=("csv", "json"), help="table format"),
     "output": _row(_as_path, None, None, "--output",
                    help="write the table here instead of stdout"),
@@ -457,12 +456,8 @@ def _cmd_validate(config: RunConfig) -> int:
         _emit(config, _REPORT_COLUMNS, [astuple(report) for report in reports],
               {"params": asdict(params)}, command="validate-report", path=config.report)
 
-    extra = {"params": asdict(params),
-             "route_consistency": {
-                 "threshold": ROUTE_GATE,
-                 "rel_dev": consistency,
-                 "passed": passed,
-             }}
+    extra = {"params": asdict(params), "route_consistency": {
+        "threshold": ROUTE_GATE, "rel_dev": consistency, "passed": passed}}
     if config.format == "json":
         extra["discrepancy"] = [asdict(report) for report in reports]
     _emit(config, columns, rows, extra)

@@ -224,8 +224,8 @@ def taylor_ratio(
 
 def minimize_over_length(
     beta: float = 0.0,
-    prandtl: float = 10.0,
-    gamma: float = 4.0 / 3.0,
+    prandtl: float = PhysicalParams.prandtl,
+    gamma: float = PhysicalParams.gamma,
     source: str = "closed_form",
     bracket: tuple[float, float] = (0.5, 10.0),
     tol: float = 1e-8,
@@ -246,9 +246,7 @@ def minimize_over_length(
     def ra_star(length):
         nonlocal evaluations
         evaluations += 1
-        p = PhysicalParams(
-            beta=beta, prandtl=prandtl, rayleigh=0.0, gamma=gamma, length=length
-        )
+        p = PhysicalParams(beta=beta, prandtl=prandtl, gamma=gamma, length=length)
         return critical_rayleigh(p, source, order)
 
     grid = np.linspace(lo, hi, 41)

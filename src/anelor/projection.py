@@ -235,7 +235,7 @@ def _oracle_integrals(beta: float, length: float, order: int) -> MappingProxyTyp
             field = field + (term if c == 1.0 else c * term)
         values[key] = float(np.sum(field * weighted[w, test]))
     if not all(map(math.isfinite, values.values())):
-        raise ValueError(f"oracle integrals are not finite at beta = {beta}")
+        raise ValueError(f"oracle integrals are not finite at beta = {beta}, l = {length}")
     named = {name: values.pop(key) for name, key in _TERMS.items()}
     scale = max(abs(named["mass-omega"]), abs(named["diffusive-tau1"]), 1.0)
     for key, value in values.items():  # the instances that vanish by orthogonality
@@ -245,8 +245,9 @@ def _oracle_integrals(beta: float, length: float, order: int) -> MappingProxyTyp
     return MappingProxyType(named)
 
 
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")  # _assemble rejects inf and nan
 def _closed_form_terms(params: PhysicalParams) -> dict:
-    beta, l, gamma = params.beta, params.length, params.gamma
+    beta, l, gamma = params.beta, np.float64(params.length), params.gamma
     pi2 = math.pi**2
     mu = 0.25 * beta * beta + 4.0 * pi2 / l**2 + pi2
     R4 = beta * beta + 4.0 * pi2
@@ -256,7 +257,7 @@ def _closed_form_terms(params: PhysicalParams) -> dict:
     Em = expm1_over(-beta)  # (1 - e^-beta)/beta
     Eh = expm1_over(-0.5 * beta)  # (1 - e^{-beta/2})/(beta/2)
     sqrt_ra = math.sqrt(params.rayleigh)
-    return {
+    terms = {
         "diffusive-omega": -(mu * mu + beta * beta * 4.0 * pi2 / l**2) * 4.0 * pi2 * E1 / R4,
         "gamma-term": -gamma * beta * beta * (4.0 * pi2 / l**2) * (4.0 * pi2 / R4) * E1,
         "buoyancy-omega": sqrt_ra * 2.0 * math.pi / l,
@@ -273,6 +274,7 @@ def _closed_form_terms(params: PhysicalParams) -> dict:
         * (1.0 + 3.0 * beta * beta / P64 - 4.0 * beta * beta / Q16),
         "nonlinear-omega": 0.0,
     }
+    return {name: float(value) for name, value in terms.items()}
 
 
 def _published_terms(params: PhysicalParams) -> dict:
@@ -296,7 +298,8 @@ def _published_terms(params: PhysicalParams) -> dict:
 def _assemble(terms: dict, params: PhysicalParams, provenance: str) -> GalerkinCoeffs:
     """Divide each projected equation by its time-derivative Gram factor."""
     if not all(map(math.isfinite, terms.values())):  # a Gram factor may have underflowed to 0
-        raise ValueError(f"projection terms are not finite at beta = {params.beta}")
+        raise ValueError(f"projection terms are not finite at beta = {params.beta}, "
+                         f"l = {params.length}")
     pr = params.prandtl
     mass_omega = terms["mass-omega"]
     g1 = terms["mass-tau1"]

@@ -17,14 +17,15 @@ stacked vector x = (A_1..A_N, B_1..B_N), with
              only the buoyancy/source cross blocks
 
 Each block integrates operator rows of `projection._operators`, read by name,
-with psi and tau standing for their whole families. The oracle instantiates
-the same rows on three modes, so the N = 1 pencil reproduces the reduced onset
-by construction. Every integrand is an x-factor times a z-factor,
-both integrated exactly. In x, d^dx phi[p, m] is +-(2 pi m/l)^dx times a cos/sin
-line, whose Gram matrix over a period is the identity. In z, vertical mode k
-is sqrt(2) Im exp(c_k z) with c_k = -beta/2 + i pi k, so its d-th derivative
-is sqrt(2) Im(c_k^d exp(c_k z)). Entry (i, j) of a block with weight exp(w beta z)
-and summed term polynomial p(c) = sum_d by_dz[d] c^d is Re[p(c_j) K_w[i, j]], where
+with psi and tau standing for their whole families; the weight powers and the
+highest z-derivative come from the same rows. The oracle instantiates them on
+three modes, so the N = 1 pencil reproduces the reduced onset by construction.
+Every integrand is an x-factor times a z-factor, both integrated exactly. In x,
+d^dx phi[p, m] is +-(2 pi m/l)^dx times a cos/sin line, whose Gram matrix over
+a period is the identity. In z, vertical mode k is sqrt(2) Im exp(c_k z) with
+c_k = -beta/2 + i pi k, so its d-th derivative is sqrt(2) Im(c_k^d exp(c_k z)).
+Entry (i, j) of a block with weight exp(w beta z) and summed term polynomial
+p(c) = sum_d by_dz[d] c^d is Re[p(c_j) K_w[i, j]], where, for each w the rows use,
 
     K_w[i, j] = (sigma e^a - 1) * 2j pi i / (s1 * s2),
     a = (w - 1) beta, sigma = (-1)^(i + j), s1 = a + 1j pi (j - i),
@@ -88,39 +89,42 @@ def assemble_pencil(
         raise ValueError("need n_modes >= 1 and m >= 1")
     blocks = _assemble_matrices(params, m, n_modes)
     if not all(np.isfinite(block).all() for block in blocks.values()):
-        raise ValueError(f"pencil entries are not finite at beta = {params.beta}")
+        raise ValueError(f"pencil entries are not finite at beta = {params.beta}, "
+                         f"l = {params.length}")
     return LinearOperatorPencil(params=params, m=m, n_modes=n_modes, **blocks)
 
 
-def _kernels(beta, n):
-    """K_w of the module docstring for w = 0, 1, 2 (stacked) and modes 1..n. The
-    product 1/(s1 * s2) avoids the cancellation of 1/s1 - 1/s2, and expm1_over
-    keeps the diagonal finite as a -> 0."""
-    a = np.array([-beta, 0.0, beta])[:, None, None]
+def _kernels(beta, n, weights):
+    """K_w of the module docstring on modes 1..n for each weight power w in
+    `weights`, keyed by w. The product 1/(s1 * s2) avoids the cancellation of
+    1/s1 - 1/s2, and expm1_over keeps the diagonal finite as a -> 0."""
+    weights = sorted(weights)
+    a = np.array([(w - 1) * beta for w in weights], dtype=float)[:, None, None]
     i = np.arange(1, n + 1)[:, None]
     j, diagonal = i.T, np.arange(n)
     s1 = a + 1j * np.pi * (j - i)
     numerator = np.where((i + j) % 2 == 0, np.expm1(a), -(np.exp(a) + 1.0))
     s1[:, diagonal, diagonal] = 1.0
-    numerator[:, diagonal, diagonal] = [[projection.expm1_over(-beta)], [1.0],
-                                        [projection.expm1_over(beta)]]
-    return numerator / s1 * ((2j * np.pi) * i / (a + 1j * np.pi * (j + i)))
+    numerator[:, diagonal, diagonal] = [[projection.expm1_over((w - 1) * beta)] for w in weights]
+    return dict(zip(weights, numerator / s1 * (2j * np.pi * i / (a + 1j * np.pi * (j + i)))))
 
 
 @np.errstate(over="ignore", invalid="ignore")  # assemble_pencil rejects inf and nan
 def _assemble_matrices(params, m, n):
     beta, pr, length = params.beta, params.prandtl, params.length
-    # powers[d, k - 1] = c_k^d; kernels[w] integrates against the weight exp(w*beta*z)
-    powers = (-0.5 * beta + 1j * np.pi * np.arange(1, n + 1)) ** np.arange(5)[:, None]
-    kernels = _kernels(beta, n)
     operators = projection._operators(beta)
+    declared = operators.values()
+    # powers[d, k - 1] = c_k^d to the rows' top z-derivative; kernels[w] for each w they use
+    top = max(dz for _, _, terms in declared for _, factors in terms for _, _, dz in factors)
+    powers = (-0.5 * beta + 1j * np.pi * np.arange(1, n + 1)) ** np.arange(top + 1)[:, None]
+    kernels = _kernels(beta, n, {w for _, w, _ in declared})
     parity = {"psi": -1, "tau": +1}  # the families the fields expand in
     scale = {"gamma": params.gamma * np.float64(beta) ** 2}  # as the oracle's gamma-term
 
     def block(*names):
         # [i, j] sums the named operators (times their scale) on test_i and trial member j;
         # d^dx phi[field] = factor * phi[parity], orthonormal to phi[test] unless equal
-        by_dz = np.zeros(5)
+        by_dz = np.zeros(len(powers))
         for name in names:
             test, weight, terms = operators[name]
             for c, ((field, dx, dz),) in terms:

@@ -72,6 +72,12 @@ def test_eigenvalue_formula(j):
     assert vorticity_eigenvalue(j, params) == pytest.approx(expected, rel=1e-15)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_eigenvalue_is_minus_inf_where_beta_squared_overflows():
+    # beta^2 overflows from beta ~ 1.34e154; the eigenvalue is -inf, not an OverflowError
+    assert vorticity_eigenvalue(ModeIndex(1, 1, 1), make_params(1e200)) == -math.inf
+
+
 @pytest.mark.parametrize("beta", [0.0, 0.5, 2.0])
 def test_wall_boundary_conditions(beta):
     # psi = 0 exactly on the walls, and psi_zz + beta*psi_z = 0 there too

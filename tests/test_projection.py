@@ -122,6 +122,35 @@ def test_overflowing_stratification_raises_one_error_type(beta, route):
         assert f"beta = {beta}" in str(excinfo.value)
 
 
+WIDTH_ROUTES = {
+    **ROUTES,
+    "onset_closed_form": lambda params: critical_rayleigh(params, "closed_form"),
+    "onset_oracle": lambda params: critical_rayleigh(params, "oracle"),
+    "onset_published": lambda params: critical_rayleigh(params, "published"),
+}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("route", list(WIDTH_ROUTES))
+@pytest.mark.parametrize("length", [1e-200, 1e-320])
+def test_vanishing_width_raises_one_error_type(length, route):
+    # (2 pi/l)^2 overflows, or l^2 underflows to 0; neither escapes as a bare
+    # ZeroDivisionError or OverflowError
+    with pytest.raises(ValueError) as excinfo:
+        WIDTH_ROUTES[route](PhysicalParams(length=length, rayleigh=100.0))
+    assert excinfo.type is ValueError
+    assert f"l = {length}" in str(excinfo.value)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("route", ["closed_form", "published"])
+def test_huge_width_gives_finite_closed_form_coefficients(route):
+    # l^2 overflows to inf, so every 1/l^2 term is 0 rather than an OverflowError
+    coeffs = ROUTES[route](PhysicalParams(length=1e300, rayleigh=100.0))
+    assert np.all(np.isfinite(coeffs.as_array()))
+    assert coeffs.e1 == pytest.approx(-math.pi**2 * 10.0, rel=1e-12)
+
+
 @pytest.mark.parametrize("beta", BETAS)
 @pytest.mark.parametrize("length", LENGTHS)
 def test_oracle_matches_closed_form_across_grid(beta, length):

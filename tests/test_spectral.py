@@ -110,6 +110,32 @@ def test_oracle_and_pencil_read_one_linear_row(monkeypatch):
     assert np.array_equal(after[2], 2.0 * before[2])
 
 
+@pytest.mark.parametrize("beta", [0.0, 1.0, 5.0, 13.0])
+def test_both_integrators_follow_the_temperature_test_weight(monkeypatch, beta):
+    # shifting every temperature row's weight by -1 (the Galerkin test) moves the
+    # oracle's and the pencil's tau rows alike: the pencil reads each kernel by its
+    # weight, so the w = -1 mass cannot pick up another weight's kernel
+    operators = anelor.projection._operators
+
+    def galerkin(beta):
+        return {name: (test, w - (test == "tau"), terms)
+                for name, (test, w, terms) in operators(beta).items()}
+
+    params = make_params(beta=beta)
+    monkeypatch.setattr(anelor.projection, "_operators", galerkin)
+    anelor.projection._oracle_integrals.cache_clear()
+    try:
+        oracle = anelor.projection._oracle_integrals(params.beta, params.length, 64)
+        pencil = assemble_pencil(params, n_modes=1)
+    finally:
+        anelor.projection._oracle_integrals.cache_clear()
+    pairs = [(pencil.mass[1, 1], oracle["mass-tau1"]),
+             (pencil.l0[1, 1], oracle["diffusive-tau1"]),
+             (pencil.l1[1, 0], oracle["source-tau"])]
+    for value, reference in pairs:
+        assert value == pytest.approx(reference, rel=1e-12, abs=0.0)
+
+
 @pytest.mark.parametrize("beta", [0.0, 0.1, 0.5, 1.0])
 def test_single_mode_onset_matches_the_reduced_route(beta):
     params = make_params(beta=beta)
