@@ -27,7 +27,6 @@ from .lorenz import (
     classify_rest_state,
     critical_points,
     critical_rayleigh,
-    lorenz_parameters,
     minimize_over_length,
     origin_eigenvalues,
     scale_to_lorenz,
@@ -75,7 +74,6 @@ __all__ = [
     "LengthOptimum",
     "BracketError",
     "scale_to_lorenz",
-    "lorenz_parameters",
     "critical_points",
     "origin_eigenvalues",
     "classify_rest_state",

@@ -187,13 +187,11 @@ def weighted_inner_product(f, g, beta, rule: QuadratureRule) -> float:
     return float(np.sum(W * integrand))
 
 
-def vorticity_residual(j: ModeIndex, params: PhysicalParams, samples=None) -> float:
-    """Max |(Laplacian + beta*d/dz - mu) psi[j]| over interior sample points."""
-    if samples is None:
-        xs = np.linspace(0.0, params.length, 19)[1:-1]
-        zs = np.linspace(0.0, 1.0, 19)[1:-1]
-    else:
-        xs, zs = (np.asarray(s, dtype=float) for s in samples)
+def vorticity_residual(j: ModeIndex, params: PhysicalParams) -> float:
+    """Max |(Laplacian + beta*d/dz - mu) psi[j]| over the interior 17 x 17 points
+    of a uniform 19 x 19 grid on the layer."""
+    xs = np.linspace(0.0, params.length, 19)[1:-1]
+    zs = np.linspace(0.0, 1.0, 19)[1:-1]
     X, Z = np.meshgrid(xs, zs, indexing="ij")
     mu = vorticity_eigenvalue(j, params)
     resid = (

@@ -353,15 +353,16 @@ def _cmd_coeffs(config: RunConfig) -> int:
 
 
 def _cmd_critical(config: RunConfig) -> int:
-    betas = _sweep_values(config.beta_sweep, config.beta)
+    base = config.physical().with_rayleigh(0.0)
     lengths = _sweep_values(config.l_sweep, config.length)
-    points = [(beta, length) for beta in betas for length in lengths]
+    # each point as PhysicalParams, so a row reports beta as the params hold it
+    points = [replace(base, beta=beta, length=length)
+              for beta in _sweep_values(config.beta_sweep, config.beta) for length in lengths]
 
     def optimum(beta):
         return minimize_over_length(beta=beta, prandtl=config.prandtl, gamma=config.gamma,
                                     source=config.source, order=config.order)
 
-    base = config.physical().with_rayleigh(0.0)
     if config.optimize_l:
         flat = optimum(0.0)
     else:  # the beta = 0 reference depends on the width alone
@@ -369,13 +370,12 @@ def _cmd_critical(config: RunConfig) -> int:
                                           config.source, config.order) for length in lengths}
 
     def solve(point):
-        beta, length = point
+        beta, length = point.beta, point.length
         if config.optimize_l:
             best = optimum(beta)
             length, ra, ra_flat = best.length, best.rayleigh, flat.rayleigh
         else:
-            ra = critical_rayleigh(replace(base, beta=beta, length=length),
-                                   config.source, config.order)
+            ra = critical_rayleigh(point, config.source, config.order)
             ra_flat = flat[length]
         ratio = ra / ra_flat
         taylor = (ratio - 1.0) / beta if beta > 0.0 else None

@@ -41,7 +41,6 @@ __all__ = [
     "StabilityReport",
     "LengthOptimum",
     "scale_to_lorenz",
-    "lorenz_parameters",
     "critical_points",
     "origin_eigenvalues",
     "classify_rest_state",
@@ -52,7 +51,7 @@ __all__ = [
 
 
 class BracketError(RuntimeError):
-    """The scan found no interior minimum inside the given bracket."""
+    """The width scan found no interior minimum in [0.5, 10]."""
 
 
 @dataclass(frozen=True)
@@ -95,14 +94,8 @@ class ScalingMap:
         """Reduced (A, B, C) states, shape (..., 3), to Lorenz (X, Y, Z)."""
         return np.asarray(states) * np.array([self.a, self.b, self.c])
 
-    def invert(self, states):
-        return np.asarray(states) / np.array([self.a, self.b, self.c])
-
     def time_to_lorenz(self, t):
         return np.asarray(t) * self.d
-
-    def time_from_lorenz(self, s):
-        return np.asarray(s) / self.d
 
 
 @dataclass(frozen=True)
@@ -147,13 +140,6 @@ def scale_to_lorenz(coeffs: GalerkinCoeffs) -> tuple[LorenzParams, ScalingMap]:
     return params, ScalingMap(a=a, b=b, c=c, d=d)
 
 
-def lorenz_parameters(
-    params: PhysicalParams, source: str = "oracle", order: int = ORDER
-) -> LorenzParams:
-    lp, _ = scale_to_lorenz(coefficients(params, source, order))
-    return lp
-
-
 def critical_points(lp: LorenzParams) -> np.ndarray:
     """Rest points, shape (k, 3); the convecting pair exists for r > 1."""
     points = [np.zeros(3)]
@@ -177,11 +163,11 @@ def origin_eigenvalues(lp: LorenzParams) -> np.ndarray:
     )
 
 
-def classify_rest_state(lp: LorenzParams, tol: float = 1e-12) -> StabilityReport:
-    """Linear stability of the conducting state; marginal within tol of zero."""
+def classify_rest_state(lp: LorenzParams) -> StabilityReport:
+    """Linear stability of the conducting state; marginal within 1e-12 of zero."""
     eigenvalues = origin_eigenvalues(lp)
     leading = float(np.max(eigenvalues))
-    if abs(leading) <= tol:
+    if abs(leading) <= 1e-12:
         classification = "marginal"
     elif leading < 0.0:
         classification = "stable"
@@ -196,13 +182,16 @@ def critical_rayleigh(
     """Rayleigh number where the conducting state loses stability (r = 1).
 
     r is exactly linear in Ra, so one evaluation at a reference Rayleigh
-    number fixes the crossing.
+    number fixes the crossing. Where r does not grow with Ra (e4 >= 0, for
+    one) there is no onset, and ArithmeticError names beta, l, e4 and the rate.
     """
     reference = coefficients(params.with_rayleigh(1.0), source, order)
     e1, e2, _, e4, e5, _, _ = reference.as_array()
     slope = float(e2 * e5 / (e1 * e4))
     if not slope > 0.0:
-        raise ArithmeticError(f"r grows at rate {slope} per unit Ra; cannot cross 1")
+        raise ArithmeticError(f"no onset at beta = {params.beta}, l = {params.length}: "
+                              f"r grows at rate {slope:.6g} per unit Ra (e4 = {e4:.6g}) "
+                              "and cannot cross 1")
     return 1.0 / slope
 
 
@@ -227,20 +216,20 @@ def minimize_over_length(
     prandtl: float = PhysicalParams.prandtl,
     gamma: float = PhysicalParams.gamma,
     source: str = "closed_form",
-    bracket: tuple[float, float] = (0.5, 10.0),
-    tol: float = 1e-8,
     order: int = ORDER,
 ) -> LengthOptimum:
     """Domain width that minimizes the critical Rayleigh number.
 
-    Coarse scan over the bracket, then golden-section refinement to |dl| <=
-    tol. Raises BracketError when the scan minimum sits on an edge. At
-    beta = 0 the optimum is l = 2*sqrt(2) with Ra* = 27*pi^4/4. `order` is
+    A 41-point scan of l over [0.5, 10], then golden-section refinement to
+    |dl| <= 1e-8. Raises BracketError when the scan minimum sits on an edge.
+    At beta = 0 the optimum is l = 2*sqrt(2) with Ra* = 27*pi^4/4. `order` is
     the oracle's quadrature order, as in `critical_rayleigh`.
+
+    The scan passes on the ArithmeticError of widths with e4 >= 0, l >= 2*pi /
+    sqrt(beta^2/4 - pi^2) for beta > 2*pi, which holds at l = 10 from beta =
+    6.408. Skipping them would give no minimum, since Ra* -> 0 as e4 -> 0-: at
+    l = 4.06 the closed form gives Ra* = 372.8 at beta = 7 and 770.3 at 0.
     """
-    lo, hi = bracket
-    if not (0.0 < lo < hi):
-        raise ValueError(f"bad bracket {bracket}")
     evaluations = 0
 
     def ra_star(length):
@@ -249,13 +238,11 @@ def minimize_over_length(
         p = PhysicalParams(beta=beta, prandtl=prandtl, gamma=gamma, length=length)
         return critical_rayleigh(p, source, order)
 
-    grid = np.linspace(lo, hi, 41)
+    grid = np.linspace(0.5, 10.0, 41)
     values = [ra_star(l) for l in grid.tolist()]  # floats: numpy scalars warn on overflow
     k = int(np.argmin(values))
     if k == 0 or k == len(grid) - 1:
-        raise BracketError(
-            f"minimum over [{lo}, {hi}] sits at the edge l = {grid[k]:.6g}"
-        )
+        raise BracketError(f"minimum over [0.5, 10.0] sits at the edge l = {grid[k]:.6g}")
 
     # golden-section on the bracketing triple
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
@@ -263,7 +250,7 @@ def minimize_over_length(
     x1 = right - invphi * (right - left)
     x2 = left + invphi * (right - left)
     f1, f2 = ra_star(x1), ra_star(x2)
-    while right - left > tol:
+    while right - left > 1e-8:
         if f1 <= f2:
             right, x2, f2 = x2, x1, f1
             x1 = right - invphi * (right - left)

@@ -110,9 +110,6 @@ class GalerkinCoeffs:
     def as_array(self) -> np.ndarray:
         return np.array([self.e1, self.e2, self.e3, self.e4, self.e5, self.e6, self.e7])
 
-    def as_dict(self) -> dict:
-        return {f"e{i}": v for i, v in enumerate(self.as_array(), start=1)}
-
 
 @dataclass(frozen=True)
 class ProjectionTermReport:
@@ -220,7 +217,7 @@ def _oracle_integrals(beta: float, length: float, order: int) -> MappingProxyTyp
     raises ValueError, a nonzero orthogonality instance QuadratureConvergenceError."""
     rule = QuadratureRule(order, length)
     geometry = PhysicalParams(beta=beta, length=length)
-    W = rule.grid()[2]
+    W = np.outer(rule.x_weights, rule.z_weights)
     grids = {k: ModeGrid(j, geometry, rule) for modes in _MODES.values() for k, j in modes.items()}
     instances = list(_instances(beta))
     weighted = {(w, test): W * np.exp(w * beta * rule.z_nodes) * grids[test].partial()
@@ -369,7 +366,7 @@ def coefficients(
     raise ValueError(f"unknown coefficient source {source!r}")
 
 
-def _rel_dev(value: float, reference: float, floor: float = _DEV_FLOOR) -> float:
+def _rel_dev(value: float, reference: float, floor: float) -> float:
     return abs(value - reference) / max(abs(value), abs(reference), floor)
 
 

@@ -31,13 +31,12 @@ from anelor.dynamics import (
 from anelor.lorenz import (
     LorenzParams,
     critical_rayleigh,
-    lorenz_parameters,
     minimize_over_length,
     origin_eigenvalues,
     scale_to_lorenz,
 )
 from anelor.params import PhysicalParams
-from anelor.projection import closed_form_coefficients, discrepancy_report
+from anelor.projection import closed_form_coefficients, coefficients, discrepancy_report
 from anelor.spectral import critical_rayleigh_spectral
 
 ROOT2 = math.sqrt(2.0)
@@ -78,7 +77,7 @@ def test_criterion_2_classic_lorenz_recovery(capsys):
     for prandtl in (0.7, 1.0, 10.0, 40.0):
         for rayleigh in (0.35 * RA_CLASSIC, 2.0 * RA_CLASSIC):
             params = make_params(prandtl=prandtl, rayleigh=rayleigh)
-            lp = lorenz_parameters(params, "oracle")
+            lp = scale_to_lorenz(coefficients(params, "oracle"))[0]
             worst_sigma = max(worst_sigma, abs(lp.sigma - prandtl) / prandtl)
             worst_delta = max(worst_delta, abs(lp.delta - 8.0 / 3.0) / (8.0 / 3.0))
             worst_r = max(worst_r, abs(lp.r - rayleigh / RA_CLASSIC)

@@ -137,6 +137,32 @@ def test_critical_computes_each_flat_reference_once(capsys, monkeypatch):
     assert [float(row[3]) for row in rows if row[0] == "0"] == [1.0] * 3
 
 
+@pytest.mark.parametrize("argv", [
+    ("critical", "--beta", "-0", "--source", "closed_form"),
+    ("validate", "--beta", "-0", "--n-modes", "1"),
+])
+def test_negative_zero_beta_prints_zero(capsys, argv):
+    code, out, _ = run(capsys, *argv, "--quiet")
+    assert code == 0
+    assert out.splitlines()[1].split(",")[0] == "0"
+
+
+def test_negative_zero_rayleigh_prints_zero(capsys):
+    code, out, _ = run(capsys, "coeffs", "--ra", "-0", "--quiet")
+    assert code == 0
+    rows = {line.split(",")[0]: line.split(",")[1:4] for line in out.splitlines()[1:]}
+    for term in ("buoyancy-omega", "source-tau", "e2", "e5"):
+        assert rows[term] == ["0", "0", "0"]
+
+
+def test_critical_without_a_reduced_onset_fails_in_one_line(capsys):
+    code, out, err = run(capsys, "critical", "--beta", "7", "--optimize-l")
+    assert (code, out) == (1, "")
+    assert len(err.splitlines()) == 1
+    assert err.startswith("anelor: no onset at beta = 7.0, l = 4.3: ")
+    assert "e4 = " in err and "rate" in err
+
+
 def test_critical_optimize_l(capsys):
     code, out, _ = run(capsys, "critical", "--optimize-l", "--format", "json",
                        "--source", "closed_form", "--quiet")

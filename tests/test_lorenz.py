@@ -9,14 +9,18 @@ from anelor.lorenz import (
     classify_rest_state,
     critical_points,
     critical_rayleigh,
-    lorenz_parameters,
     minimize_over_length,
     origin_eigenvalues,
     scale_to_lorenz,
     taylor_ratio,
 )
 from anelor.params import PhysicalParams
-from anelor.projection import GalerkinCoeffs, closed_form_coefficients, oracle_coefficients
+from anelor.projection import (
+    GalerkinCoeffs,
+    closed_form_coefficients,
+    coefficients,
+    oracle_coefficients,
+)
 
 ROOT2 = math.sqrt(2.0)
 RA_CLASSIC = 27.0 * math.pi**4 / 4.0
@@ -45,7 +49,7 @@ def lorenz_field(state, lp):
 def test_classic_lorenz_recovery(prandtl):
     # beta = 0, l = 2 sqrt(2): sigma = Pr, delta = 8/3, r = Ra / (27 pi^4/4)
     params = make_params(prandtl=prandtl, rayleigh=2.0 * RA_CLASSIC)
-    lp = lorenz_parameters(params, "oracle")
+    lp = scale_to_lorenz(coefficients(params, "oracle"))[0]
     assert lp.sigma == pytest.approx(prandtl, rel=1e-13)
     assert lp.delta == pytest.approx(8.0 / 3.0, rel=1e-10)
     assert lp.r == pytest.approx(params.rayleigh / RA_CLASSIC, rel=1e-10)
@@ -77,9 +81,6 @@ def test_scaling_map_identities():
     # the amplitude scalings must satisfy e3 b / (d a c) = -1, e6 c / (d a b) = 1
     assert e[2] * sm.b / (sm.d * sm.a * sm.c) == pytest.approx(-1.0, rel=1e-12)
     assert e[5] * sm.c / (sm.d * sm.a * sm.b) == pytest.approx(1.0, rel=1e-12)
-    state = np.array([0.3, -0.8, 1.1])
-    assert np.max(np.abs(sm.invert(sm.apply(state)) - state)) < 1e-15
-    assert sm.time_from_lorenz(sm.time_to_lorenz(2.5)) == pytest.approx(2.5)
 
 
 def test_scale_to_lorenz_rejects_degenerate_coefficients():
@@ -158,7 +159,7 @@ def test_r_equals_one_at_the_critical_rayleigh():
     for beta in (0.0, 0.3):
         params = make_params(beta=beta)
         ra_star = critical_rayleigh(params, "oracle")
-        lp = lorenz_parameters(params.with_rayleigh(ra_star), "oracle")
+        lp = scale_to_lorenz(coefficients(params.with_rayleigh(ra_star), "oracle"))[0]
         assert abs(lp.r - 1.0) < 1e-12
 
 
@@ -236,12 +237,29 @@ def test_minimize_over_length_oracle_route_agrees():
 
 
 def test_minimize_over_length_edge_raises():
-    # Ra* grows monotonically above l = 2 sqrt(2), so this bracket has its
-    # minimum at the left edge
-    with pytest.raises(BracketError):
-        minimize_over_length(beta=0.0, bracket=(4.0, 10.0))
-    with pytest.raises(ValueError):
-        minimize_over_length(beta=0.0, bracket=(2.0, 1.0))
+    # a large viscosity ratio makes the gamma term dominate e1, which pushes
+    # the minimum of Ra* over the scanned widths to the edge l = 10
+    with pytest.raises(BracketError, match="edge l = 10"):
+        minimize_over_length(beta=1.0, gamma=1e4)
+
+
+def test_no_reduced_onset_where_e4_is_not_negative():
+    # beta > 2 pi gives e4 >= 0 from l = 2 pi / sqrt(beta^2/4 - pi^2), 4.072 at beta = 7
+    with pytest.raises(ArithmeticError, match=r"^no onset at beta = 7\.0, l = 4\.3: .*e4 = 3\.85"):
+        critical_rayleigh(make_params(beta=7.0, length=4.3), "closed_form")
+    # the width scan reaches that edge at its 17th point
+    with pytest.raises(ArithmeticError, match=r"^no onset at beta = 7\.0, l = 4\.3:"):
+        minimize_over_length(beta=7.0)
+
+
+def test_reduced_onset_drops_below_boussinesq_near_the_e4_edge():
+    # Ra* -> 0 as e4 -> 0-, so just inside the edge the three-mode model puts the
+    # stratified onset below the unstratified one, against the paper's claim
+    lifted = critical_rayleigh(make_params(beta=7.0, length=4.06), "closed_form")
+    flat = critical_rayleigh(make_params(length=4.06), "closed_form")
+    assert lifted == pytest.approx(372.842, rel=1e-5)
+    assert flat == pytest.approx(770.290, rel=1e-5)
+    assert lifted / flat < 1.0
 
 
 def test_lorenz_params_validation():
