@@ -359,27 +359,23 @@ def _cmd_critical(config: RunConfig) -> int:
     points = [replace(base, beta=beta, length=length)
               for beta in _sweep_values(config.beta_sweep, config.beta) for length in lengths]
 
-    def optimum(beta):
-        return minimize_over_length(beta=beta, prandtl=config.prandtl, gamma=config.gamma,
-                                    source=config.source, order=config.order)
+    def onset(point):
+        """(width, Ra*) at the point's width, or at the optimal one under --optimize-l."""
+        if config.optimize_l:
+            best = minimize_over_length(beta=point.beta, prandtl=point.prandtl,
+                                        gamma=point.gamma, source=config.source,
+                                        order=config.order)
+            return best.length, best.rayleigh
+        return point.length, critical_rayleigh(point, config.source, config.order)
 
-    if config.optimize_l:
-        flat = optimum(0.0)
-    else:  # the beta = 0 reference depends on the width alone
-        flat = {length: critical_rayleigh(replace(base, beta=0.0, length=length),
-                                          config.source, config.order) for length in lengths}
+    # the beta = 0 reference, once per width (a single one under --optimize-l)
+    flat = {length: onset(replace(base, beta=0.0, length=length))[1] for length in lengths}
 
     def solve(point):
-        beta, length = point.beta, point.length
-        if config.optimize_l:
-            best = optimum(beta)
-            length, ra, ra_flat = best.length, best.rayleigh, flat.rayleigh
-        else:
-            ra = critical_rayleigh(point, config.source, config.order)
-            ra_flat = flat[length]
-        ratio = ra / ra_flat
-        taylor = (ratio - 1.0) / beta if beta > 0.0 else None
-        return (beta, length, ra, ratio, taylor)
+        length, ra = onset(point)
+        ratio = ra / flat[point.length]
+        taylor = (ratio - 1.0) / point.beta if point.beta > 0.0 else None
+        return (point.beta, length, ra, ratio, taylor)
 
     rows = _pool_map(config, solve, points)
     columns = ("beta", "length", "ra_critical", "ra_ratio", "taylor_ratio")
@@ -393,42 +389,34 @@ def _cmd_simulate(config: RunConfig) -> int:
     params = config.physical()
     initial = np.asarray(config.initial, dtype=float)
     extra = {"params": asdict(params)}
-    deviation = None
     coeffs = coefficients(params, config.source, config.order)
     grid = np.linspace(0.0, config.t_end, config.samples)
+    tolerances = (config.rtol, config.atol)
 
-    if config.coords == "abc":
-        trajectory = integrate_reduced(coeffs, initial, config.t_end,
-                                       config.rtol, config.atol, t_eval=grid)
-        columns, table = trajectory.labels, [trajectory.times, trajectory.states]
-        extra["nfev"] = trajectory.nfev
-    else:
+    runs = []  # the requested runs on the output grid, the Lorenz one first
+    if config.coords != "abc":
         lorenz, scaling = scale_to_lorenz(coeffs)
-        extra["lorenz"] = asdict(lorenz)
-        extra["scaling"] = asdict(scaling)
-        direct = integrate_lorenz(lorenz, scaling.apply(initial), config.t_end,
-                                  config.rtol, config.atol, t_eval=grid)
-        if config.coords == "xyz":
-            columns, table = direct.labels, [direct.times, direct.states]
-            extra["nfev"] = direct.nfev
-        else:
-            reduced = integrate_reduced(
-                coeffs, initial, float(grid[-1] / scaling.d),
-                config.rtol, config.atol, t_eval=grid / scaling.d,
-            )
-            mapped = map_trajectory(reduced, scaling)
-            deviation = float(np.max(np.abs(mapped.states - direct.states)))
-            extra["equivalence_deviation"] = deviation
-            extra["nfev"] = direct.nfev + reduced.nfev
-            columns = ("s", "X", "Y", "Z", "X_from_abc", "Y_from_abc",
-                       "Z_from_abc")
-            table = [grid, direct.states, mapped.states]
+        extra |= {"lorenz": asdict(lorenz), "scaling": asdict(scaling)}
+        runs.append(integrate_lorenz(lorenz, scaling.apply(initial), config.t_end,
+                                     *tolerances, t_eval=grid))
+    if config.coords != "xyz":
+        # beside a Lorenz run the grid is in s = d*t, and the reduced run maps onto it
+        times = grid / scaling.d if runs else grid
+        reduced = integrate_reduced(coeffs, initial, float(times[-1]), *tolerances,
+                                    t_eval=times)
+        runs.append(map_trajectory(reduced, scaling) if runs else reduced)
+    if len(runs) == 2:
+        extra["equivalence_deviation"] = float(np.max(np.abs(runs[1].states - runs[0].states)))
+    extra["nfev"] = sum(run.nfev for run in runs)
 
-    rows = [tuple(sample) for sample in np.column_stack(table)]
+    columns = runs[0].labels + tuple(
+        label + "_from_abc" for run in runs[1:] for label in run.labels[1:])
+    rows = [tuple(sample) for sample in np.column_stack(
+        [runs[0].times] + [run.states for run in runs])]
     _emit(config, columns, rows, extra)
     message = f"integrated {len(rows)} samples over [0, {config.t_end:g}]"
-    if deviation is not None:
-        message += f"; equivalence deviation {deviation:.3e}"
+    if "equivalence_deviation" in extra:
+        message += f"; equivalence deviation {extra['equivalence_deviation']:.3e}"
     _note(config, message)
     return 0
 

@@ -221,7 +221,8 @@ def minimize_over_length(
     """Domain width that minimizes the critical Rayleigh number.
 
     A 41-point scan of l over [0.5, 10], then golden-section refinement to
-    |dl| <= 1e-8. Raises BracketError when the scan minimum sits on an edge.
+    |dl| <= 1e-8. Raises BracketError when Ra* is still falling at an edge of
+    the scan; for beta > 2*pi the message also gives the e4 = 0 width below.
     At beta = 0 the optimum is l = 2*sqrt(2) with Ra* = 27*pi^4/4. `order` is
     the oracle's quadrature order, as in `critical_rayleigh`.
 
@@ -242,7 +243,11 @@ def minimize_over_length(
     values = [ra_star(l) for l in grid.tolist()]  # floats: numpy scalars warn on overflow
     k = int(np.argmin(values))
     if k == 0 or k == len(grid) - 1:
-        raise BracketError(f"minimum over [0.5, 10.0] sits at the edge l = {grid[k]:.6g}")
+        message = f"Ra* is still falling at the edge l = {grid[k]:.6g} of the scan over [0.5, 10]"
+        if beta > 2.0 * math.pi:
+            width = 2.0 * math.pi / math.sqrt(beta**2 / 4.0 - math.pi**2)
+            message += f"; the onset ends where e4 = 0, at l = {width:.6g}"
+        raise BracketError(message)
 
     # golden-section on the bracketing triple
     invphi = (math.sqrt(5.0) - 1.0) / 2.0

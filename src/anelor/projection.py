@@ -394,10 +394,11 @@ def discrepancy_report(
 
 def _report_rows(rows) -> list[ProjectionTermReport]:
     """One report per (term, oracle, closed form, published); zero values fall
-    back to a floor scaled by the largest oracle value among `rows`."""
+    back to a floor scaled by the largest oracle value among `rows`. A zero
+    value is reported as 0.0, never -0.0 (beta = 0 times a negative factor)."""
     floor = _DEV_FLOOR * max(1.0, max(abs(o) for _, o, _, _ in rows))
     return [ProjectionTermReport(
-        term=term, oracle=o, closed_form=c, published=p,
+        term=term, oracle=o + 0.0, closed_form=c + 0.0, published=p + 0.0,
         rel_dev=max(_rel_dev(c, o, floor), _rel_dev(p, o, floor)),
         rel_dev_closed_form=_rel_dev(c, o, floor), rel_dev_published=_rel_dev(p, o, floor),
     ) for term, o, c, p in rows]

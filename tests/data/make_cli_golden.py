@@ -35,6 +35,7 @@ COMMANDS = {
     "simulate-json": ["simulate", "--ra", "1500", "--beta", "0.2", "--coords", "both",
                       "--format", "json"],
     "simulate-abc": ["simulate", "--coords", "abc", "--source", "closed_form", "--ra", "800"],
+    "simulate-xyz": ["simulate", "--coords", "xyz", "--ra", "1500", "--beta", "0.2"],
     "validate-csv": ["validate", "--beta", "0.3", "--n-modes", "1", "2", "4", "8", "16"],
     "validate-json": ["validate", "--beta", "0.3", "--n-modes", "1", "2", "4", "8", "16",
                       "--format", "json"],

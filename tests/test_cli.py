@@ -9,7 +9,7 @@ import pytest
 
 from anelor import cli
 from anelor.cli import _SETTINGS, _build_parser, main, resolve_config
-from anelor.lorenz import critical_rayleigh
+from anelor.lorenz import critical_rayleigh, minimize_over_length
 from anelor.params import PhysicalParams
 
 REPORT_HEADER = ("term,oracle,closed_form,published,"
@@ -137,6 +137,22 @@ def test_critical_computes_each_flat_reference_once(capsys, monkeypatch):
     assert [float(row[3]) for row in rows if row[0] == "0"] == [1.0] * 3
 
 
+def test_critical_optimize_l_minimizes_once_per_beta_point(capsys, monkeypatch):
+    # one width minimization per beta point, plus one for the beta = 0 reference
+    calls, direct = [], []
+
+    def counting(**keywords):
+        calls.append(keywords["beta"])
+        return minimize_over_length(**keywords)
+
+    monkeypatch.setattr(cli, "minimize_over_length", counting)
+    monkeypatch.setattr(cli, "critical_rayleigh", lambda *args: direct.append(args))
+    code, out, _ = run(capsys, "critical", "--source", "closed_form", "--quiet",
+                       "--beta-sweep", "0", "1", "5", "--optimize-l")
+    assert code == 0 and len(out.splitlines()) == 1 + 5
+    assert calls == [0.0, 0.0, 0.25, 0.5, 0.75, 1.0] and direct == []
+
+
 @pytest.mark.parametrize("argv", [
     ("critical", "--beta", "-0", "--source", "closed_form"),
     ("validate", "--beta", "-0", "--n-modes", "1"),
@@ -145,6 +161,18 @@ def test_negative_zero_beta_prints_zero(capsys, argv):
     code, out, _ = run(capsys, *argv, "--quiet")
     assert code == 0
     assert out.splitlines()[1].split(",")[0] == "0"
+
+
+def test_zero_beta_coeffs_print_no_negative_zero(capsys):
+    # gamma * beta^2 times a negative factor is -0.0 at beta = 0 on every route
+    code, out, _ = run(capsys, "coeffs", "--beta", "0", "--quiet")
+    assert code == 0
+    rows = {line.split(",")[0]: line.split(",")[1:] for line in out.splitlines()[1:]}
+    assert rows["gamma-term"][:3] == ["0", "0", "0"]
+    assert "-0" not in [cell for cells in rows.values() for cell in cells]
+    code, out, _ = run(capsys, "coeffs", "--beta", "0", "--quiet", "--format", "json")
+    zeros = [v for row in json.loads(out)["rows"] for v in row[1:] if v == 0.0]
+    assert code == 0 and zeros and all(math.copysign(1.0, v) > 0.0 for v in zeros)
 
 
 def test_negative_zero_rayleigh_prints_zero(capsys):

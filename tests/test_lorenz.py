@@ -243,6 +243,24 @@ def test_minimize_over_length_edge_raises():
         minimize_over_length(beta=1.0, gamma=1e4)
 
 
+def test_edge_message_names_the_falling_onset_below_two_pi():
+    # below beta = 2 pi, e4 stays negative at every width, but Ra* still falls at l = 10
+    with pytest.raises(BracketError, match=r"^Ra\* is still falling at the edge l = 10 ") as info:
+        minimize_over_length(beta=6.27)
+    assert "e4" not in str(info.value)
+
+
+def test_edge_message_names_the_e4_width_above_two_pi():
+    # above 2 pi the onset ends at l = 2 pi / sqrt(beta^2/4 - pi^2), 27.32 at beta = 6.3
+    with pytest.raises(BracketError, match=r"^Ra\* is still falling at the edge l = 10 .*"
+                       r"; the onset ends where e4 = 0, at l = 27\.3193$"):
+        minimize_over_length(beta=6.3)
+    width = 2.0 * math.pi / math.sqrt(6.3**2 / 4.0 - math.pi**2)
+    assert critical_rayleigh(make_params(beta=6.3, length=0.999 * width), "closed_form") > 0.0
+    with pytest.raises(ArithmeticError, match="e4 = "):
+        critical_rayleigh(make_params(beta=6.3, length=1.001 * width), "closed_form")
+
+
 def test_no_reduced_onset_where_e4_is_not_negative():
     # beta > 2 pi gives e4 >= 0 from l = 2 pi / sqrt(beta^2/4 - pi^2), 4.072 at beta = 7
     with pytest.raises(ArithmeticError, match=r"^no onset at beta = 7\.0, l = 4\.3: .*e4 = 3\.85"):
