@@ -19,7 +19,6 @@ from .dynamics import (
     map_trajectory,
 )
 from .lorenz import (
-    BracketError,
     LengthOptimum,
     LorenzParams,
     ScalingMap,
@@ -32,7 +31,7 @@ from .lorenz import (
     scale_to_lorenz,
     taylor_ratio,
 )
-from .params import PhysicalParams
+from .params import InadmissibleError, PhysicalParams
 from .projection import (
     GalerkinCoeffs,
     ProjectionTermReport,
@@ -45,7 +44,6 @@ from .projection import (
 )
 from .spectral import (
     LinearOperatorPencil,
-    SpectralBracketError,
     assemble_pencil,
     critical_rayleigh_spectral,
     leading_growth_rate,
@@ -55,6 +53,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "PhysicalParams",
+    "InadmissibleError",
     "ModeIndex",
     "ModeGrid",
     "QuadratureRule",
@@ -72,7 +71,6 @@ __all__ = [
     "ScalingMap",
     "StabilityReport",
     "LengthOptimum",
-    "BracketError",
     "scale_to_lorenz",
     "critical_points",
     "origin_eigenvalues",
@@ -89,7 +87,6 @@ __all__ = [
     "amplitude_trend",
     "largest_lyapunov",
     "LinearOperatorPencil",
-    "SpectralBracketError",
     "assemble_pencil",
     "leading_growth_rate",
     "critical_rayleigh_spectral",

@@ -31,11 +31,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import PhysicalParams
+from .params import InadmissibleError, PhysicalParams
 from .projection import ORDER, GalerkinCoeffs, coefficients
 
 __all__ = [
-    "BracketError",
     "LorenzParams",
     "ScalingMap",
     "StabilityReport",
@@ -48,10 +47,6 @@ __all__ = [
     "taylor_ratio",
     "minimize_over_length",
 ]
-
-
-class BracketError(RuntimeError):
-    """The width scan found no interior minimum in [0.5, 10]."""
 
 
 @dataclass(frozen=True)
@@ -117,21 +112,23 @@ class LengthOptimum:
 def scale_to_lorenz(coeffs: GalerkinCoeffs) -> tuple[LorenzParams, ScalingMap]:
     """Lorenz parameters and the scaling that realizes them.
 
-    Requires e1*e4 > 0 (decay in both linear diagonals), e2 != 0 (a buoyancy
-    coupling, so the Rayleigh number must be positive), and e3*e6 < 0
-    (opposed temperature nonlinearities). The product e3*e6 changes sign at
+    Requires e1*e4 > 0 and e7*e4 > 0 (decay in the linear diagonals), e2 != 0
+    (a buoyancy coupling, so the Rayleigh number must be positive), and
+    e3*e6 < 0 (opposed temperature nonlinearities); otherwise it raises
+    InadmissibleError naming beta and l. The map's domain is narrower than the
+    onset's, which needs only e4 < 0: at l = 2*sqrt(2), e3*e6 changes sign at
     beta = 2*sqrt(2)*pi, beyond which no real amplitude scaling exists.
     """
     e1, e2, e3, e4, e5, e6, e7 = coeffs.as_array()
+    head = f"no Lorenz map at beta = {coeffs.params.beta}, l = {coeffs.params.length}: "
     if e1 * e4 <= 0.0 or e7 * e4 <= 0.0:
-        raise ValueError("need matching signs in e1, e4, e7 to form sigma and delta")
+        raise InadmissibleError(head + "need matching signs in e1, e4, e7 to form sigma and delta")
     if e2 == 0.0:
-        raise ValueError("e2 vanishes (zero Rayleigh number); the map is singular")
+        raise InadmissibleError(head + "e2 vanishes (zero Rayleigh number or underflow); "
+                                "the map is singular")
     if e3 * e6 >= 0.0:
-        raise ValueError(
-            "e3*e6 must be negative for a real amplitude scaling; "
-            "it changes sign at beta = 2*sqrt(2)*pi"
-        )
+        raise InadmissibleError(head + f"e3*e6 = {e3 * e6:.6g} must be negative for a real "
+                                "amplitude scaling")
     params = LorenzParams(sigma=e1 / e4, delta=e7 / e4, r=e2 * e5 / (e1 * e4))
     d = -e4
     b = math.sqrt(-e3 * e6 * e2**2 / (e1**2 * e4**2))
@@ -183,15 +180,17 @@ def critical_rayleigh(
 
     r is exactly linear in Ra, so one evaluation at a reference Rayleigh
     number fixes the crossing. Where r does not grow with Ra (e4 >= 0, for
-    one) there is no onset, and ArithmeticError names beta, l, e4 and the rate.
+    one) there is no onset, and InadmissibleError names beta, l, e4 and the
+    rate. Only this domain applies: the Lorenz map's e7 and e3*e6 conditions
+    (`scale_to_lorenz`) do not.
     """
-    reference = coefficients(params.with_rayleigh(1.0), source, order)
-    e1, e2, _, e4, e5, _, _ = reference.as_array()
-    slope = float(e2 * e5 / (e1 * e4))
+    c = coefficients(params.with_rayleigh(1.0), source, order)
+    scale = c.e1 * c.e4  # Python floats: e4 = 0 is tested here, never divided by
+    slope = c.e2 * c.e5 / scale if scale else math.nan
     if not slope > 0.0:
-        raise ArithmeticError(f"no onset at beta = {params.beta}, l = {params.length}: "
-                              f"r grows at rate {slope:.6g} per unit Ra (e4 = {e4:.6g}) "
-                              "and cannot cross 1")
+        rate = f"grows at rate {slope:.6g} per unit Ra" if scale else "is undefined"
+        raise InadmissibleError(f"no onset at beta = {params.beta}, l = {params.length}: "
+                                f"r {rate} (e4 = {c.e4:.6g}) and cannot cross 1")
     return 1.0 / slope
 
 
@@ -221,12 +220,12 @@ def minimize_over_length(
     """Domain width that minimizes the critical Rayleigh number.
 
     A 41-point scan of l over [0.5, 10], then golden-section refinement to
-    |dl| <= 1e-8. Raises BracketError when Ra* is still falling at an edge of
-    the scan; for beta > 2*pi the message also gives the e4 = 0 width below.
+    |dl| <= 1e-8. Raises InadmissibleError when Ra* is still falling at an edge
+    of the scan; for beta > 2*pi the message also gives the e4 = 0 width below.
     At beta = 0 the optimum is l = 2*sqrt(2) with Ra* = 27*pi^4/4. `order` is
     the oracle's quadrature order, as in `critical_rayleigh`.
 
-    The scan passes on the ArithmeticError of widths with e4 >= 0, l >= 2*pi /
+    The scan passes on the InadmissibleError of widths with e4 >= 0, l >= 2*pi /
     sqrt(beta^2/4 - pi^2) for beta > 2*pi, which holds at l = 10 from beta =
     6.408. Skipping them would give no minimum, since Ra* -> 0 as e4 -> 0-: at
     l = 4.06 the closed form gives Ra* = 372.8 at beta = 7 and 770.3 at 0.
@@ -243,11 +242,12 @@ def minimize_over_length(
     values = [ra_star(l) for l in grid.tolist()]  # floats: numpy scalars warn on overflow
     k = int(np.argmin(values))
     if k == 0 or k == len(grid) - 1:
-        message = f"Ra* is still falling at the edge l = {grid[k]:.6g} of the scan over [0.5, 10]"
+        message = (f"Ra* is still falling at the edge l = {grid[k]:.6g} of the scan over "
+                   f"[0.5, 10] at beta = {beta}")
         if beta > 2.0 * math.pi:
             width = 2.0 * math.pi / math.sqrt(beta**2 / 4.0 - math.pi**2)
             message += f"; the onset ends where e4 = 0, at l = {width:.6g}"
-        raise BracketError(message)
+        raise InadmissibleError(message)
 
     # golden-section on the bracketing triple
     invphi = (math.sqrt(5.0) - 1.0) / 2.0

@@ -1,9 +1,14 @@
-"""Physical parameter bundle shared by every module."""
+"""Physical parameter bundle and the domain error shared by every module."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+
+
+class InadmissibleError(ValueError):
+    """No answer at these parameters: they lie outside the domain of the route
+    asked, such as no onset, no Lorenz map or non-finite projections."""
 
 
 @dataclass(frozen=True)

@@ -46,7 +46,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .basis import ModeGrid, ModeIndex, QuadratureRule
-from .params import PhysicalParams
+from .params import InadmissibleError, PhysicalParams
 
 __all__ = [
     "ORDER",
@@ -214,7 +214,7 @@ def _oracle_integrals(beta: float, length: float, order: int) -> MappingProxyTyp
     """`_oracle_terms` without its Ra and gamma factors, a function of (beta, l,
     order) alone: each instance summed on the tensor grid against W * exp(w*beta*z)
     * test, formed once per (w, test); read-only, since hits share it. Overflow
-    raises ValueError, a nonzero orthogonality instance QuadratureConvergenceError."""
+    raises InadmissibleError, a nonzero orthogonality instance QuadratureConvergenceError."""
     rule = QuadratureRule(order, length)
     geometry = PhysicalParams(beta=beta, length=length)
     W = np.outer(rule.x_weights, rule.z_weights)
@@ -232,7 +232,7 @@ def _oracle_integrals(beta: float, length: float, order: int) -> MappingProxyTyp
             field = field + (term if c == 1.0 else c * term)
         values[key] = float(np.sum(field * weighted[w, test]))
     if not all(map(math.isfinite, values.values())):
-        raise ValueError(f"oracle integrals are not finite at beta = {beta}, l = {length}")
+        raise InadmissibleError(f"oracle integrals are not finite at beta = {beta}, l = {length}")
     named = {name: values.pop(key) for name, key in _TERMS.items()}
     scale = max(abs(named["mass-omega"]), abs(named["diffusive-tau1"]), 1.0)
     for key, value in values.items():  # the instances that vanish by orthogonality
@@ -295,8 +295,8 @@ def _published_terms(params: PhysicalParams) -> dict:
 def _assemble(terms: dict, params: PhysicalParams, provenance: str) -> GalerkinCoeffs:
     """Divide each projected equation by its time-derivative Gram factor."""
     if not all(map(math.isfinite, terms.values())):  # a Gram factor may have underflowed to 0
-        raise ValueError(f"projection terms are not finite at beta = {params.beta}, "
-                         f"l = {params.length}")
+        raise InadmissibleError(f"projection terms are not finite at beta = {params.beta}, "
+                                f"l = {params.length}")
     pr = params.prandtl
     mass_omega = terms["mass-omega"]
     g1 = terms["mass-tau1"]

@@ -45,19 +45,14 @@ import numpy as np
 
 from . import projection
 from .basis import fourier_factor
-from .params import PhysicalParams
+from .params import InadmissibleError, PhysicalParams
 
 __all__ = [
     "LinearOperatorPencil",
-    "SpectralBracketError",
     "assemble_pencil",
     "leading_growth_rate",
     "critical_rayleigh_spectral",
 ]
-
-
-class SpectralBracketError(RuntimeError):
-    """No stationary onset: unstable at Ra = 0, no real crossing, or oscillatory."""
 
 
 @dataclass(frozen=True)
@@ -83,14 +78,14 @@ def assemble_pencil(
     """Project the linearized equations onto n_modes vertical modes.
 
     The Rayleigh number of `params` is ignored; it enters only through the
-    sqrt(Ra) factor applied to l1 later. Overflowing entries raise ValueError.
+    sqrt(Ra) factor applied to l1 later. Overflowing entries raise InadmissibleError.
     """
     if n_modes < 1 or m < 1:
         raise ValueError("need n_modes >= 1 and m >= 1")
     blocks = _assemble_matrices(params, m, n_modes)
     if not all(np.isfinite(block).all() for block in blocks.values()):
-        raise ValueError(f"pencil entries are not finite at beta = {params.beta}, "
-                         f"l = {params.length}")
+        raise InadmissibleError(f"pencil entries are not finite at beta = {params.beta}, "
+                                f"l = {params.length}")
     return LinearOperatorPencil(params=params, m=m, n_modes=n_modes, **blocks)
 
 
@@ -168,25 +163,25 @@ def critical_rayleigh_spectral(
     rest state is stable when eig(A) and eig(G^-1 D) have negative real parts, and
     L0 + sqrt(Ra)*L1 is singular where 1/Ra is an eigenvalue of A^-1 B D^-1 C; the
     onset is Ra = 1/lambda for the largest positive real eigenvalue lambda.
-    Raises SpectralBracketError when the rest state is not stable at Ra = 0,
-    when no positive real lambda exists, or when the growth rate at the result
-    is positive beyond roundoff, i.e. an oscillatory mode crossed first.
+    Raises InadmissibleError, naming beta, l and N, when the rest state is not
+    stable at Ra = 0, when no positive real lambda exists, or when the growth
+    rate at the result is positive beyond roundoff, i.e. an oscillatory mode
+    crossed first.
     """
     pencil = assemble_pencil(params, m, n_modes)
     n, solve, eigvals = pencil.n_modes, np.linalg.solve, np.linalg.eigvals
+    head = f"no stationary onset at beta = {params.beta}, l = {params.length}, N = {n}: "
     a, d = pencil.l0[:n, :n], pencil.l0[n:, n:]
     if max(eigvals(a).real.max(), eigvals(solve(pencil.mass[n:, n:], d)).real.max()) >= 0.0:
-        raise SpectralBracketError("growth rate at Ra = 0 is not negative")
+        raise InadmissibleError(head + "growth rate at Ra = 0 is not negative")
     lam = eigvals(solve(a, pencil.l1[:n, n:]) @ solve(d, pencil.l1[n:, :n]))
     real = lam.real[(lam.imag == 0.0) & (lam.real > 0.0)]
     if real.size == 0:
-        raise SpectralBracketError("no real eigenvalue crosses zero at any Ra > 0")
+        raise InadmissibleError(head + "no real eigenvalue crosses zero at any Ra > 0")
     rayleigh = 1.0 / float(np.max(real))
     spectrum = _spectrum(pencil, rayleigh)
     growth = float(np.max(spectrum.real))
     if growth > 1e-8 * float(np.max(np.abs(spectrum))):
-        raise SpectralBracketError(
-            f"oscillatory onset: growth rate is {growth:.3e} at the first real "
-            f"crossing Ra = {rayleigh:.6e}"
-        )
+        raise InadmissibleError(head + f"oscillatory onset: growth rate is {growth:.3e} "
+                                f"at the first real crossing Ra = {rayleigh:.6e}")
     return rayleigh

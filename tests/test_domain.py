@@ -1,0 +1,95 @@
+"""The domain edges of the reduction: every entry point gives a finite,
+positive answer or raises InadmissibleError, naming beta and l.
+
+The onset needs only e4 < 0; the Lorenz map also needs e7 < 0 and e3*e6 < 0,
+so an onset is never rejected where only the map fails. Draws are
+derandomized, so every run checks the same examples.
+"""
+
+import math
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from anelor.cli import ROUTE_GATE  # noqa: E402
+from anelor.lorenz import critical_rayleigh, scale_to_lorenz  # noqa: E402
+from anelor.params import InadmissibleError, PhysicalParams  # noqa: E402
+from anelor.projection import coefficients  # noqa: E402
+from anelor.spectral import critical_rayleigh_spectral  # noqa: E402
+
+
+def lorenz_parameters(params, source):
+    lorenz, _ = scale_to_lorenz(coefficients(params, source))
+    return min(lorenz.sigma, lorenz.delta, lorenz.r)
+
+
+ENTRY_POINTS = {
+    "onset_closed_form": lambda params: critical_rayleigh(params, "closed_form"),
+    "onset_oracle": lambda params: critical_rayleigh(params, "oracle"),
+    "onset_published": lambda params: critical_rayleigh(params, "published"),
+    "pencil_n1": lambda params: critical_rayleigh_spectral(params, n_modes=1),
+    "pencil_n2": lambda params: critical_rayleigh_spectral(params, n_modes=2),
+    "map_closed_form": lambda params: lorenz_parameters(params, "closed_form"),
+    "map_oracle": lambda params: lorenz_parameters(params, "oracle"),
+    "map_published": lambda params: lorenz_parameters(params, "published"),
+}
+
+
+EDGES = [(7.75, 2.0 * math.sqrt(2.0)), (0.0, 1e300)]
+
+
+# at l = 2 sqrt(2), e4 > 0 from beta = 7.75, where the N = 2 pencil still has an
+# onset; at l = 1e300, e2 and e5 underflow and e3 * e6 = 0.0 * -0.0
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("beta, length, route", [
+    (beta, length, route) for beta, length in EDGES for route in ENTRY_POINTS
+    if (route, beta) != ("pencil_n2", 7.75)])
+def test_every_entry_point_rejects_the_edge_with_one_type(beta, length, route):
+    with pytest.raises(InadmissibleError) as excinfo:
+        ENTRY_POINTS[route](PhysicalParams(beta=beta, length=length, rayleigh=1000.0))
+    assert f"beta = {beta}, l = {length}" in str(excinfo.value)
+
+
+def outcome(route, params):
+    """The entry point's value, checked finite and positive, or None where it
+    raises InadmissibleError; any other exception fails the test."""
+    try:
+        value = ENTRY_POINTS[route](params)
+    except InadmissibleError:
+        return None
+    assert math.isfinite(value) and value > 0.0, route
+    return value
+
+
+BOX = st.builds(
+    PhysicalParams,
+    beta=st.floats(0.0, 30.0),
+    prandtl=st.floats(0.5, 50.0),
+    rayleigh=st.just(1000.0),
+    gamma=st.floats(1.0 / 3.0, 3.0),
+    length=st.floats(math.log(0.05), math.log(20.0)).map(math.exp),
+)
+
+
+@pytest.mark.filterwarnings("error")
+@settings(derandomize=True, database=None, deadline=None, max_examples=400)
+@given(params=BOX)
+def test_the_box_across_the_edges_gives_answers_or_inadmissible(params):
+    results = {route: outcome(route, params) for route in (
+        "onset_closed_form", "onset_oracle", "pencil_n1", "pencil_n2", "map_closed_form")}
+    if results["map_closed_form"] is not None:  # the map's domain lies inside the onset's
+        assert results["onset_closed_form"] is not None
+
+
+@pytest.mark.parametrize("beta, length, onset", [
+    (9.0, 1.0, 2.67547e6), (13.0, 1.0, 2.77593e7), (10.0, 0.5, 4.17193e7),
+    (20.0, 0.05, 5.79779e14)])
+def test_only_the_map_rejects_where_e3_e6_or_e7_change_sign(beta, length, onset):
+    params = PhysicalParams(beta=beta, length=length, rayleigh=1000.0)
+    reduced = critical_rayleigh(params, "closed_form")
+    assert reduced == pytest.approx(onset, rel=5e-6)
+    assert abs(critical_rayleigh_spectral(params, n_modes=1) - reduced) <= ROUTE_GATE * reduced
+    with pytest.raises(InadmissibleError, match=r"^no Lorenz map at beta = "):
+        scale_to_lorenz(coefficients(params, "closed_form"))

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from anelor.lorenz import (
-    BracketError,
     LorenzParams,
     classify_rest_state,
     critical_points,
@@ -14,7 +13,7 @@ from anelor.lorenz import (
     scale_to_lorenz,
     taylor_ratio,
 )
-from anelor.params import PhysicalParams
+from anelor.params import InadmissibleError, PhysicalParams
 from anelor.projection import (
     GalerkinCoeffs,
     closed_form_coefficients,
@@ -239,35 +238,45 @@ def test_minimize_over_length_oracle_route_agrees():
 def test_minimize_over_length_edge_raises():
     # a large viscosity ratio makes the gamma term dominate e1, which pushes
     # the minimum of Ra* over the scanned widths to the edge l = 10
-    with pytest.raises(BracketError, match="edge l = 10"):
+    with pytest.raises(InadmissibleError, match="edge l = 10"):
         minimize_over_length(beta=1.0, gamma=1e4)
 
 
 def test_edge_message_names_the_falling_onset_below_two_pi():
     # below beta = 2 pi, e4 stays negative at every width, but Ra* still falls at l = 10
-    with pytest.raises(BracketError, match=r"^Ra\* is still falling at the edge l = 10 ") as info:
+    with pytest.raises(InadmissibleError, match=r"^Ra\* is still falling at the edge l = 10 ") as info:
         minimize_over_length(beta=6.27)
     assert "e4" not in str(info.value)
 
 
 def test_edge_message_names_the_e4_width_above_two_pi():
     # above 2 pi the onset ends at l = 2 pi / sqrt(beta^2/4 - pi^2), 27.32 at beta = 6.3
-    with pytest.raises(BracketError, match=r"^Ra\* is still falling at the edge l = 10 .*"
+    with pytest.raises(InadmissibleError, match=r"^Ra\* is still falling at the edge l = 10 .*"
                        r"; the onset ends where e4 = 0, at l = 27\.3193$"):
         minimize_over_length(beta=6.3)
     width = 2.0 * math.pi / math.sqrt(6.3**2 / 4.0 - math.pi**2)
     assert critical_rayleigh(make_params(beta=6.3, length=0.999 * width), "closed_form") > 0.0
-    with pytest.raises(ArithmeticError, match="e4 = "):
+    with pytest.raises(InadmissibleError, match="e4 = "):
         critical_rayleigh(make_params(beta=6.3, length=1.001 * width), "closed_form")
 
 
 def test_no_reduced_onset_where_e4_is_not_negative():
     # beta > 2 pi gives e4 >= 0 from l = 2 pi / sqrt(beta^2/4 - pi^2), 4.072 at beta = 7
-    with pytest.raises(ArithmeticError, match=r"^no onset at beta = 7\.0, l = 4\.3: .*e4 = 3\.85"):
+    with pytest.raises(InadmissibleError, match=r"^no onset at beta = 7\.0, l = 4\.3: .*e4 = 3\.85"):
         critical_rayleigh(make_params(beta=7.0, length=4.3), "closed_form")
     # the width scan reaches that edge at its 17th point
-    with pytest.raises(ArithmeticError, match=r"^no onset at beta = 7\.0, l = 4\.3:"):
+    with pytest.raises(InadmissibleError, match=r"^no onset at beta = 7\.0, l = 4\.3:"):
         minimize_over_length(beta=7.0)
+
+
+@pytest.mark.parametrize("beta, length", [(6.5, 7.548244634153276), (7.0, 4.072445668997758)])
+def test_no_reduced_onset_exactly_at_the_e4_edge(beta, length):
+    # the closed-form e4 is exactly 0.0 here; the sign test must not divide by it
+    params = make_params(beta=beta, length=length)
+    assert closed_form_coefficients(params).e4 == 0.0
+    with pytest.raises(InadmissibleError, match=rf"^no onset at beta = {beta}, l = {length}: "
+                       r"r is undefined \(e4 = 0\) and cannot cross 1$"):
+        critical_rayleigh(params, "closed_form")
 
 
 def test_reduced_onset_drops_below_boussinesq_near_the_e4_edge():

@@ -7,7 +7,7 @@ import pytest
 
 import anelor.projection
 from anelor.lorenz import critical_rayleigh
-from anelor.params import PhysicalParams
+from anelor.params import InadmissibleError, PhysicalParams
 from anelor.projection import (
     TERM_NAMES,
     GalerkinCoeffs,
@@ -117,7 +117,7 @@ def test_overflowing_stratification_raises_one_error_type(beta, route):
     with pytest.raises(ValueError) as excinfo:
         ROUTES[route](PhysicalParams(beta=beta, rayleigh=100.0))
     # numpy's LinAlgError subclasses ValueError; only the plain one is typed
-    assert excinfo.type is ValueError
+    assert excinfo.type is InadmissibleError
     if route in ("pencil", "oracle"):
         assert f"beta = {beta}" in str(excinfo.value)
 
@@ -138,7 +138,7 @@ def test_vanishing_width_raises_one_error_type(length, route):
     # ZeroDivisionError or OverflowError
     with pytest.raises(ValueError) as excinfo:
         WIDTH_ROUTES[route](PhysicalParams(length=length, rayleigh=100.0))
-    assert excinfo.type is ValueError
+    assert excinfo.type is InadmissibleError
     assert f"l = {length}" in str(excinfo.value)
 
 

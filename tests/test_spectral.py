@@ -9,11 +9,10 @@ import anelor.basis
 import anelor.projection
 from anelor.basis import ModeGrid, ModeIndex, QuadratureRule
 from anelor.lorenz import critical_rayleigh
-from anelor.params import PhysicalParams
+from anelor.params import InadmissibleError, PhysicalParams
 from anelor.projection import closed_form_coefficients
 from anelor.spectral import (
     LinearOperatorPencil,
-    SpectralBracketError,
     assemble_pencil,
     critical_rayleigh_spectral,
     leading_growth_rate,
@@ -255,13 +254,13 @@ def test_bracket_failures_raise(monkeypatch):
     unstable_at_zero = fake_pencil(eye, eye.copy(), np.zeros((2, 2)))
     monkeypatch.setattr(spectral, "assemble_pencil",
                         lambda *a, **k: unstable_at_zero)
-    with pytest.raises(SpectralBracketError):
+    with pytest.raises(InadmissibleError):
         critical_rayleigh_spectral(make_params())
 
     never_unstable = fake_pencil(eye, -eye, np.zeros((2, 2)))
     monkeypatch.setattr(spectral, "assemble_pencil",
                         lambda *a, **k: never_unstable)
-    with pytest.raises(SpectralBracketError):
+    with pytest.raises(InadmissibleError):
         critical_rayleigh_spectral(make_params())
 
 
@@ -278,7 +277,7 @@ def test_rest_state_stability_uses_the_temperature_gram(monkeypatch):
                                   mass=mass, l0=l0, l1=l1)
     assert leading_growth_rate(pencil, 0.0) > 0.0
     monkeypatch.setattr(spectral, "assemble_pencil", lambda *a, **k: pencil)
-    with pytest.raises(SpectralBracketError, match="Ra = 0"):
+    with pytest.raises(InadmissibleError, match="Ra = 0"):
         critical_rayleigh_spectral(make_params())
 
 
@@ -382,7 +381,7 @@ def test_oscillatory_onset_raises(monkeypatch):
     pencil = LinearOperatorPencil(params=make_params(), m=1, n_modes=3,
                                   mass=np.eye(6), l0=l0, l1=l1)
     monkeypatch.setattr(spectral, "assemble_pencil", lambda *a, **k: pencil)
-    with pytest.raises(SpectralBracketError, match="oscillatory"):
+    with pytest.raises(InadmissibleError, match="oscillatory"):
         critical_rayleigh_spectral(make_params())
 
 
