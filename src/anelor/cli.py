@@ -26,8 +26,7 @@ same coercion, so they accept the same values.
 Tables are CSV (header row, comma separator, LF endings, 17 significant
 digits) or JSON; either stream to stdout or to --output. Summary lines go to
 stderr so payloads stay clean, and --quiet drops them. Exit codes: 0 success,
-1 numeric failure or no answer at these parameters (InadmissibleError), 2 usage
-or config error.
+1 numeric failure or no answer at these parameters, 2 usage or config error.
 """
 
 from __future__ import annotations
