@@ -31,4 +31,4 @@ for beta in np.concatenate(([0.0], np.geomspace(0.01, 2.0, 8))):
 
 print("\nfirst-order rate (Ra*/Ra*0 - 1)/beta, tending to 1/2:")
 for beta in (1e-1, 1e-2, 1e-3, 1e-4):
-    print(f"  beta = {beta:<7g} ratio = {taylor_ratio(base, beta):.7f}")
+    print(f"  beta = {beta:<7g} ratio = {taylor_ratio(base.with_beta(beta)):.7f}")

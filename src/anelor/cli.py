@@ -44,7 +44,7 @@ import numpy as np
 
 from .dynamics import integrate_lorenz, integrate_reduced, map_trajectory, render_csv
 from .lorenz import critical_rayleigh, minimize_over_length, scale_to_lorenz
-from .params import PhysicalParams
+from .params import InadmissibleError, PhysicalParams
 from .projection import ORDER, PROVENANCES, ProjectionTermReport, coefficients, discrepancy_report
 from .spectral import critical_rayleigh_spectral
 
@@ -424,14 +424,19 @@ def _cmd_simulate(config: RunConfig) -> int:
 def _cmd_validate(config: RunConfig) -> int:
     params = config.physical().with_rayleigh(0.0)
     # the m-th harmonic pencil at width l is the first harmonic's at l/m; the
-    # reduced side keeps at least ORDER points whatever --order says
+    # reduced side keeps at least ORDER points whatever --order says, and past its
+    # domain edge the table holds the pencil's onsets alone
     reduced = replace(params, length=params.length / config.m)
-    reduced_value = critical_rayleigh(reduced, "oracle", max(config.order, ORDER))
+    unchecked = "no N=1 truncation requested"
+    try:
+        reduced_value = critical_rayleigh(reduced, "oracle", max(config.order, ORDER))
+    except InadmissibleError as exc:
+        reduced_value, unchecked = None, f"reduced route: {exc}"
 
     def solve(n_modes):
-        spectral_value = critical_rayleigh_spectral(params, config.m, n_modes)
-        rel = float(abs(spectral_value - reduced_value) / reduced_value)
-        return (params.beta, config.m, n_modes, spectral_value, reduced_value, rel)
+        onset = critical_rayleigh_spectral(params, config.m, n_modes)
+        rel = None if reduced_value is None else abs(onset - reduced_value) / reduced_value
+        return (params.beta, config.m, n_modes, onset, reduced_value, rel)
 
     rows = _pool_map(config, solve, list(config.n_modes))
     columns = ("beta", "m", "n_modes", "ra_critical", "ra_reduced", "rel_dev")
@@ -450,7 +455,7 @@ def _cmd_validate(config: RunConfig) -> int:
         extra["discrepancy"] = [asdict(report) for report in reports]
     _emit(config, columns, rows, extra)
     if consistency is None:
-        _note(config, "route consistency not checked (no N=1 truncation requested)")
+        _note(config, f"route consistency not checked ({unchecked})")
     else:
         _note(config, f"N=1 route consistency {consistency:.3e} "
               f"(threshold {ROUTE_GATE:g}): {'ok' if passed else 'FAIL'}")

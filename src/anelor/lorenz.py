@@ -194,20 +194,16 @@ def critical_rayleigh(
     return 1.0 / slope
 
 
-def taylor_ratio(
-    params: PhysicalParams, beta: float | None = None, source: str = "closed_form"
-) -> float:
-    """First-order sensitivity (Ra*(beta)/Ra*(0) - 1) / beta.
+def taylor_ratio(params: PhysicalParams, source: str = "closed_form") -> float:
+    """First-order sensitivity (Ra*(beta)/Ra*(0) - 1) / beta at params.beta.
 
     Tends to 1/2 as beta -> 0: weak stratification raises the onset of
     convection at half the relative rate of beta itself.
     """
-    beta = params.beta if beta is None else beta
-    if beta <= 0.0:
+    if params.beta <= 0.0:
         raise ValueError("the ratio needs beta > 0")
     flat = critical_rayleigh(params.with_beta(0.0), source)
-    lifted = critical_rayleigh(params.with_beta(beta), source)
-    return (lifted / flat - 1.0) / beta
+    return (critical_rayleigh(params, source) / flat - 1.0) / params.beta
 
 
 def minimize_over_length(

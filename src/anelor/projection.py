@@ -294,24 +294,23 @@ def _published_terms(params: PhysicalParams) -> dict:
 
 def _assemble(terms: dict, params: PhysicalParams, provenance: str) -> GalerkinCoeffs:
     """Divide each projected equation by its time-derivative Gram factor."""
+    where = f"at beta = {params.beta}, l = {params.length}"
     if not all(map(math.isfinite, terms.values())):  # a Gram factor may have underflowed to 0
-        raise InadmissibleError(f"projection terms are not finite at beta = {params.beta}, "
-                                f"l = {params.length}")
-    pr = params.prandtl
-    mass_omega = terms["mass-omega"]
-    g1 = terms["mass-tau1"]
-    g2 = terms["mass-tau2"]
-    return GalerkinCoeffs(
-        e1=pr * (terms["diffusive-omega"] + terms["gamma-term"]) / mass_omega,
-        e2=pr * terms["buoyancy-omega"] / mass_omega,
-        e3=-terms["nonlinear-tau-111"] / g1,
-        e4=terms["diffusive-tau1"] / g1,
-        e5=terms["source-tau"] / g1,
-        e6=-terms["nonlinear-tau-102"] / g2,
-        e7=terms["diffusive-tau2"] / g2,
-        provenance=provenance,
-        params=params,
-    )
+        raise InadmissibleError(f"projection terms are not finite {where}")
+    pr, mass_omega = params.prandtl, terms["mass-omega"]
+    g1, g2 = terms["mass-tau1"], terms["mass-tau2"]
+    quotients = {
+        "e1": pr * (terms["diffusive-omega"] + terms["gamma-term"]) / mass_omega,
+        "e2": pr * terms["buoyancy-omega"] / mass_omega,
+        "e3": -terms["nonlinear-tau-111"] / g1,
+        "e4": terms["diffusive-tau1"] / g1,
+        "e5": terms["source-tau"] / g1,
+        "e6": -terms["nonlinear-tau-102"] / g2,
+        "e7": terms["diffusive-tau2"] / g2,
+    }
+    if not all(map(math.isfinite, quotients.values())):  # a huge Pr overflows e1 and e2
+        raise InadmissibleError(f"coefficients are not finite {where}, Pr = {pr}")
+    return GalerkinCoeffs(**quotients, provenance=provenance, params=params)
 
 
 def oracle_coefficients(

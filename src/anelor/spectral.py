@@ -5,16 +5,16 @@ temperature parity family (each coupling term carries exactly one horizontal
 derivative, which flips parity, so the complementary pair is a mirror copy).
 Expanding
 
-    psi = sum_n A_n(t) * psi[-1, m, n],   tau = sum_n B_n(t) * psi[+1, m, n]
+    psi = sum_n x_n(t) * psi[-1, m, n],   tau = sum_n y_n(t) * psi[+1, m, n]
 
-and projecting gives a generalized eigenproblem M xdot = L(Ra) x on the
-stacked vector x = (A_1..A_N, B_1..B_N), with
+and projecting gives a generalized eigenproblem M xi' = L(Ra) xi on the
+stacked vector xi = (x_1..x_N, y_1..y_N), with the N x N blocks A, B, C, D, G in
 
     M      = blockdiag(I, G); the vorticity rows are normalized by their
              diagonal time-derivative projection, and G is the unweighted
              Gram matrix of the temperature modes (identity at beta = 0)
-    L(Ra)  = L0 + sqrt(Ra) * L1, where L0 holds the diffusion blocks and L1
-             only the buoyancy/source cross blocks
+    L(Ra)  = [[A, sqrt(Ra) B], [sqrt(Ra) C, D]], where A and D hold the
+             diffusion and B and C the buoyancy and source couplings
 
 Each block integrates operator rows of `projection._operators`, read by name,
 with psi and tau standing for their whole families; the weight powers and the
@@ -32,8 +32,8 @@ p(c) = sum_d by_dz[d] c^d is Re[p(c_j) K_w[i, j]], where, for each w the rows us
     s2 = a + 1j pi (j + i),
 
 and (e^a - 1)/s1 is expm1_over(a) on the diagonal. No quadrature enters, so the
-pencil's only error is rounding. L0 is block diagonal and L1 only couples the
-families, so the onset is an N x N eigenproblem.
+pencil's only error is rounding. Ra enters only the coupling blocks B and C, so
+the onset is an N x N eigenproblem.
 """
 
 from __future__ import annotations
@@ -57,17 +57,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class LinearOperatorPencil:
-    """Mass matrix and stiffness split of the linearized truncation.
+    """The N x N blocks A, B, C, D and G of the module docstring, as fields a, b,
+    c, d and g: M = blockdiag(I, G) and L(Ra) = [[A, sqrt(Ra) B], [sqrt(Ra) C, D]]."""
 
-    The stiffness at Rayleigh number Ra is l0 + sqrt(Ra) * l1.
-    """
-
-    params: PhysicalParams
-    m: int
-    n_modes: int
-    mass: np.ndarray
-    l0: np.ndarray
-    l1: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
+    c: np.ndarray
+    d: np.ndarray
+    g: np.ndarray
 
 
 def assemble_pencil(
@@ -78,7 +75,8 @@ def assemble_pencil(
     """Project the linearized equations onto n_modes vertical modes.
 
     The Rayleigh number of `params` is ignored; it enters only through the
-    sqrt(Ra) factor applied to l1 later. Overflowing entries raise InadmissibleError.
+    sqrt(Ra) factor applied to b and c later. Overflowing entries raise
+    InadmissibleError.
     """
     if n_modes < 1 or m < 1:
         raise ValueError("need n_modes >= 1 and m >= 1")
@@ -86,7 +84,7 @@ def assemble_pencil(
     if not all(np.isfinite(block).all() for block in blocks.values()):
         raise InadmissibleError(f"pencil entries are not finite at beta = {params.beta}, "
                                 f"l = {params.length}")
-    return LinearOperatorPencil(params=params, m=m, n_modes=n_modes, **blocks)
+    return LinearOperatorPencil(**blocks)
 
 
 def _kernels(beta, n, weights):
@@ -131,18 +129,19 @@ def _assemble_matrices(params, m, n):
     # vorticity rows: time-derivative projections are diagonal by weighted
     # orthonormality; normalize each row by its diagonal entry
     rows = pr / np.diag(block("vorticity time derivative"))[:, None]
-    mass, l0, l1 = np.eye(2 * n), np.zeros((2 * n, 2 * n)), np.zeros((2 * n, 2 * n))
-    l0[:n, :n] = rows * block("vorticity diffusion", "gamma")
-    l1[:n, n:] = rows * block("buoyancy")
-    mass[n:, n:] = block("temperature time derivative")
-    l0[n:, n:] = block("temperature diffusion")
-    l1[n:, :n] = block("source")
-    return {"mass": mass, "l0": l0, "l1": l1}
+    return {"a": rows * block("vorticity diffusion", "gamma"), "b": rows * block("buoyancy"),
+            "c": block("source"), "d": block("temperature diffusion"),
+            "g": block("temperature time derivative")}
 
 
 def _spectrum(pencil: LinearOperatorPencil, rayleigh: float) -> np.ndarray:
-    stiffness = pencil.l0 + math.sqrt(rayleigh) * pencil.l1
-    return np.linalg.eigvals(np.linalg.solve(pencil.mass, stiffness))
+    """The 2N eigenvalues of M^-1 L(Ra), the one place the blocks are stacked."""
+    n, root = len(pencil.g), math.sqrt(rayleigh)
+    mass, stiffness = np.eye(2 * n), np.empty((2 * n, 2 * n))
+    mass[n:, n:] = pencil.g
+    stiffness[:n, :n], stiffness[:n, n:] = pencil.a, root * pencil.b
+    stiffness[n:, :n], stiffness[n:, n:] = root * pencil.c, pencil.d
+    return np.linalg.eigvals(np.linalg.solve(mass, stiffness))
 
 
 def leading_growth_rate(pencil: LinearOperatorPencil, rayleigh: float) -> float:
@@ -159,27 +158,26 @@ def critical_rayleigh_spectral(
 ) -> float:
     """Rayleigh number where the truncated system's growth rate first crosses zero.
 
-    With L0 = blockdiag(A, D), L1 = [[0, B], [C, 0]] and M = blockdiag(I, G), the
-    rest state is stable when eig(A) and eig(G^-1 D) have negative real parts, and
-    L0 + sqrt(Ra)*L1 is singular where 1/Ra is an eigenvalue of A^-1 B D^-1 C; the
-    onset is Ra = 1/lambda for the largest positive real eigenvalue lambda.
+    With the blocks of `LinearOperatorPencil`, the rest state is stable when
+    eig(A) and eig(G^-1 D) have negative real parts, and L(Ra) is singular where
+    1/Ra is an eigenvalue of A^-1 B D^-1 C; the onset is Ra = 1/lambda for the
+    largest positive real eigenvalue lambda.
     Raises InadmissibleError, naming beta, l and N, when the rest state is not
     stable at Ra = 0, when no positive real lambda exists, or when the growth
     rate at the result is positive beyond roundoff, i.e. an oscillatory mode
     crossed first.
     """
-    pencil = assemble_pencil(params, m, n_modes)
-    n, solve, eigvals = pencil.n_modes, np.linalg.solve, np.linalg.eigvals
-    head = f"no stationary onset at beta = {params.beta}, l = {params.length}, N = {n}: "
-    a, d = pencil.l0[:n, :n], pencil.l0[n:, n:]
-    if max(eigvals(a).real.max(), eigvals(solve(pencil.mass[n:, n:], d)).real.max()) >= 0.0:
+    p = assemble_pencil(params, m, n_modes)
+    solve, eigvals = np.linalg.solve, np.linalg.eigvals
+    head = f"no stationary onset at beta = {params.beta}, l = {params.length}, N = {n_modes}: "
+    if max(eigvals(p.a).real.max(), eigvals(solve(p.g, p.d)).real.max()) >= 0.0:
         raise InadmissibleError(head + "growth rate at Ra = 0 is not negative")
-    lam = eigvals(solve(a, pencil.l1[:n, n:]) @ solve(d, pencil.l1[n:, :n]))
+    lam = eigvals(solve(p.a, p.b) @ solve(p.d, p.c))
     real = lam.real[(lam.imag == 0.0) & (lam.real > 0.0)]
     if real.size == 0:
         raise InadmissibleError(head + "no real eigenvalue crosses zero at any Ra > 0")
     rayleigh = 1.0 / float(np.max(real))
-    spectrum = _spectrum(pencil, rayleigh)
+    spectrum = _spectrum(p, rayleigh)
     growth = float(np.max(spectrum.real))
     if growth > 1e-8 * float(np.max(np.abs(spectrum))):
         raise InadmissibleError(head + f"oscillatory onset: growth rate is {growth:.3e} "

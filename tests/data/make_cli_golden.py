@@ -51,6 +51,7 @@ COMMANDS = {
     "validate-csv": ["validate", "--beta", "0.3", "--n-modes", "1", "2", "4", "8", "16"],
     "validate-json": ["validate", "--beta", "0.3", "--n-modes", "1", "2", "4", "8", "16",
                       "--format", "json"],
+    "validate-past-e4-edge": ["validate", "--beta", "7.75", "--n-modes", "2", "8"],
 }
 
 

@@ -20,7 +20,7 @@ HERE = pathlib.Path(__file__).resolve().parent
 sys.path[:0] = [str(HERE.parent), str(HERE.parents[1] / "src")]
 
 from anelor.params import PhysicalParams  # noqa: E402
-from reference_pencil import reference_blocks  # noqa: E402
+from reference_pencil import FILE_KEYS, reference_blocks  # noqa: E402
 
 BETA, N = 13.0, 8
 
@@ -44,8 +44,8 @@ def main():
         "params": {"beta": BETA, "length": params.length, "prandtl": params.prandtl,
                    "gamma": params.gamma, "n_modes": N, "m": 1},
         "digits": mp.mp.dps,
-        "blocks": {name: [[float(v) for v in row] for row in value]
-                   for name, value in blocks.items()},
+        "blocks": {key: [[float(v) for v in row] for row in blocks[name]]
+                   for name, key in FILE_KEYS.items()},
     }
     # one matrix row per line
     text = json.dumps(document, indent=1)

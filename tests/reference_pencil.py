@@ -1,34 +1,40 @@
-"""Reference N-mode pencil blocks, built entry by entry from their defining integrals.
+"""Reference N-mode pencil blocks, named as the fields of `LinearOperatorPencil`.
 
 With s_k(z) = sqrt(2) sin(k pi z) exp(-beta z / 2) the vertical mode k, every
 entry of the m = 1 pencil is a sum of x-factors times
 
     I(w, d)[i - 1, j - 1] = int_0^1 exp(w beta z) s_j^(d)(z) s_i(z) dz.
 
-The x-integrals over a period are written out by hand here (d/dx sin = k cos,
-d/dx cos = -k sin with k = 2 pi / l, and the normalized lines are orthonormal),
-so the blocks depend on anelor only through the parameters. `reference_blocks`
+`reference_blocks` writes the x-integrals over a period out by hand (d/dx sin =
+k cos, d/dx cos = -k sin with k = 2 pi / l, and the normalized lines are
+orthonormal), so its blocks depend on anelor only through the parameters; it
 works on float arrays and on object arrays of mpmath numbers alike.
+`tensor_grid_blocks` instead sums every entry on a 2D tensor grid of anelor's
+`ModeGrid` partials.
 """
 
 import math
 
 import numpy as np
 
-BLOCKS = ("l0_psi_psi", "l1_psi_tau", "mass_tau_tau", "l0_tau_tau", "l1_tau_psi")
+from anelor.basis import ModeGrid, ModeIndex, QuadratureRule
+
+BLOCKS = ("a", "b", "c", "d", "g")
+# block -> its key in data/pencil_beta13_n8.json, in the file's order
+FILE_KEYS = {"a": "l0_psi_psi", "b": "l1_psi_tau", "g": "mass_tau_tau",
+             "d": "l0_tau_tau", "c": "l1_tau_psi"}
 
 
-def pencil_blocks(pencil):
-    """The five nonzero, non-identity blocks of an assembled pencil, by name."""
-    n = pencil.n_modes
-    psi, tau = slice(0, n), slice(n, 2 * n)
-    return dict(zip(BLOCKS, (pencil.l0[psi, psi], pencil.l1[psi, tau],
-                             pencil.mass[tau, tau], pencil.l0[tau, tau],
-                             pencil.l1[tau, psi])))
+def stacked(pencil):
+    """M, L0 and L1 of the 2N x 2N system M x' = (L0 + sqrt(Ra) L1) x."""
+    zero = np.zeros_like(pencil.g)
+    return (np.block([[np.eye(len(zero)), zero], [zero, pencil.g]]),
+            np.block([[pencil.a, zero], [zero, pencil.d]]),
+            np.block([[zero, pencil.b], [pencil.c, zero]]))
 
 
 def reference_blocks(params, integral, pi=math.pi):
-    """Blocks named as in BLOCKS from integral(w, d) = I(w, d) as an n x n array."""
+    """The blocks from integral(w, d) = I(w, d) as an n x n array."""
     beta, pr, gamma = params.beta, params.prandtl, params.gamma
     k = 2 * pi / params.length
     k2 = k * k
@@ -43,11 +49,11 @@ def reference_blocks(params, integral, pi=math.pi):
                   + beta**2 * (i2[2] - k2 * i2[0]) + 4 * beta**2 * i2[2]
                   + 2 * beta**3 * i2[1]) - gamma * beta**2 * k2 * i2[0]
     return {
-        "l0_psi_psi": pr * diffusion / norm,
-        "l1_psi_tau": pr * k * i1[0] / norm,
-        "mass_tau_tau": integral(0, 0),
-        "l0_tau_tau": i1[2] - k2 * i1[0],
-        "l1_tau_psi": k * i1[0],
+        "a": pr * diffusion / norm,
+        "b": pr * k * i1[0] / norm,
+        "c": k * i1[0],
+        "d": i1[2] - k2 * i1[0],
+        "g": integral(0, 0),
     }
 
 
@@ -65,6 +71,44 @@ def quadrature_integral(beta, n, order):
         return (test * np.exp(w * beta * z)) @ trial.T
 
     return integral
+
+
+def tensor_grid_blocks(params, n, order=64):
+    """The blocks as 2D tensor-grid sums of ModeGrid partials on an order-point rule."""
+    rule, beta = QuadratureRule(order, params.length), params.beta
+    _, Z, W = rule.grid()
+    Eb, E2 = np.exp(beta * Z), np.exp(2.0 * beta * Z)
+    psi = [ModeGrid(ModeIndex(-1, 1, k), params, rule) for k in range(1, n + 1)]
+    tau = [ModeGrid(ModeIndex(+1, 1, k), params, rule) for k in range(1, n + 1)]
+
+    def fields(grids, field):
+        return np.array([field(g) for g in grids])
+
+    def project(trials, tests, weight):
+        # [i, j] = sum over the grid of W * weight * trial_j * test_i
+        return np.tensordot(tests * (W * weight), trials, axes=([1, 2], [1, 2]))
+
+    def diffused(g):
+        return -Eb * (
+            g.partial(4, 0) + 2.0 * g.partial(2, 2) + g.partial(0, 4)
+            + 4.0 * beta * (g.partial(2, 1) + g.partial(0, 3))
+            + beta**2 * g.laplacian()
+            + 4.0 * beta**2 * g.partial(0, 2)
+            + 2.0 * beta**3 * g.partial(0, 1))
+
+    psi0, tau0 = fields(psi, lambda g: g.partial()), fields(tau, lambda g: g.partial())
+    vorticity = fields(psi, lambda g: -(g.laplacian() + beta * g.partial(0, 1)))
+    rows = params.prandtl / np.diag(project(vorticity, psi0, Eb))[:, None]
+    diffusion = (project(fields(psi, diffused), psi0, Eb)
+                 + params.gamma * beta**2 * project(fields(psi, lambda g: g.partial(2, 0)),
+                                                    psi0, E2))
+    return {
+        "a": rows * diffusion,
+        "b": -rows * project(fields(tau, lambda g: g.partial(1, 0)), psi0, Eb),
+        "c": project(fields(psi, lambda g: g.partial(1, 0)), tau0, Eb),
+        "d": project(fields(tau, lambda g: g.laplacian()), tau0, Eb),
+        "g": project(tau0, tau0, 1.0),
+    }
 
 
 def max_block_deviation(actual, expected):

@@ -325,6 +325,24 @@ def test_validate_compares_a_harmonic_with_the_reduced_onset_at_its_width(capsys
     assert gate["passed"] is True and gate["rel_dev"] <= cli.ROUTE_GATE
 
 
+def test_validate_reports_the_pencil_past_the_reduced_e4_edge(capsys):
+    # at l = 2 sqrt(2) the three-mode e4 is positive from beta = 7.75, where the
+    # N = 2 and N = 8 pencils still have onsets and the N = 1 pencil has none
+    code, out, err = run(capsys, "validate", "--beta", "7.75", "--n-modes", "2", "8",
+                         "--format", "json")
+    assert code == 0
+    document = json.loads(out)
+    assert [row[2:] for row in document["rows"]] == [
+        [2, pytest.approx(193670.579, rel=1e-8), None, None],
+        [8, pytest.approx(80500.681, rel=1e-8), None, None]]
+    assert document["route_consistency"]["rel_dev"] is None
+    assert err.startswith("route consistency not checked (reduced route: no onset at "
+                          "beta = 7.75, l = 2.8284271247461903: ")
+    code, out, err = run(capsys, "validate", "--beta", "7.75", "--n-modes", "2", "1")
+    assert (code, out) == (1, "")
+    assert "beta = 7.75, l = 2.8284271247461903, N = 1: " in err
+
+
 def test_environment_and_config_precedence(capsys, tmp_path, monkeypatch):
     config = tmp_path / "run.cfg"
     config.write_text("# comment\nbeta = 0.1\nsource = closed_form\n")

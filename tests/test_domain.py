@@ -52,6 +52,19 @@ def test_every_entry_point_rejects_the_edge_with_one_type(beta, length, route):
     assert f"beta = {beta}, l = {length}" in str(excinfo.value)
 
 
+# e1 = Pr * (diffusion) / (vorticity Gram factor) overflows at the largest Prandtl
+# numbers; the coefficient routes also name Pr
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("route", ENTRY_POINTS)
+def test_every_entry_point_rejects_an_overflowing_prandtl_number(route):
+    params = PhysicalParams(prandtl=1e308, rayleigh=1000.0)
+    with pytest.raises(InadmissibleError) as excinfo:
+        ENTRY_POINTS[route](params)
+    message = str(excinfo.value)
+    assert f"beta = 0.0, l = {params.length}" in message
+    assert route.startswith("pencil") or f"l = {params.length}, Pr = 1e+308" in message
+
+
 def outcome(route, params):
     """The entry point's value, checked finite and positive, or None where it
     raises InadmissibleError; any other exception fails the test."""

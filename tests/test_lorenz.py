@@ -201,19 +201,14 @@ def test_stabilization_monotone_in_beta():
 
 def test_taylor_ratio_tends_to_one_half():
     params = make_params()
-    ratio = taylor_ratio(params, 1e-3)
+    ratio = taylor_ratio(params.with_beta(1e-3))
     assert 0.495 <= ratio <= 0.505
     # deviation from 1/2 halves with beta
-    gap1 = abs(taylor_ratio(params, 1e-3) - 0.5)
-    gap2 = abs(taylor_ratio(params, 5e-4) - 0.5)
+    gap1 = abs(taylor_ratio(params.with_beta(1e-3)) - 0.5)
+    gap2 = abs(taylor_ratio(params.with_beta(5e-4)) - 0.5)
     assert gap1 / gap2 == pytest.approx(2.0, rel=0.01)
     with pytest.raises(ValueError):
-        taylor_ratio(params, 0.0)
-
-
-def test_taylor_ratio_uses_params_beta_by_default():
-    params = make_params(beta=2e-3)
-    assert taylor_ratio(params) == taylor_ratio(make_params(), 2e-3)
+        taylor_ratio(params.with_beta(0.0))
 
 
 def test_minimize_over_length_recovers_classic_onset():

@@ -7,7 +7,7 @@ import pytest
 
 import anelor.basis
 import anelor.projection
-from anelor.basis import ModeGrid, ModeIndex, QuadratureRule
+from anelor.basis import QuadratureRule
 from anelor.lorenz import critical_rayleigh
 from anelor.params import InadmissibleError, PhysicalParams
 from anelor.projection import closed_form_coefficients
@@ -19,10 +19,12 @@ from anelor.spectral import (
 )
 
 from reference_pencil import (
+    FILE_KEYS,
     max_block_deviation,
-    pencil_blocks,
     quadrature_integral,
     reference_blocks,
+    stacked,
+    tensor_grid_blocks,
 )
 
 ROOT2 = math.sqrt(2.0)
@@ -37,30 +39,26 @@ def make_params(beta=0.0, prandtl=10.0, rayleigh=1.0, gamma=4.0 / 3.0,
 
 @pytest.mark.parametrize("beta", [0.0, 0.5, 1.5])
 def test_mass_matrix_is_symmetric_positive_definite(beta):
-    pencil = assemble_pencil(make_params(beta=beta), n_modes=4)
-    n = pencil.n_modes
-    assert pencil.mass.shape == (2 * n, 2 * n)
-    assert np.array_equal(pencil.mass[:n, :n], np.eye(n))
-    assert np.max(np.abs(pencil.mass - pencil.mass.T)) < 1e-14
-    assert np.min(np.linalg.eigvalsh(pencil.mass)) > 0.0
+    gram = assemble_pencil(make_params(beta=beta), n_modes=4).g
+    assert gram.shape == (4, 4)
+    assert np.max(np.abs(gram - gram.T)) < 1e-14
+    assert np.min(np.linalg.eigvalsh(gram)) > 0.0
 
 
 def test_mass_matrix_is_identity_without_stratification():
     pencil = assemble_pencil(make_params(beta=0.0), n_modes=4)
-    assert np.max(np.abs(pencil.mass - np.eye(8))) < 1e-12
+    assert np.max(np.abs(pencil.g - np.eye(4))) < 1e-12
 
 
 def test_vertical_modes_decouple_without_stratification():
     # at beta = 0 the weight is 1 and distinct sine modes are orthogonal, so
     # every block of the pencil is diagonal up to quadrature roundoff
     pencil = assemble_pencil(make_params(beta=0.0), n_modes=4)
-    n = pencil.n_modes
-    scale = max(np.max(np.abs(pencil.l0)), np.max(np.abs(pencil.l1)))
-    for matrix in (pencil.l0, pencil.l1):
-        for block in (matrix[:n, :n], matrix[:n, n:], matrix[n:, :n],
-                      matrix[n:, n:]):
-            off = block - np.diag(np.diag(block))
-            assert np.max(np.abs(off)) <= 1e-12 * scale
+    blocks = (pencil.a, pencil.b, pencil.c, pencil.d)
+    scale = max(np.max(np.abs(block)) for block in blocks)
+    for block in blocks:
+        off = block - np.diag(np.diag(block))
+        assert np.max(np.abs(off)) <= 1e-12 * scale
 
 
 @pytest.mark.parametrize("beta", [0.0, 0.5])
@@ -68,9 +66,8 @@ def test_single_mode_pencil_reproduces_the_reduced_linear_block(beta):
     # the N = 1 operator at Rayleigh number Ra is [[e1, e2], [e5, e4]]
     rayleigh = 900.0
     coeffs = closed_form_coefficients(make_params(beta=beta, rayleigh=rayleigh))
-    pencil = assemble_pencil(make_params(beta=beta), n_modes=1)
-    operator = np.linalg.solve(
-        pencil.mass, pencil.l0 + math.sqrt(rayleigh) * pencil.l1)
+    mass, l0, l1 = stacked(assemble_pencil(make_params(beta=beta), n_modes=1))
+    operator = np.linalg.solve(mass, l0 + math.sqrt(rayleigh) * l1)
     expected = np.array([[coeffs.e1, coeffs.e2], [coeffs.e5, coeffs.e4]])
     scale = np.max(np.abs(expected))
     assert np.max(np.abs(operator - expected)) < 1e-10 * scale
@@ -92,7 +89,7 @@ def test_oracle_and_pencil_read_one_linear_row(monkeypatch):
 
     def tau_diffusion():
         oracle = anelor.projection._oracle_integrals(params.beta, params.length, 64)
-        block = assemble_pencil(params, n_modes=3).l0[3:, 3:]
+        block = assemble_pencil(params, n_modes=3).d
         return oracle["diffusive-tau1"], oracle["diffusive-tau2"], block
 
     anelor.projection._oracle_integrals.cache_clear()
@@ -128,9 +125,9 @@ def test_both_integrators_follow_the_temperature_test_weight(monkeypatch, beta):
         pencil = assemble_pencil(params, n_modes=1)
     finally:
         anelor.projection._oracle_integrals.cache_clear()
-    pairs = [(pencil.mass[1, 1], oracle["mass-tau1"]),
-             (pencil.l0[1, 1], oracle["diffusive-tau1"]),
-             (pencil.l1[1, 0], oracle["source-tau"])]
+    pairs = [(pencil.g[0, 0], oracle["mass-tau1"]),
+             (pencil.d[0, 0], oracle["diffusive-tau1"]),
+             (pencil.c[0, 0], oracle["source-tau"])]
     for value, reference in pairs:
         assert value == pytest.approx(reference, rel=1e-12, abs=0.0)
 
@@ -219,18 +216,16 @@ def test_pencil_matches_the_40_digit_reference_at_strong_stratification():
                          gamma=setup["gamma"], length=setup["length"])
     assert params.length == 2.0 * ROOT2
     pencil = assemble_pencil(params, m=setup["m"], n_modes=setup["n_modes"])
-    expected = {name: np.array(rows) for name, rows in document["blocks"].items()}
-    assert max_block_deviation(pencil_blocks(pencil), expected) <= 2e-15
+    expected = {name: np.array(document["blocks"][key]) for name, key in FILE_KEYS.items()}
+    assert max_block_deviation(vars(pencil), expected) <= 2e-15
 
 
 @pytest.mark.parametrize("beta", [5e-324, 2.2250738585e-313, 1e-300, 1e-8])
 def test_tiny_stratification_gives_a_finite_continuous_pencil(beta):
     params = make_params(beta=beta)
-    pencil = assemble_pencil(params, n_modes=4)
-    for matrix in (pencil.mass, pencil.l0, pencil.l1):
-        assert np.all(np.isfinite(matrix))
-    blocks = pencil_blocks(pencil)
-    flat = pencil_blocks(assemble_pencil(make_params(beta=0.0), n_modes=4))
+    blocks = vars(assemble_pencil(params, n_modes=4))
+    assert all(np.isfinite(block).all() for block in blocks.values())
+    flat = vars(assemble_pencil(make_params(beta=0.0), n_modes=4))
     # the exact pencil moves by O(beta) of each block's scale (5e-9 at beta = 1e-8)
     assert max_block_deviation(blocks, flat) <= 1e-12 + beta
     reference = reference_blocks(params, quadrature_integral(beta, 4, 64))
@@ -246,18 +241,17 @@ def test_growth_rate_rejects_negative_rayleigh():
 def test_bracket_failures_raise(monkeypatch):
     import anelor.spectral as spectral
 
-    def fake_pencil(mass, l0, l1):
-        return LinearOperatorPencil(params=make_params(), m=1, n_modes=1,
-                                    mass=mass, l0=l0, l1=l1)
+    def fake_pencil(diagonal):
+        one, zero = np.ones((1, 1)), np.zeros((1, 1))
+        return LinearOperatorPencil(a=diagonal * one, b=zero, c=zero, d=diagonal * one, g=one)
 
-    eye = np.eye(2)
-    unstable_at_zero = fake_pencil(eye, eye.copy(), np.zeros((2, 2)))
+    unstable_at_zero = fake_pencil(1.0)
     monkeypatch.setattr(spectral, "assemble_pencil",
                         lambda *a, **k: unstable_at_zero)
     with pytest.raises(InadmissibleError):
         critical_rayleigh_spectral(make_params())
 
-    never_unstable = fake_pencil(eye, -eye, np.zeros((2, 2)))
+    never_unstable = fake_pencil(-1.0)
     monkeypatch.setattr(spectral, "assemble_pencil",
                         lambda *a, **k: never_unstable)
     with pytest.raises(InadmissibleError):
@@ -269,68 +263,22 @@ def test_rest_state_stability_uses_the_temperature_gram(monkeypatch):
 
     # eig(D) = {-1, -1} alone looks stable, but with the Gram mass G the
     # temperature rows grow at Ra = 0: eig(G^-1 D) has a positive real part
-    mass, l0, l1 = np.eye(4), -np.eye(4), np.zeros((4, 4))
-    mass[2:, 2:] = [[1.0, 0.8], [0.8, 1.0]]
-    l0[2:, 2:] = [[-1.0, -4.0], [0.0, -1.0]]
-    l1[:2, 2:] = l1[2:, :2] = np.eye(2)
-    pencil = LinearOperatorPencil(params=make_params(), m=1, n_modes=2,
-                                  mass=mass, l0=l0, l1=l1)
+    pencil = LinearOperatorPencil(a=-np.eye(2), b=np.eye(2), c=np.eye(2),
+                                  d=np.array([[-1.0, -4.0], [0.0, -1.0]]),
+                                  g=np.array([[1.0, 0.8], [0.8, 1.0]]))
     assert leading_growth_rate(pencil, 0.0) > 0.0
     monkeypatch.setattr(spectral, "assemble_pencil", lambda *a, **k: pencil)
     with pytest.raises(InadmissibleError, match="Ra = 0"):
         critical_rayleigh_spectral(make_params())
 
 
-def tensor_grid_pencil(params, n_modes, rule):
-    """Every pencil entry as a 2D tensor-grid quadrature sum on ModeGrid."""
-    _, Z, W = rule.grid()
-    beta, n = params.beta, n_modes
-    Eb, E2 = np.exp(beta * Z), np.exp(2.0 * beta * Z)
-    psi = [ModeGrid(ModeIndex(-1, 1, k), params, rule) for k in range(1, n + 1)]
-    tau = [ModeGrid(ModeIndex(+1, 1, k), params, rule) for k in range(1, n + 1)]
-
-    def quad(field):
-        return float(np.sum(W * field))
-
-    def diffused(g):
-        return -Eb * (
-            g.partial(4, 0) + 2.0 * g.partial(2, 2) + g.partial(0, 4)
-            + 4.0 * beta * (g.partial(2, 1) + g.partial(0, 3))
-            + beta**2 * g.laplacian()
-            + 4.0 * beta**2 * g.partial(0, 2)
-            + 2.0 * beta**3 * g.partial(0, 1))
-
-    mass, l0, l1 = np.eye(2 * n), np.zeros((2 * n, 2 * n)), np.zeros((2 * n, 2 * n))
-    for i in range(n):
-        gram = quad(-Eb * (psi[i].laplacian() + beta * psi[i].partial(0, 1))
-                    * psi[i].partial())
-        for j in range(n):
-            entry = quad(Eb * diffused(psi[j]) * psi[i].partial())
-            entry += params.gamma * beta**2 * quad(
-                E2 * psi[j].partial(2, 0) * psi[i].partial())
-            l0[i, j] = params.prandtl * entry / gram
-            l1[i, n + j] = -params.prandtl * quad(
-                Eb * tau[j].partial(1, 0) * psi[i].partial()) / gram
-            mass[n + i, n + j] = quad(tau[j].partial() * tau[i].partial())
-            l0[n + i, n + j] = quad(Eb * tau[j].laplacian() * tau[i].partial())
-            l1[n + i, j] = quad(Eb * psi[j].partial(1, 0) * tau[i].partial())
-    return {"mass": mass, "l0": l0, "l1": l1}
-
-
 @pytest.mark.parametrize("beta", [0.0, 1.0, 5.0])
 def test_separable_pencil_matches_the_tensor_grid_sum(beta):
     params = make_params(beta=beta, prandtl=7.0, gamma=0.8, length=3.1)
-    rule = QuadratureRule(64, params.length)
     pencil = assemble_pencil(params, n_modes=4)
-    reference = tensor_grid_pencil(params, 4, rule)
-    for name, expected in reference.items():
-        actual = getattr(pencil, name)
-        # zero blocks (mass and l0 cross blocks, l1 diagonal blocks) are exact
-        for rows in (slice(0, 4), slice(4, 8)):
-            for cols in (slice(0, 4), slice(4, 8)):
-                block, ref = actual[rows, cols], expected[rows, cols]
-                scale = np.max(np.abs(ref))
-                assert np.max(np.abs(block - ref)) <= 1e-12 * scale, (name, rows, cols)
+    for name, expected in tensor_grid_blocks(params, 4).items():
+        scale = np.max(np.abs(expected))
+        assert np.max(np.abs(getattr(pencil, name) - expected)) <= 1e-12 * scale, name
 
 
 def bisected_onset(pencil):
@@ -368,18 +316,13 @@ def test_onset_settles_at_strong_stratification():
 def test_oscillatory_onset_raises(monkeypatch):
     import anelor.spectral as spectral
 
-    # L0 = -I and L1 = [[0, I], [C, 0]] couple only the two families, like an
-    # assembled pencil, so the growth rates are -1 + s*nu with nu^2 an
+    # A = D = -I and B = I, so the growth rates are -1 + s*nu with nu^2 an
     # eigenvalue of C: a complex pair -1 + s(1 +- i/2) crosses at s = 1,
     # before the real eigenvalue -1 + s/2 crosses at s = 2; the complex
     # eigenvalues 3/4 +- i of C mark no real crossing and must not set the onset
-    l0 = -np.eye(6)
-    l1 = np.zeros((6, 6))
-    l1[:3, 3:] = np.eye(3)
-    l1[3:5, :2] = [[0.75, 1.0], [-1.0, 0.75]]
-    l1[5, 2] = 0.25
-    pencil = LinearOperatorPencil(params=make_params(), m=1, n_modes=3,
-                                  mass=np.eye(6), l0=l0, l1=l1)
+    eye = np.eye(3)
+    c = np.array([[0.75, 1.0, 0.0], [-1.0, 0.75, 0.0], [0.0, 0.0, 0.25]])
+    pencil = LinearOperatorPencil(a=-eye, b=eye, c=c, d=-eye, g=eye)
     monkeypatch.setattr(spectral, "assemble_pencil", lambda *a, **k: pencil)
     with pytest.raises(InadmissibleError, match="oscillatory"):
         critical_rayleigh_spectral(make_params())
@@ -389,7 +332,7 @@ def test_oscillatory_onset_raises(monkeypatch):
 def test_exact_pencil_matches_a_fine_quadrature_at_high_truncations(n_modes):
     # the exact pencil against an in-test Gauss-Legendre rule of 4N + 64 points
     params = make_params(beta=1.0, length=2.83)
-    pencil = pencil_blocks(assemble_pencil(params, n_modes=n_modes))
+    pencil = vars(assemble_pencil(params, n_modes=n_modes))
     reference = reference_blocks(params, quadrature_integral(1.0, n_modes, 4 * n_modes + 64))
     for name, expected in reference.items():
         scale = max(float(np.max(np.abs(expected))), 1.0)

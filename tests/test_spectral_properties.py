@@ -13,12 +13,12 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from anelor.basis import ModeGrid, ModeIndex, QuadratureRule  # noqa: E402
 from anelor.cli import ROUTE_GATE  # noqa: E402
 from anelor.lorenz import critical_rayleigh  # noqa: E402
 from anelor.params import PhysicalParams  # noqa: E402
 from anelor.projection import closed_form_coefficients, oracle_coefficients  # noqa: E402
 from anelor.spectral import assemble_pencil, critical_rayleigh_spectral  # noqa: E402
+from reference_pencil import stacked, tensor_grid_blocks  # noqa: E402
 from test_projection import rel_dev  # noqa: E402
 
 BOX = st.builds(
@@ -37,63 +37,20 @@ def box_settings(examples):
                     max_examples=examples)
 
 
-def tensor_grid_pencil(params, n, rule):
-    """Every pencil entry as a 2D tensor-grid sum over ModeGrid partials."""
-    _, Z, W = rule.grid()
-    beta = params.beta
-    Eb, E2 = np.exp(beta * Z), np.exp(2.0 * beta * Z)
-    psi = [ModeGrid(ModeIndex(-1, 1, k), params, rule) for k in range(1, n + 1)]
-    tau = [ModeGrid(ModeIndex(+1, 1, k), params, rule) for k in range(1, n + 1)]
-
-    def fields(grids, field):
-        return np.array([field(g) for g in grids])
-
-    def project(trials, tests, weight):
-        # [i, j] = sum over the grid of W * weight * trial_j * test_i
-        return np.tensordot(tests * (W * weight), trials, axes=([1, 2], [1, 2]))
-
-    def diffused(g):
-        return -Eb * (
-            g.partial(4, 0) + 2.0 * g.partial(2, 2) + g.partial(0, 4)
-            + 4.0 * beta * (g.partial(2, 1) + g.partial(0, 3))
-            + beta**2 * g.laplacian()
-            + 4.0 * beta**2 * g.partial(0, 2)
-            + 2.0 * beta**3 * g.partial(0, 1))
-
-    psi0, tau0 = fields(psi, lambda g: g.partial()), fields(tau, lambda g: g.partial())
-    vorticity = fields(psi, lambda g: -(g.laplacian() + beta * g.partial(0, 1)))
-    rows = params.prandtl / np.diag(project(vorticity, psi0, Eb))[:, None]
-    diffusion = (project(fields(psi, diffused), psi0, Eb)
-                 + params.gamma * beta**2 * project(fields(psi, lambda g: g.partial(2, 0)),
-                                                    psi0, E2))
-    mass, l0, l1 = np.eye(2 * n), np.zeros((2 * n, 2 * n)), np.zeros((2 * n, 2 * n))
-    l0[:n, :n] = rows * diffusion
-    l1[:n, n:] = -rows * project(fields(tau, lambda g: g.partial(1, 0)), psi0, Eb)
-    mass[n:, n:] = project(tau0, tau0, 1.0)
-    l0[n:, n:] = project(fields(tau, lambda g: g.laplacian()), tau0, Eb)
-    l1[n:, :n] = project(fields(psi, lambda g: g.partial(1, 0)), tau0, Eb)
-    return {"mass": mass, "l0": l0, "l1": l1}
-
-
 @box_settings(30)
 @given(params=BOX, n_modes=MODES)
 def test_pencil_matches_the_tensor_grid_sum_on_the_box(params, n_modes):
-    rule = QuadratureRule(64, params.length)
     pencil = assemble_pencil(params, n_modes=n_modes)
-    n = n_modes
-    for name, expected in tensor_grid_pencil(params, n, rule).items():
-        actual = getattr(pencil, name)
-        for rows in (slice(0, n), slice(n, 2 * n)):
-            for cols in (slice(0, n), slice(n, 2 * n)):
-                block, ref = actual[rows, cols], expected[rows, cols]
-                scale = np.max(np.abs(ref))
-                assert np.max(np.abs(block - ref)) <= 1e-12 * scale, (name, rows, cols)
+    for name, expected in tensor_grid_blocks(params, n_modes).items():
+        scale = np.max(np.abs(expected))
+        assert np.max(np.abs(getattr(pencil, name) - expected)) <= 1e-12 * scale, name
 
 
 def full_pencil_onset(pencil):
     """Onset from the 2N x 2N problem: s = 1/mu, mu the largest positive real
     eigenvalue of -L0^-1 L1."""
-    mu = np.linalg.eigvals(-np.linalg.solve(pencil.l0, pencil.l1))
+    _, l0, l1 = stacked(pencil)
+    mu = np.linalg.eigvals(-np.linalg.solve(l0, l1))
     return float(np.max(mu.real[(mu.imag == 0.0) & (mu.real > 0.0)])) ** -2
 
 
