@@ -442,7 +442,7 @@ def _cmd_validate(config: RunConfig) -> int:
     columns = ("beta", "m", "n_modes", "ra_critical", "ra_reduced", "rel_dev")
 
     consistency = next((row[5] for row in rows if row[2] == 1), None)
-    passed = consistency is None or consistency <= ROUTE_GATE
+    passed = None if consistency is None else consistency <= ROUTE_GATE  # None: unchecked
 
     reports = discrepancy_report(params, config.order)
     if config.report:
@@ -459,7 +459,7 @@ def _cmd_validate(config: RunConfig) -> int:
     else:
         _note(config, f"N=1 route consistency {consistency:.3e} "
               f"(threshold {ROUTE_GATE:g}): {'ok' if passed else 'FAIL'}")
-    return 0 if passed else 1
+    return 1 if passed is False else 0
 
 
 # subcommand -> (--help line, handler)

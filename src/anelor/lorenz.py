@@ -215,16 +215,14 @@ def minimize_over_length(
 ) -> LengthOptimum:
     """Domain width that minimizes the critical Rayleigh number.
 
-    A 41-point scan of l over [0.5, 10], then golden-section refinement to
-    |dl| <= 1e-8. Raises InadmissibleError when Ra* is still falling at an edge
-    of the scan; for beta > 2*pi the message also gives the e4 = 0 width below.
-    At beta = 0 the optimum is l = 2*sqrt(2) with Ra* = 27*pi^4/4. `order` is
-    the oracle's quadrature order, as in `critical_rayleigh`.
-
-    The scan passes on the InadmissibleError of widths with e4 >= 0, l >= 2*pi /
-    sqrt(beta^2/4 - pi^2) for beta > 2*pi, which holds at l = 10 from beta =
-    6.408. Skipping them would give no minimum, since Ra* -> 0 as e4 -> 0-: at
-    l = 4.06 the closed form gives Ra* = 372.8 at beta = 7 and 770.3 at 0.
+    One golden section over l in [0.5, 10], 46 onsets; Ra* is flat at its
+    minimum, so l is good to about 1e-7. The minimum is unique wherever the
+    onset exists: with q = (2*pi/l)^2, a, b = pi^2 -+ beta^2/4 and c = (1 +
+    gamma)*beta^2, the closed form's dRa*/dq = 0 is 2q^3 + (2b + c + a)q^2 =
+    a*b^2, with one positive root for beta < 2*pi (Descartes' rule) and none
+    above. Raises InadmissibleError when the bracket never leaves an edge of
+    the window (with the e4 = 0 width for beta > 2*pi) or meets a width with
+    e4 >= 0, where Ra* -> 0. `order` is the oracle's, as in `critical_rayleigh`.
     """
     evaluations = 0
 
@@ -234,22 +232,8 @@ def minimize_over_length(
         p = PhysicalParams(beta=beta, prandtl=prandtl, gamma=gamma, length=length)
         return critical_rayleigh(p, source, order)
 
-    grid = np.linspace(0.5, 10.0, 41)
-    values = [ra_star(l) for l in grid.tolist()]  # floats: numpy scalars warn on overflow
-    k = int(np.argmin(values))
-    if k == 0 or k == len(grid) - 1:
-        message = (f"Ra* is still falling at the edge l = {grid[k]:.6g} of the scan over "
-                   f"[0.5, 10] at beta = {beta}")
-        if beta > 2.0 * math.pi:
-            width = 2.0 * math.pi / math.sqrt(beta**2 / 4.0 - math.pi**2)
-            message += f"; the onset ends where e4 = 0, at l = {width:.6g}"
-        raise InadmissibleError(message)
-
-    # golden-section on the bracketing triple
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    left, right = float(grid[k - 1]), float(grid[k + 1])
-    x1 = right - invphi * (right - left)
-    x2 = left + invphi * (right - left)
+    invphi, left, right = (math.sqrt(5.0) - 1.0) / 2.0, 0.5, 10.0
+    x1, x2 = right - invphi * (right - left), left + invphi * (right - left)
     f1, f2 = ra_star(x1), ra_star(x2)
     while right - left > 1e-8:
         if f1 <= f2:
@@ -260,5 +244,12 @@ def minimize_over_length(
             left, x1, f1 = x1, x2, f2
             x2 = left + invphi * (right - left)
             f2 = ra_star(x2)
+    if left == 0.5 or right == 10.0:
+        message = (f"Ra* is still falling at the edge l = {left if left == 0.5 else right:.6g} "
+                   f"of the scan over [0.5, 10] at beta = {beta}")
+        if beta > 2.0 * math.pi:
+            width = 2.0 * math.pi / math.sqrt(beta**2 / 4.0 - math.pi**2)
+            message += f"; the onset ends where e4 = 0, at l = {width:.6g}"
+        raise InadmissibleError(message)
     best = 0.5 * (left + right)
     return LengthOptimum(length=best, rayleigh=ra_star(best), evaluations=evaluations)

@@ -297,6 +297,8 @@ def _assemble(terms: dict, params: PhysicalParams, provenance: str) -> GalerkinC
     where = f"at beta = {params.beta}, l = {params.length}"
     if not all(map(math.isfinite, terms.values())):  # a Gram factor may have underflowed to 0
         raise InadmissibleError(f"projection terms are not finite {where}")
+    if params.rayleigh > 0.0 and 0.0 in (terms["buoyancy-omega"], terms["source-tau"]):
+        raise InadmissibleError(f"the buoyancy or source coupling underflows to 0 {where}")
     pr, mass_omega = params.prandtl, terms["mass-omega"]
     g1, g2 = terms["mass-tau1"], terms["mass-tau2"]
     quotients = {

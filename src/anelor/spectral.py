@@ -162,17 +162,23 @@ def critical_rayleigh_spectral(
     eig(A) and eig(G^-1 D) have negative real parts, and L(Ra) is singular where
     1/Ra is an eigenvalue of A^-1 B D^-1 C; the onset is Ra = 1/lambda for the
     largest positive real eigenvalue lambda.
-    Raises InadmissibleError, naming beta, l and N, when the rest state is not
-    stable at Ra = 0, when no positive real lambda exists, or when the growth
-    rate at the result is positive beyond roundoff, i.e. an oscillatory mode
-    crossed first.
+    Raises InadmissibleError, naming beta, l and N, when A, D or G is singular,
+    when the rest state is not stable at Ra = 0, when no positive real lambda
+    exists, or when the growth rate at the result is positive beyond roundoff,
+    i.e. an oscillatory mode crossed first.
     """
-    p = assemble_pencil(params, m, n_modes)
-    solve, eigvals = np.linalg.solve, np.linalg.eigvals
+    p, eigvals = assemble_pencil(params, m, n_modes), np.linalg.eigvals
     head = f"no stationary onset at beta = {params.beta}, l = {params.length}, N = {n_modes}: "
-    if max(eigvals(p.a).real.max(), eigvals(solve(p.g, p.d)).real.max()) >= 0.0:
+
+    def solve(name, rhs):
+        try:
+            return np.linalg.solve(getattr(p, name), rhs)
+        except np.linalg.LinAlgError:
+            raise InadmissibleError(head + f"block {name.upper()} is singular") from None
+
+    if max(eigvals(p.a).real.max(), eigvals(solve("g", p.d)).real.max()) >= 0.0:
         raise InadmissibleError(head + "growth rate at Ra = 0 is not negative")
-    lam = eigvals(solve(p.a, p.b) @ solve(p.d, p.c))
+    lam = eigvals(solve("a", p.b) @ solve("d", p.c))
     real = lam.real[(lam.imag == 0.0) & (lam.real > 0.0)]
     if real.size == 0:
         raise InadmissibleError(head + "no real eigenvalue crosses zero at any Ra > 0")

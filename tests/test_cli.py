@@ -187,7 +187,7 @@ def test_critical_without_a_reduced_onset_fails_in_one_line(capsys):
     code, out, err = run(capsys, "critical", "--beta", "7", "--optimize-l")
     assert (code, out) == (1, "")
     assert len(err.splitlines()) == 1
-    assert err.startswith("anelor: no onset at beta = 7.0, l = 4.3: ")
+    assert err.startswith("anelor: no onset at beta = 7.0, l = 4.128677106875998: ")
     assert "e4 = " in err and "rate" in err
 
 
@@ -336,11 +336,20 @@ def test_validate_reports_the_pencil_past_the_reduced_e4_edge(capsys):
         [2, pytest.approx(193670.579, rel=1e-8), None, None],
         [8, pytest.approx(80500.681, rel=1e-8), None, None]]
     assert document["route_consistency"]["rel_dev"] is None
+    assert document["route_consistency"]["passed"] is None
     assert err.startswith("route consistency not checked (reduced route: no onset at "
                           "beta = 7.75, l = 2.8284271247461903: ")
     code, out, err = run(capsys, "validate", "--beta", "7.75", "--n-modes", "2", "1")
     assert (code, out) == (1, "")
     assert "beta = 7.75, l = 2.8284271247461903, N = 1: " in err
+
+
+def test_validate_without_n1_leaves_the_route_check_open(capsys):
+    code, out, err = run(capsys, "validate", "--beta", "0.3", "--n-modes", "2", "--format", "json")
+    assert code == 0
+    consistency = json.loads(out)["route_consistency"]
+    assert consistency["rel_dev"] is None and consistency["passed"] is None
+    assert err == "route consistency not checked (no N=1 truncation requested)\n"
 
 
 def test_environment_and_config_precedence(capsys, tmp_path, monkeypatch):

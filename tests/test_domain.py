@@ -13,7 +13,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from anelor.cli import ROUTE_GATE  # noqa: E402
+from anelor.cli import ROUTE_GATE, main  # noqa: E402
 from anelor.lorenz import critical_rayleigh, scale_to_lorenz  # noqa: E402
 from anelor.params import InadmissibleError, PhysicalParams  # noqa: E402
 from anelor.projection import coefficients  # noqa: E402
@@ -106,3 +106,27 @@ def test_only_the_map_rejects_where_e3_e6_or_e7_change_sign(beta, length, onset)
     assert abs(critical_rayleigh_spectral(params, n_modes=1) - reduced) <= ROUTE_GATE * reduced
     with pytest.raises(InadmissibleError, match=r"^no Lorenz map at beta = "):
         scale_to_lorenz(coefficients(params, "closed_form"))
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_singular_gram_block_is_inadmissible():
+    # cond(G) is 3.2e17 here, and LU meets an exactly zero pivot
+    params = PhysicalParams(beta=475.22021508892465, length=6.535862772964041)
+    with pytest.raises(InadmissibleError, match=r"^no stationary onset at beta = "
+                       r"475\.22021508892465, l = 6\.535862772964041, N = 8: block G is singular$"):
+        critical_rayleigh_spectral(params, m=2, n_modes=8)
+
+
+@pytest.mark.filterwarnings("error")
+def test_an_underflowed_coupling_is_inadmissible(capsys):
+    # at l = 1e300 the oracle's buoyancy and source integrals are exactly 0, against
+    # the closed form's 2 pi sqrt(Ra)/l = 2.0e-298; at Ra = 0 they are 0 by design
+    params = PhysicalParams(length=1e300, rayleigh=1000.0)
+    with pytest.raises(InadmissibleError, match=r"^the buoyancy or source coupling underflows "
+                       r"to 0 at beta = 0\.0, l = 1e\+300$"):
+        coefficients(params, "oracle")
+    assert coefficients(params.with_rayleigh(0.0), "oracle").e2 == 0.0
+    assert main(["coeffs", "--l", "1e300", "--ra", "1000"]) == 1
+    assert capsys.readouterr() == ("", "anelor: the buoyancy or source coupling underflows "
+                                       "to 0 at beta = 0.0, l = 1e+300\n")
+    assert main(["coeffs", "--l", "1e300", "--ra", "0", "--quiet"]) == 0

@@ -18,6 +18,7 @@ from anelor.projection import (
     GalerkinCoeffs,
     closed_form_coefficients,
     coefficients,
+    expm1_over,
     oracle_coefficients,
 )
 
@@ -215,7 +216,57 @@ def test_minimize_over_length_recovers_classic_onset():
     optimum = minimize_over_length(beta=0.0)
     assert optimum.rayleigh == pytest.approx(RA_CLASSIC, rel=1e-6)
     assert optimum.length == pytest.approx(2.0 * ROOT2, abs=1e-6)
-    assert optimum.evaluations > 41
+    assert optimum.evaluations == 46
+
+
+def onset_formula(beta, gamma, q):
+    """The closed-form Ra* at q = (2 pi/l)^2 and the coefficients a, b, c of
+    dRa*/dq = 0, that is 2q^3 + (2b + c + a)q^2 - a*b^2 = 0."""
+    pi2 = math.pi**2
+    a, b, c = pi2 - beta**2 / 4.0, pi2 + beta**2 / 4.0, (1.0 + gamma) * beta**2
+    e1_r4 = expm1_over(beta) / (beta**2 + 4.0 * pi2)
+    return 4.0 * pi2 * e1_r4 * ((b + q)**2 + c * q) * (a + q) / q, (a, b, c)
+
+
+def cubic_minimum(beta, gamma):
+    """Width 2 pi/sqrt(q*) and Ra* at q*, the cubic's positive root."""
+    _, (a, b, c) = onset_formula(beta, gamma, 1.0)
+    (q,) = [r.real for r in np.roots([2.0, 2.0 * b + c + a, 0.0, -a * b * b])
+            if r.real > 0.0 and abs(r.imag) <= 1e-12 * abs(r)]
+    for _ in range(3):  # Newton polish of the companion-matrix root
+        q -= (2.0 * q**3 + (2.0 * b + c + a) * q**2 - a * b * b) / (
+            6.0 * q**2 + 2.0 * (2.0 * b + c + a) * q)
+    return 2.0 * math.pi / math.sqrt(q), onset_formula(beta, gamma, q)[0]
+
+
+@pytest.mark.parametrize("beta, length", [(0.0, 2.0), (3.0, 4.0), (6.2, 9.0)])
+def test_the_onset_formula_is_the_closed_form_onset(beta, length):
+    formula, _ = onset_formula(beta, 4.0 / 3.0, (2.0 * math.pi / length) ** 2)
+    onset = critical_rayleigh(make_params(beta=beta, length=length), "closed_form")
+    assert formula == pytest.approx(onset, rel=1e-14)
+
+
+# at gamma = 4/3, beta = 6.2655 and 6.2662 lie past a 41-point grid's false edge at
+# 6.26545, below the true one at 6.26628611, where l* reaches 10
+@pytest.mark.parametrize("gamma", [1.0 / 3.0, 4.0 / 3.0, 3.0])
+@pytest.mark.parametrize("beta", [0.0, 0.5, 3.0, 6.0, 6.2655, 6.2662])
+def test_minimize_over_length_finds_the_root_of_the_cubic(beta, gamma):
+    length, rayleigh = cubic_minimum(beta, gamma)
+    if length > 10.0:  # gamma = 3 from beta = 6.2655
+        with pytest.raises(InadmissibleError, match=r"^Ra\* is still falling at the edge l = 10 "):
+            minimize_over_length(beta=beta, gamma=gamma)
+        return
+    optimum = minimize_over_length(beta=beta, gamma=gamma)
+    assert optimum.length == pytest.approx(length, abs=1e-6)
+    assert optimum.rayleigh == pytest.approx(rayleigh, rel=1e-13)
+    assert optimum.evaluations == 46
+
+
+def test_minimize_over_length_raises_once_the_root_leaves_the_window():
+    assert cubic_minimum(6.2664, 4.0 / 3.0)[0] > 10.0
+    with pytest.raises(InadmissibleError, match=r"^Ra\* is still falling at the edge l = 10 of "
+                       r"the scan over \[0\.5, 10\] at beta = 6\.2664$"):
+        minimize_over_length(beta=6.2664, gamma=4.0 / 3.0)
 
 
 def test_minimize_over_length_is_deterministic():
@@ -232,7 +283,7 @@ def test_minimize_over_length_oracle_route_agrees():
 
 def test_minimize_over_length_edge_raises():
     # a large viscosity ratio makes the gamma term dominate e1, which pushes
-    # the minimum of Ra* over the scanned widths to the edge l = 10
+    # the minimum of Ra* over the window past its edge l = 10
     with pytest.raises(InadmissibleError, match="edge l = 10"):
         minimize_over_length(beta=1.0, gamma=1e4)
 
@@ -259,8 +310,9 @@ def test_no_reduced_onset_where_e4_is_not_negative():
     # beta > 2 pi gives e4 >= 0 from l = 2 pi / sqrt(beta^2/4 - pi^2), 4.072 at beta = 7
     with pytest.raises(InadmissibleError, match=r"^no onset at beta = 7\.0, l = 4\.3: .*e4 = 3\.85"):
         critical_rayleigh(make_params(beta=7.0, length=4.3), "closed_form")
-    # the width scan reaches that edge at its 17th point
-    with pytest.raises(InadmissibleError, match=r"^no onset at beta = 7\.0, l = 4\.3:"):
+    # the golden section's first probe, l = 10 - 9.5/phi, already lies past that edge
+    with pytest.raises(InadmissibleError,
+                       match=r"^no onset at beta = 7\.0, l = 4\.128677106875998:"):
         minimize_over_length(beta=7.0)
 
 
