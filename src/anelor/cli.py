@@ -42,13 +42,13 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .dynamics import integrate_lorenz, integrate_reduced, map_trajectory, render_csv
+from .dynamics import integrate_lorenz, integrate_reduced, map_trajectory
 from .lorenz import critical_rayleigh, minimize_over_length, scale_to_lorenz
 from .params import InadmissibleError, PhysicalParams
 from .projection import ORDER, PROVENANCES, ProjectionTermReport, coefficients, discrepancy_report
 from .spectral import critical_rayleigh_spectral
 
-__all__ = ["ConfigError", "RunConfig", "main", "entry"]
+__all__ = ["ConfigError", "RunConfig", "main", "entry", "render_csv"]
 
 COEFF_GATE = 1e-6
 ROUTE_GATE = 1e-8
@@ -295,6 +295,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 _REPORT_COLUMNS = tuple(field.name for field in fields(ProjectionTermReport))
+
+
+def render_csv(columns, rows) -> str:
+    """The CSV table: a header, then one comma-separated line per row with
+    floats to 17 significant digits and None as an empty cell; LF line endings."""
+    lines = [",".join(columns)] + [
+        ",".join("" if v is None else f"{v:.17g}" if isinstance(v, float) else str(v)
+                 for v in row) for row in rows]
+    return "\n".join(lines) + "\n"
 
 
 def _emit(config: RunConfig, columns, rows, extra: dict, command=None, path=None) -> None:

@@ -8,7 +8,7 @@ Sec. II.4. Each system is written once, in `_SYSTEMS`. Its RHS function and
 its step loop are generated from that entry: the loop pastes the RHS into
 every stage, as a call and a tuple per stage cost as much as the arithmetic,
 steers the step size without min/max calls, and packs each accepted step as
-8n doubles into one bytearray that `_dense_output` reads without a copy.
+7n doubles into one bytearray that `_dense_output` reads without a copy.
 Also here: the decay/growth diagnostic of the trailing log amplitude.
 """
 
@@ -27,7 +27,7 @@ from .lorenz import LorenzParams, ScalingMap
 from .projection import GalerkinCoeffs
 
 __all__ = [
-    "IntegrationError", "Trajectory", "render_csv", "reduced_rhs", "lorenz_rhs",
+    "IntegrationError", "Trajectory", "reduced_rhs", "lorenz_rhs",
     "integrate_reduced", "integrate_lorenz", "map_trajectory", "log_norm_slope",
     "amplitude_trend", "largest_lyapunov",
 ]
@@ -64,15 +64,6 @@ class Trajectory:
             raise ValueError("labels must cover the time column and every state")
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "states", states)
-
-
-def render_csv(columns, rows) -> str:
-    """The CLI's CSV table: a header, then one comma-separated line per row with
-    floats to 17 significant digits and None as an empty cell; LF line endings."""
-    lines = [",".join(columns)] + [
-        ",".join("" if v is None else f"{v:.17g}" if isinstance(v, float) else str(v)
-                 for v in row) for row in rows]
-    return "\n".join(lines) + "\n"
 
 
 class _System(NamedTuple):
@@ -126,11 +117,11 @@ _A = ((1 / 5,), (3 / 40, 9 / 40), (44 / 45, -56 / 15, 32 / 9),
 _B = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)
 _E = (-71 / 57600, 0.0, 71 / 16695, -71 / 1920, 17253 / 339200, -22 / 525, 1 / 40)
 # 4th-order dense output (Shampine 1986): over a step from (t, y) with stages
-# K (7, n), y(t + x h) = y + h K^T P (x, x^2, x^3, x^4).
+# K (6, n) = k1, k3, ..., k7, y(t + x h) = y + h K^T P (x, x^2, x^3, x^4); k2's
+# row is zero, as are its weights in _B and _E, so no step records it.
 _P = np.array([
     [1, -8048581381 / 2820520608, 8663915743 / 2820520608,
      -12715105075 / 11282082432],
-    [0, 0, 0, 0],
     [0, 131558114200 / 32700410799, -68118460800 / 10900136933,
      87487479700 / 32700410799],
     [0, -1754552775 / 470086768, 14199869525 / 1410260304,
@@ -221,11 +212,11 @@ def _stepper(system: _System):
                       for i in range(n))
     source = _LOOP.format(
         params=system.params, y=names("y"), k1=names("k1_"), k7=names("k7_"),
-        k=" ".join(names(f"k{s}_") for s in range(1, 8)), state=system.state,
+        k=" ".join(names(f"k{s}_") for s in (1, 3, 4, 5, 6, 7)), state=system.state,
         abs_y=names("ay"), abs_z=names("az"), abs_y0=", ".join(f"abs(y{i})" for i in range(n)),
         error=error, sqrt_n=math.sqrt(n), stages="\n".join(" " * 12 + x for x in lines),
         safety=_SAFETY, min_factor=_MIN_FACTOR, max_factor=_MAX_FACTOR)
-    namespace = dict(globals(), rhs=_rhs(system), pack=struct.Struct(f"{8 * n}d").pack)
+    namespace = dict(globals(), rhs=_rhs(system), pack=struct.Struct(f"{7 * n}d").pack)
     return _compile(source, f"<dopri45 {system.name}>", "dopri45", namespace)
 
 
@@ -237,8 +228,8 @@ def _dopri45(system: _System, arg, y, t_end, rtol, atol, records=None):
     rtol * max(|y_old|, |y_new|), is below one; the next step is scaled by
     0.9 * err^(-1/5), clipped to [0.2, 10] and to at most 1 (`limit`) after a
     rejection. Returns (final y, RHS evaluations, step bounds [0, ..., t_end])
-    and, if `records` is a bytearray, appends to it per step the 8n doubles
-    y, k1, ..., k7 that `_dense_output` reads. Overflow, non-finite states
+    and, if `records` is a bytearray, appends to it per step the 7n doubles
+    y, k1, k3, ..., k7 that `_dense_output` reads. Overflow, non-finite states
     and steps below the float spacing raise IntegrationError."""
     try:
         y, nfev, bounds = _stepper(system)(arg, y, t_end, rtol, atol, records)
@@ -252,10 +243,10 @@ def _dopri45(system: _System, arg, y, t_end, rtol, atol, records=None):
 def _dense_output(t_eval, bounds, records) -> np.ndarray:
     """States at t_eval from the interpolant of the step (t_i, t_i+1] holding
     each time; t = 0 falls in the first step. `records` is the bytearray of
-    `_dopri45`, 8n packed doubles per step."""
+    `_dopri45`, 7n packed doubles per step."""
     bounds = np.asarray(bounds)
     index = np.searchsorted(bounds[1:], t_eval, side="left")
-    table = np.frombuffer(records).reshape(bounds.size - 1, 8, -1)
+    table = np.frombuffer(records).reshape(bounds.size - 1, 7, -1)
     y_old, stages = table[index, 0], table[index, 1:]
     h = bounds[index + 1] - bounds[index]
     x = (t_eval - bounds[index]) / h

@@ -246,7 +246,7 @@ def minimize_over_length(
             f2 = ra_star(x2)
     if left == 0.5 or right == 10.0:
         message = (f"Ra* is still falling at the edge l = {left if left == 0.5 else right:.6g} "
-                   f"of the scan over [0.5, 10] at beta = {beta}")
+                   f"of the window [0.5, 10] at beta = {beta}")
         if beta > 2.0 * math.pi:
             width = 2.0 * math.pi / math.sqrt(beta**2 / 4.0 - math.pi**2)
             message += f"; the onset ends where e4 = 0, at l = {width:.6g}"

@@ -5,6 +5,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
+__all__ = ["InadmissibleError", "PhysicalParams"]
+
 
 class InadmissibleError(ValueError):
     """No answer at these parameters: they lie outside the domain of the route

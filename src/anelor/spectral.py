@@ -134,21 +134,30 @@ def _assemble_matrices(params, m, n):
             "g": block("temperature time derivative")}
 
 
-def _spectrum(pencil: LinearOperatorPencil, rayleigh: float) -> np.ndarray:
-    """The 2N eigenvalues of M^-1 L(Ra), the one place the blocks are stacked."""
-    n, root = len(pencil.g), math.sqrt(rayleigh)
-    mass, stiffness = np.eye(2 * n), np.empty((2 * n, 2 * n))
-    mass[n:, n:] = pencil.g
-    stiffness[:n, :n], stiffness[:n, n:] = pencil.a, root * pencil.b
-    stiffness[n:, :n], stiffness[n:, n:] = root * pencil.c, pencil.d
-    return np.linalg.eigvals(np.linalg.solve(mass, stiffness))
+def _solve(pencil, name, rhs, head):
+    """Block `name` (a, d or g) of the pencil solved against rhs; where it is
+    singular, InadmissibleError says so after `head`."""
+    try:
+        return np.linalg.solve(getattr(pencil, name), rhs)
+    except np.linalg.LinAlgError:
+        raise InadmissibleError(head + f"block {name.upper()} is singular") from None
+
+
+def _spectrum(pencil, rayleigh, head):
+    """The 2N eigenvalues of M^-1 L(Ra) = [[A, sqrt(Ra) B], [G^-1 sqrt(Ra) C, G^-1 D]],
+    the one place the blocks are stacked, with one N x N solve for its lower half."""
+    root = math.sqrt(rayleigh)
+    lower = _solve(pencil, "g", np.hstack((root * pencil.c, pencil.d)), head)
+    return np.linalg.eigvals(np.vstack((np.hstack((pencil.a, root * pencil.b)), lower)))
 
 
 def leading_growth_rate(pencil: LinearOperatorPencil, rayleigh: float) -> float:
-    """Maximum real part over the 2N generalized eigenvalues at this Ra."""
+    """Maximum real part over the 2N generalized eigenvalues at this Ra.
+    Raises InadmissibleError, naming N, where G is singular."""
     if rayleigh < 0.0:
         raise ValueError("rayleigh must be nonnegative")
-    return float(np.max(_spectrum(pencil, rayleigh).real))
+    head = f"no growth rate at N = {len(pencil.g)}: "
+    return float(np.max(_spectrum(pencil, rayleigh, head).real))
 
 
 def critical_rayleigh_spectral(
@@ -169,21 +178,14 @@ def critical_rayleigh_spectral(
     """
     p, eigvals = assemble_pencil(params, m, n_modes), np.linalg.eigvals
     head = f"no stationary onset at beta = {params.beta}, l = {params.length}, N = {n_modes}: "
-
-    def solve(name, rhs):
-        try:
-            return np.linalg.solve(getattr(p, name), rhs)
-        except np.linalg.LinAlgError:
-            raise InadmissibleError(head + f"block {name.upper()} is singular") from None
-
-    if max(eigvals(p.a).real.max(), eigvals(solve("g", p.d)).real.max()) >= 0.0:
+    if max(eigvals(p.a).real.max(), eigvals(_solve(p, "g", p.d, head)).real.max()) >= 0.0:
         raise InadmissibleError(head + "growth rate at Ra = 0 is not negative")
-    lam = eigvals(solve("a", p.b) @ solve("d", p.c))
+    lam = eigvals(_solve(p, "a", p.b, head) @ _solve(p, "d", p.c, head))
     real = lam.real[(lam.imag == 0.0) & (lam.real > 0.0)]
     if real.size == 0:
         raise InadmissibleError(head + "no real eigenvalue crosses zero at any Ra > 0")
     rayleigh = 1.0 / float(np.max(real))
-    spectrum = _spectrum(p, rayleigh)
+    spectrum = _spectrum(p, rayleigh, head)
     growth = float(np.max(spectrum.real))
     if growth > 1e-8 * float(np.max(np.abs(spectrum))):
         raise InadmissibleError(head + f"oscillatory onset: growth rate is {growth:.3e} "

@@ -5,10 +5,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from anelor import cli
-from anelor.cli import _SETTINGS, _build_parser, main, resolve_config
+from anelor.cli import _SETTINGS, _build_parser, main, render_csv, resolve_config
 from anelor.lorenz import critical_rayleigh, minimize_over_length
 from anelor.params import PhysicalParams
 
@@ -534,3 +535,31 @@ def test_cli_import_does_not_load_scipy():
         [sys.executable, "-c",
          "import anelor.cli, sys; assert 'scipy' not in sys.modules"],
         env=env, check=True, timeout=60)
+
+
+def test_package_import_does_not_load_the_cli():
+    # the package re-exports every module's __all__ but the command line's
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    code = ("import anelor, sys; print(sorted(set(sys.modules) & "
+            "{'anelor.cli', 'argparse', 'concurrent.futures', 'scipy'}))")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env=env, check=True, timeout=60)
+    assert result.stdout.strip() == "[]"
+
+
+def test_csv_round_trip_and_line_endings():
+    times = np.array([0.0, 0.5, 2.0])
+    states = np.array([[1.0, 2.0, 3.0],
+                       [0.1, 1.0 / 3.0, 6.02e23],
+                       [-1e-300, 0.0, math.pi]])
+    text = render_csv(("t", "A", "B", "C"), np.column_stack([times, states]))
+    assert "\r" not in text
+    lines = text.split("\n")
+    assert lines[0] == "t,A,B,C"
+    assert lines[-1] == ""
+    for k, line in enumerate(lines[1:-1]):
+        cells = line.split(",")
+        assert len(cells) == 4
+        assert float(cells[0]) == times[k]
+        assert [float(cell) for cell in cells[1:]] == list(states[k])

@@ -17,7 +17,11 @@ from anelor.cli import ROUTE_GATE, main  # noqa: E402
 from anelor.lorenz import critical_rayleigh, scale_to_lorenz  # noqa: E402
 from anelor.params import InadmissibleError, PhysicalParams  # noqa: E402
 from anelor.projection import coefficients  # noqa: E402
-from anelor.spectral import critical_rayleigh_spectral  # noqa: E402
+from anelor.spectral import (  # noqa: E402
+    assemble_pencil,
+    critical_rayleigh_spectral,
+    leading_growth_rate,
+)
 
 
 def lorenz_parameters(params, source):
@@ -115,6 +119,12 @@ def test_a_singular_gram_block_is_inadmissible():
     with pytest.raises(InadmissibleError, match=r"^no stationary onset at beta = "
                        r"475\.22021508892465, l = 6\.535862772964041, N = 8: block G is singular$"):
         critical_rayleigh_spectral(params, m=2, n_modes=8)
+    # the growth rate has no beta or l to name, and G is singular at any Ra
+    pencil = assemble_pencil(params, m=2, n_modes=8)
+    for rayleigh in (0.0, 1000.0):
+        with pytest.raises(InadmissibleError, match=r"^no growth rate at N = 8: block G is "
+                           r"singular$"):
+            leading_growth_rate(pencil, rayleigh)
 
 
 @pytest.mark.filterwarnings("error")

@@ -31,7 +31,6 @@ from anelor.dynamics import (
     lorenz_rhs,
     map_trajectory,
     reduced_rhs,
-    render_csv,
 )
 from anelor.lorenz import LorenzParams, critical_rayleigh, scale_to_lorenz
 from anelor.params import PhysicalParams
@@ -245,23 +244,6 @@ def test_trajectory_validation():
         Trajectory(times, states, ("t", "A", "B"), 1e-10, 1e-12, 0)
 
 
-def test_csv_round_trip_and_line_endings():
-    times = np.array([0.0, 0.5, 2.0])
-    states = np.array([[1.0, 2.0, 3.0],
-                       [0.1, 1.0 / 3.0, 6.02e23],
-                       [-1e-300, 0.0, math.pi]])
-    text = render_csv(REDUCED_LABELS, np.column_stack([times, states]))
-    assert "\r" not in text
-    lines = text.split("\n")
-    assert lines[0] == "t,A,B,C"
-    assert lines[-1] == ""
-    for k, line in enumerate(lines[1:-1]):
-        cells = line.split(",")
-        assert len(cells) == 4
-        assert float(cells[0]) == times[k]
-        assert [float(cell) for cell in cells[1:]] == list(states[k])
-
-
 def test_lyapunov_exponent_matches_linear_decay_rate():
     lp = LorenzParams(10.0, 8.0 / 3.0, 0.5)
     estimate = largest_lyapunov(lp)
@@ -286,7 +268,7 @@ def test_six_state_linear_system_matches_its_exponential_solution():
     steps = len(bounds) - 1
     assert bounds[0] == 0.0 and bounds[-1] == 3.0
     assert (nfev - 2) % 6 == 0 and nfev >= 2 + 6 * steps
-    assert len(np.frombuffer(records)) == 8 * 6 * steps
+    assert len(np.frombuffer(records)) == 7 * 6 * steps
     times = np.linspace(0.0, 3.0, 61)
     exact = np.empty((times.size, 6))
     for k, (a, w) in enumerate(blocks):
@@ -329,11 +311,14 @@ def test_pasted_rhs_matches_the_public_functions_bit_for_bit():
             records = bytearray()
             _, _, bounds = _dopri45(system, arg, rng.uniform(-5.0, 5.0, n).tolist(),
                                     0.05, 1e-10, 1e-12, records)
-            table = np.reshape(np.frombuffer(records), (-1, 8, n)).tolist()
-            for step, (y, *stages) in enumerate(table):
+            table = np.reshape(np.frombuffer(records), (-1, 7, n)).tolist()
+            for step, (y, k1, *later) in enumerate(table):
                 h = bounds[step + 1] - bounds[step]
-                assert list(rhs(0.0, y, arg)) == stages[0]
-                for s, weights in enumerate(_A + (_B,), 1):
+                assert list(rhs(0.0, y, arg)) == k1
+                # no weight reads k2, so steps do not record it: rebuild it at
+                # stage 2's state, and stage 3's state checks it
+                stages = [k1, list(rhs(0.0, stage_state(y, h, _A[0], [k1]), arg)), *later]
+                for s, weights in enumerate(_A[1:] + (_B,), 2):
                     state = stage_state(y, h, weights, stages)
                     assert list(rhs(0.0, state, arg)) == stages[s]
                 if step + 1 < len(table):

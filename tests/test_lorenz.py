@@ -265,7 +265,7 @@ def test_minimize_over_length_finds_the_root_of_the_cubic(beta, gamma):
 def test_minimize_over_length_raises_once_the_root_leaves_the_window():
     assert cubic_minimum(6.2664, 4.0 / 3.0)[0] > 10.0
     with pytest.raises(InadmissibleError, match=r"^Ra\* is still falling at the edge l = 10 of "
-                       r"the scan over \[0\.5, 10\] at beta = 6\.2664$"):
+                       r"the window \[0\.5, 10\] at beta = 6\.2664$"):
         minimize_over_length(beta=6.2664, gamma=4.0 / 3.0)
 
 
