@@ -377,16 +377,15 @@ def _cmd_critical(config: RunConfig) -> int:
             return best.length, best.rayleigh
         return point.length, critical_rayleigh(point, config.source, config.order)
 
-    # the beta = 0 reference, once per width (a single one under --optimize-l)
-    flat = {length: onset(replace(base, beta=0.0, length=length))[1] for length in lengths}
-
-    def solve(point):
-        length, ra = onset(point)
-        ratio = ra / flat[point.length]
+    # each distinct point once, the beta = 0 references first, so their errors come first
+    distinct = list(dict.fromkeys([replace(point, beta=0.0) for point in points] + points))
+    onsets = dict(zip(distinct, _pool_map(config, onset, distinct)))
+    rows = []
+    for point in points:
+        length, ra = onsets[point]
+        ratio = ra / onsets[replace(point, beta=0.0)][1]
         taylor = (ratio - 1.0) / point.beta if point.beta > 0.0 else None
-        return (point.beta, length, ra, ratio, taylor)
-
-    rows = _pool_map(config, solve, points)
+        rows.append((point.beta, length, ra, ratio, taylor))
     columns = ("beta", "length", "ra_critical", "ra_ratio", "taylor_ratio")
     _emit(config, columns, rows, {"params": asdict(config.physical())})
     _note(config, f"computed {len(rows)} onset point(s); "
@@ -453,15 +452,15 @@ def _cmd_validate(config: RunConfig) -> int:
     consistency = next((row[5] for row in rows if row[2] == 1), None)
     passed = None if consistency is None else consistency <= ROUTE_GATE  # None: unchecked
 
-    reports = discrepancy_report(params, config.order)
-    if config.report:
-        _emit(config, _REPORT_COLUMNS, [astuple(report) for report in reports],
-              {"params": asdict(params)}, command="validate-report", path=config.report)
-
     extra = {"params": asdict(params), "route_consistency": {
         "threshold": ROUTE_GATE, "rel_dev": consistency, "passed": passed}}
-    if config.format == "json":
-        extra["discrepancy"] = [asdict(report) for report in reports]
+    if config.report or config.format == "json":  # the only readers of the report
+        reports = discrepancy_report(params, config.order)
+        if config.report:
+            _emit(config, _REPORT_COLUMNS, [astuple(report) for report in reports],
+                  {"params": asdict(params)}, command="validate-report", path=config.report)
+        if config.format == "json":
+            extra["discrepancy"] = [asdict(report) for report in reports]
     _emit(config, columns, rows, extra)
     if consistency is None:
         _note(config, f"route consistency not checked ({unchecked})")

@@ -32,9 +32,6 @@ __all__ = [
     "amplitude_trend", "largest_lyapunov",
 ]
 
-REDUCED_LABELS = ("t", "A", "B", "C")
-LORENZ_LABELS = ("s", "X", "Y", "Z")
-
 
 class IntegrationError(RuntimeError):
     """The adaptive integrator failed or produced a non-finite state."""
@@ -86,6 +83,8 @@ _LORENZ = _System("lorenz", "sigma, r, delta = p.sigma, p.r, p.delta", "X, Y, Z"
 _TANGENT = _System("tangent", _LORENZ.params, _LORENZ.state + ", u, v, w", _LORENZ.rhs + (
     "sigma * (v - u)", "(r - Z) * u - v - X * w", "Y * u + X * v - delta * w"))
 _SYSTEMS = (_REDUCED, _LORENZ, _TANGENT)
+REDUCED_LABELS = ("t", *_REDUCED.state.split(", "))
+LORENZ_LABELS = ("s", *_LORENZ.state.split(", "))
 
 
 def _compile(source: str, filename: str, name: str, namespace: dict):

@@ -145,10 +145,11 @@ def _solve(pencil, name, rhs, head):
 
 def _spectrum(pencil, rayleigh, head):
     """The 2N eigenvalues of M^-1 L(Ra) = [[A, sqrt(Ra) B], [G^-1 sqrt(Ra) C, G^-1 D]],
-    the one place the blocks are stacked, with one N x N solve for its lower half."""
+    the one place the blocks are stacked, and G^-1 D, from one N x N solve of G."""
     root = math.sqrt(rayleigh)
     lower = _solve(pencil, "g", np.hstack((root * pencil.c, pencil.d)), head)
-    return np.linalg.eigvals(np.vstack((np.hstack((pencil.a, root * pencil.b)), lower)))
+    stacked = np.vstack((np.hstack((pencil.a, root * pencil.b)), lower))
+    return np.linalg.eigvals(stacked), lower[:, len(pencil.d):]
 
 
 def leading_growth_rate(pencil: LinearOperatorPencil, rayleigh: float) -> float:
@@ -157,7 +158,7 @@ def leading_growth_rate(pencil: LinearOperatorPencil, rayleigh: float) -> float:
     if rayleigh < 0.0:
         raise ValueError("rayleigh must be nonnegative")
     head = f"no growth rate at N = {len(pencil.g)}: "
-    return float(np.max(_spectrum(pencil, rayleigh, head).real))
+    return float(np.max(_spectrum(pencil, rayleigh, head)[0].real))
 
 
 def critical_rayleigh_spectral(
@@ -178,14 +179,15 @@ def critical_rayleigh_spectral(
     """
     p, eigvals = assemble_pencil(params, m, n_modes), np.linalg.eigvals
     head = f"no stationary onset at beta = {params.beta}, l = {params.length}, N = {n_modes}: "
-    if max(eigvals(p.a).real.max(), eigvals(_solve(p, "g", p.d, head)).real.max()) >= 0.0:
-        raise InadmissibleError(head + "growth rate at Ra = 0 is not negative")
     lam = eigvals(_solve(p, "a", p.b, head) @ _solve(p, "d", p.c, head))
     real = lam.real[(lam.imag == 0.0) & (lam.real > 0.0)]
+    # G^-1 D comes from the one solve of G, at the crossing (at Ra = 0 without one)
+    rayleigh = 1.0 / float(np.max(real)) if real.size else 0.0
+    spectrum, decay = _spectrum(p, rayleigh, head)
+    if max(eigvals(p.a).real.max(), eigvals(decay).real.max()) >= 0.0:
+        raise InadmissibleError(head + "growth rate at Ra = 0 is not negative")
     if real.size == 0:
         raise InadmissibleError(head + "no real eigenvalue crosses zero at any Ra > 0")
-    rayleigh = 1.0 / float(np.max(real))
-    spectrum = _spectrum(p, rayleigh, head)
     growth = float(np.max(spectrum.real))
     if growth > 1e-8 * float(np.max(np.abs(spectrum))):
         raise InadmissibleError(head + f"oscillatory onset: growth rate is {growth:.3e} "

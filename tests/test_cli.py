@@ -122,7 +122,8 @@ def test_critical_json_document(capsys):
 
 
 def test_critical_computes_each_flat_reference_once(capsys, monkeypatch):
-    # the beta = 0 reference depends on the width only: one call per width
+    # the beta = 0 reference depends on the width only: one call per width, which
+    # the beta = 0 row of that width reuses
     calls = []
 
     def counting(params, *args):
@@ -134,12 +135,13 @@ def test_critical_computes_each_flat_reference_once(capsys, monkeypatch):
                        "--beta-sweep", "0", "1", "5", "--l-sweep", "2", "3", "3")
     assert code == 0
     rows = [line.split(",") for line in out.splitlines()[1:]]
-    assert len(rows) == 15 and len(calls) == 15 + 3
+    assert len(rows) == 15 and len(calls) == 15
+    assert len(set(calls)) == len(calls)
     assert [float(row[3]) for row in rows if row[0] == "0"] == [1.0] * 3
 
 
 def test_critical_optimize_l_minimizes_once_per_beta_point(capsys, monkeypatch):
-    # one width minimization per beta point, plus one for the beta = 0 reference
+    # one width minimization per beta point; the beta = 0 row is the reference
     calls, direct = [], []
 
     def counting(**keywords):
@@ -151,7 +153,16 @@ def test_critical_optimize_l_minimizes_once_per_beta_point(capsys, monkeypatch):
     code, out, _ = run(capsys, "critical", "--source", "closed_form", "--quiet",
                        "--beta-sweep", "0", "1", "5", "--optimize-l")
     assert code == 0 and len(out.splitlines()) == 1 + 5
-    assert calls == [0.0, 0.0, 0.25, 0.5, 0.75, 1.0] and direct == []
+    assert calls == [0.0, 0.25, 0.5, 0.75, 1.0] and direct == []
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_critical_reports_a_failing_reference_before_any_row(capsys, workers):
+    # the row at beta = 7, l = 4.2 has no onset either, but the references run first
+    code, out, err = run(capsys, "critical", "--l-sweep", "4.2", "1e300", "2", "--beta", "7",
+                         "--source", "closed_form", "--workers", workers)
+    assert (code, out) == (1, "")
+    assert err.startswith("anelor: no onset at beta = 0.0, l = 1e+300: ")
 
 
 @pytest.mark.parametrize("argv", [
@@ -351,6 +362,22 @@ def test_validate_without_n1_leaves_the_route_check_open(capsys):
     consistency = json.loads(out)["route_consistency"]
     assert consistency["rel_dev"] is None and consistency["passed"] is None
     assert err == "route consistency not checked (no N=1 truncation requested)\n"
+
+
+def test_validate_builds_the_discrepancy_report_only_when_it_is_read(capsys, tmp_path):
+    # at --order 4 the report's rule cannot resolve a vanishing projection, but
+    # the CSV table needs only the reduced onset (at no fewer than 64 points)
+    # and the pencil
+    argv = ("validate", "--beta", "0.5", "--order", "4", "--n-modes", "2", "--quiet")
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1].startswith("0.5,1,2,857.605943151")
+    report = tmp_path / "report.csv"
+    for extra in (("--format", "json"), ("--report", str(report))):
+        code, out, err = run(capsys, *argv, *extra)
+        assert (code, out) == (1, "")
+        assert err.startswith("anelor: ('temperature time derivative', 'B', 'C') projection ")
+    assert not report.exists()
 
 
 def test_environment_and_config_precedence(capsys, tmp_path, monkeypatch):

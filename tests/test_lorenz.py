@@ -200,6 +200,15 @@ def test_stabilization_monotone_in_beta():
     assert all(b > a for a, b in zip(values, values[1:]))
 
 
+@pytest.mark.parametrize("gamma", [1.0 / 3.0, 4.0 / 3.0, 3.0])
+def test_width_minimized_onset_rises_with_beta_up_to_5_8(gamma):
+    # the minimized three-mode Ra* peaks at beta = 5.825 (gamma = 3) to 5.95
+    # (gamma = 1/3) and falls after; on this grid each step rises by >= 0.4 %
+    values = [minimize_over_length(beta=float(b), gamma=gamma, source="closed_form").rayleigh
+              for b in np.linspace(0.0, 5.8, 117)]
+    assert all(b > a for a, b in zip(values, values[1:]))
+
+
 def test_taylor_ratio_tends_to_one_half():
     params = make_params()
     ratio = taylor_ratio(params.with_beta(1e-3))

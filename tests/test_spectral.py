@@ -206,6 +206,23 @@ def test_onset_builds_no_quadrature_rule(monkeypatch):
     assert len(built) == 1
 
 
+def test_onset_solves_the_gram_block_once(monkeypatch):
+    # the solve of G at the crossing also gives the G^-1 D of the Ra = 0 check
+    import anelor.spectral as spectral
+
+    solved, solve = [], spectral._solve
+
+    def counting(pencil, name, *rest):
+        solved.append(name)
+        return solve(pencil, name, *rest)
+
+    monkeypatch.setattr(spectral, "_solve", counting)
+    for n_modes in (1, 4, 16):
+        solved.clear()
+        critical_rayleigh_spectral(make_params(beta=1.0), n_modes=n_modes)
+        assert sorted(solved) == ["a", "d", "g"]
+
+
 def test_pencil_matches_the_40_digit_reference_at_strong_stratification():
     # blocks of the defining integrals from mpmath (tests/data/make_pencil_reference.py);
     # a 64-point Gauss-Legendre pencil is 1.5e-14 off in the psi diffusion block
