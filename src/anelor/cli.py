@@ -10,8 +10,8 @@ Subcommands
                 sweeps, optionally minimizing over the width
     simulate    reduced and/or Lorenz trajectories, with the scaling
                 equivalence deviation when both are requested
-    validate    N-mode spectral onset versus the reduced route, plus the
-                coefficient discrepancy report
+    validate    N-mode spectral onset versus the reduced route's onset, as
+                `critical` computes it
 
 Each setting is one row of the `_SETTINGS` table: its coercion, default,
 owning subcommand, flags and argparse keywords. The parsers, the defaults
@@ -158,8 +158,6 @@ _SETTINGS = {
     "n_modes": _row(_as_int_list, (1, 2, 4, 8), "validate", "--n-modes", nargs="+",
                     metavar="N", help="vertical truncations to check, 1-512"),
     "m": _row(_as_int, 1, "validate", "--m", help="horizontal mode number"),
-    "report": _row(_as_path, None, "validate", "--report",
-                   help="also write the coefficient discrepancy table to this path"),
 }
 
 
@@ -306,24 +304,23 @@ def render_csv(columns, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _emit(config: RunConfig, columns, rows, extra: dict, command=None, path=None) -> None:
-    """Write one table as CSV, or as a JSON document headed by `command` (the
-    subcommand by default), to `path` (--output by default, else stdout)."""
+def _emit(config: RunConfig, columns, rows, extra: dict) -> None:
+    """Write one table as CSV, or as a JSON document headed by the subcommand,
+    to --output, else stdout."""
     if config.format == "csv":
         text = render_csv(columns, rows)
     else:
-        document = {"command": command or config.subcommand, **extra,
+        document = {"command": config.subcommand, **extra,
                     "columns": list(columns), "rows": [list(row) for row in rows]}
         text = json.dumps(document, indent=2, allow_nan=False) + "\n"
-    path = path or config.output
-    if path is None:
+    if config.output is None:
         sys.stdout.write(text)
         return
     try:
-        with open(path, "w", newline="") as handle:
+        with open(config.output, "w", newline="") as handle:
             handle.write(text)
     except OSError as exc:
-        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
+        raise ConfigError(f"cannot write {config.output}: {exc.strerror or exc}") from exc
 
 
 def _note(config: RunConfig, message: str) -> None:
@@ -387,7 +384,7 @@ def _cmd_critical(config: RunConfig) -> int:
         taylor = (ratio - 1.0) / point.beta if point.beta > 0.0 else None
         rows.append((point.beta, length, ra, ratio, taylor))
     columns = ("beta", "length", "ra_critical", "ra_ratio", "taylor_ratio")
-    _emit(config, columns, rows, {"params": asdict(config.physical())})
+    _emit(config, columns, rows, {"params": asdict(base)})
     _note(config, f"computed {len(rows)} onset point(s); "
           f"first Ra* = {rows[0][2]:.10g}")
     return 0
@@ -431,13 +428,13 @@ def _cmd_simulate(config: RunConfig) -> int:
 
 def _cmd_validate(config: RunConfig) -> int:
     params = config.physical().with_rayleigh(0.0)
-    # the m-th harmonic pencil at width l is the first harmonic's at l/m; the
-    # reduced side keeps at least ORDER points whatever --order says, and past its
-    # domain edge the table holds the pencil's onsets alone
-    reduced = replace(params, length=params.length / config.m)
+    # the m-th harmonic pencil at width l is the first harmonic's at l/m, so the
+    # reduced onset is `critical`'s at l/m; past its domain edge the table holds
+    # the pencil's onsets alone
     unchecked = "no N=1 truncation requested"
     try:
-        reduced_value = critical_rayleigh(reduced, "oracle", max(config.order, ORDER))
+        reduced_value = critical_rayleigh(replace(params, length=params.length / config.m),
+                                          config.source, config.order)
     except InadmissibleError as exc:
         reduced_value, unchecked = None, f"reduced route: {exc}"
 
@@ -452,16 +449,8 @@ def _cmd_validate(config: RunConfig) -> int:
     consistency = next((row[5] for row in rows if row[2] == 1), None)
     passed = None if consistency is None else consistency <= ROUTE_GATE  # None: unchecked
 
-    extra = {"params": asdict(params), "route_consistency": {
-        "threshold": ROUTE_GATE, "rel_dev": consistency, "passed": passed}}
-    if config.report or config.format == "json":  # the only readers of the report
-        reports = discrepancy_report(params, config.order)
-        if config.report:
-            _emit(config, _REPORT_COLUMNS, [astuple(report) for report in reports],
-                  {"params": asdict(params)}, command="validate-report", path=config.report)
-        if config.format == "json":
-            extra["discrepancy"] = [asdict(report) for report in reports]
-    _emit(config, columns, rows, extra)
+    _emit(config, columns, rows, {"params": asdict(params), "route_consistency": {
+        "threshold": ROUTE_GATE, "rel_dev": consistency, "passed": passed}})
     if consistency is None:
         _note(config, f"route consistency not checked ({unchecked})")
     else:

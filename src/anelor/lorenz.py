@@ -109,6 +109,7 @@ class LengthOptimum:
     evaluations: int
 
 
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")  # non-finite results raise below
 def scale_to_lorenz(coeffs: GalerkinCoeffs) -> tuple[LorenzParams, ScalingMap]:
     """Lorenz parameters and the scaling that realizes them.
 
@@ -117,7 +118,9 @@ def scale_to_lorenz(coeffs: GalerkinCoeffs) -> tuple[LorenzParams, ScalingMap]:
     e3*e6 < 0 (opposed temperature nonlinearities); otherwise it raises
     InadmissibleError naming beta and l. The map's domain is narrower than the
     onset's, which needs only e4 < 0: at l = 2*sqrt(2), e3*e6 changes sign at
-    beta = 2*sqrt(2)*pi, beyond which no real amplitude scaling exists.
+    beta = 2*sqrt(2)*pi, beyond which no real amplitude scaling exists. A
+    parameter or scaling that is not finite (r at Ra = 1e308; b at Pr = 1e-200,
+    where e1^2 * e4^2 underflows) raises InadmissibleError naming beta, l and Ra.
     """
     e1, e2, e3, e4, e5, e6, e7 = coeffs.as_array()
     head = f"no Lorenz map at beta = {coeffs.params.beta}, l = {coeffs.params.length}: "
@@ -129,12 +132,16 @@ def scale_to_lorenz(coeffs: GalerkinCoeffs) -> tuple[LorenzParams, ScalingMap]:
     if e3 * e6 >= 0.0:
         raise InadmissibleError(head + f"e3*e6 = {e3 * e6:.6g} must be negative for a real "
                                 "amplitude scaling")
-    params = LorenzParams(sigma=e1 / e4, delta=e7 / e4, r=e2 * e5 / (e1 * e4))
+    sigma, delta, r = e1 / e4, e7 / e4, e2 * e5 / (e1 * e4)
     d = -e4
     b = math.sqrt(-e3 * e6 * e2**2 / (e1**2 * e4**2))
     a = -e1 * b / e2
     c = d * a * b / e6
-    return params, ScalingMap(a=a, b=b, c=c, d=d)
+    if not np.isfinite([sigma, delta, r, a, b, c, d]).all():
+        raise InadmissibleError(f"no Lorenz map at beta = {coeffs.params.beta}, "
+                                f"l = {coeffs.params.length}, Ra = {coeffs.params.rayleigh}: "
+                                "the Lorenz parameters or the scaling are not finite")
+    return LorenzParams(sigma=sigma, delta=delta, r=r), ScalingMap(a=a, b=b, c=c, d=d)
 
 
 def critical_points(lp: LorenzParams) -> np.ndarray:

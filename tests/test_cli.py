@@ -62,7 +62,6 @@ def test_output_goes_to_file_not_stdout(capsys, tmp_path):
 
 @pytest.mark.parametrize("argv", [
     ("coeffs", "--quiet", "--output"),
-    ("validate", "--n-modes", "1", "--quiet", "--report"),
 ])
 def test_unwritable_output_is_a_usage_error(capsys, tmp_path, argv):
     path = tmp_path / "missing" / "table.csv"
@@ -109,12 +108,13 @@ def test_critical_sweep_table(capsys):
 
 
 def test_critical_json_document(capsys):
-    code, out, _ = run(capsys, "critical", "--beta", "0.25", "--format",
+    # no row depends on Ra, and params echoes the Ra = 0 record the rows used
+    code, out, _ = run(capsys, "critical", "--beta", "0.25", "--ra", "5", "--format",
                        "json", "--source", "closed_form", "--quiet")
     assert code == 0
     document = json.loads(out)
     assert document["command"] == "critical"
-    assert document["params"]["beta"] == 0.25
+    assert document["params"]["beta"] == 0.25 and document["params"]["rayleigh"] == 0.0
     assert document["columns"] == ["beta", "length", "ra_critical",
                                    "ra_ratio", "taylor_ratio"]
     (row,) = document["rows"]
@@ -258,27 +258,16 @@ def test_simulate_both_reports_equivalence(capsys):
     assert len(document["rows"]) == 101
 
 
-def test_validate_routes_and_report_file(capsys, tmp_path):
-    report = tmp_path / "report.csv"
+def test_validate_routes(capsys):
     code, out, _ = run(capsys, "validate", "--beta", "0.3", "--n-modes", "1",
-                       "2", "--format", "json", "--quiet", "--report",
-                       str(report))
+                       "2", "--format", "json", "--quiet")
     assert code == 0
     document = json.loads(out)
+    assert list(document) == ["command", "params", "route_consistency", "columns", "rows"]
     assert document["columns"] == ["beta", "m", "n_modes", "ra_critical",
                                    "ra_reduced", "rel_dev"]
     gate = document["route_consistency"]
     assert gate["passed"] is True and gate["rel_dev"] < 1e-8
-    terms = {entry["term"] for entry in document["discrepancy"]}
-    assert {"e1", "e7", "source-tau"} <= terms
-    side = json.loads(report.read_text())
-    assert side["command"] == "validate-report"
-    assert side["columns"][0] == "term"
-
-    code, _, _ = run(capsys, "validate", "--beta", "0.3", "--n-modes", "1",
-                     "--quiet", "--report", str(report))
-    assert code == 0
-    assert report.read_text().splitlines()[0] == REPORT_HEADER
 
 
 # ra_critical for N = 1, 2, 4, 8, 16 at the default Pr, gamma and l, as
@@ -312,14 +301,14 @@ def test_validate_raises_the_order_for_high_truncations(capsys):
 
 
 def test_validate_reduced_onset_matches_the_exact_n1_pencil(capsys):
-    # the reduced side runs at no fewer than 64 points whatever --order says,
-    # else it differs from the exact N = 1 pencil by 1.2e-10 at --order 8
+    # the reduced side runs the oracle at --order, as critical does: eight points
+    # per axis leave it 1.16e-10 from the exact N = 1 pencil, inside the gate
     code, out, _ = run(capsys, "validate", "--beta", "3", "--n-modes", "1",
                        "--order", "8", "--format", "json", "--quiet")
     assert code == 0
     (row,) = json.loads(out)["rows"]
-    assert row[4] == critical_rayleigh(PhysicalParams(beta=3.0), "oracle")
-    assert row[5] < 1e-14
+    assert row[4] == critical_rayleigh(PhysicalParams(beta=3.0), "oracle", 8)
+    assert row[5] == pytest.approx(1.16e-10, rel=0.01) and row[5] <= cli.ROUTE_GATE
 
 
 @pytest.mark.parametrize("harmonic", [2, 3])
@@ -364,20 +353,12 @@ def test_validate_without_n1_leaves_the_route_check_open(capsys):
     assert err == "route consistency not checked (no N=1 truncation requested)\n"
 
 
-def test_validate_builds_the_discrepancy_report_only_when_it_is_read(capsys, tmp_path):
-    # at --order 4 the report's rule cannot resolve a vanishing projection, but
-    # the CSV table needs only the reduced onset (at no fewer than 64 points)
-    # and the pencil
-    argv = ("validate", "--beta", "0.5", "--order", "4", "--n-modes", "2", "--quiet")
-    code, out, err = run(capsys, *argv)
-    assert (code, err) == (0, "")
-    assert out.splitlines()[1].startswith("0.5,1,2,857.605943151")
-    report = tmp_path / "report.csv"
-    for extra in (("--format", "json"), ("--report", str(report))):
-        code, out, err = run(capsys, *argv, *extra)
-        assert (code, out) == (1, "")
-        assert err.startswith("anelor: ('temperature time derivative', 'B', 'C') projection ")
-    assert not report.exists()
+def test_validate_fails_at_an_unresolving_order_as_critical_does(capsys):
+    # the reduced onset is critical's, so four points per axis fail it alike
+    code, out, err = run(capsys, "validate", "--beta", "0.5", "--order", "4", "--n-modes", "2")
+    assert (code, out) == (1, "")
+    assert err.startswith("anelor: ('temperature time derivative', 'B', 'C') projection ")
+    assert run(capsys, "critical", "--beta", "0.5", "--order", "4") == (code, out, err)
 
 
 def test_environment_and_config_precedence(capsys, tmp_path, monkeypatch):
@@ -407,11 +388,11 @@ def test_json_config_file(capsys, tmp_path):
     assert json.loads(out)["params"]["beta"] == 0.15
 
 
-def test_json_null_output_and_report_mean_unset(capsys, tmp_path, monkeypatch):
+def test_json_null_output_means_unset(capsys, tmp_path, monkeypatch):
     # null is "not set": the table goes to stdout and no file named None appears
     monkeypatch.chdir(tmp_path)
     config = tmp_path / "run.json"
-    config.write_text(json.dumps({"output": None, "report": None}))
+    config.write_text(json.dumps({"output": None}))
     for argv, header in ((("critical", "--source", "closed_form"), "beta,length,ra_critical"),
                          (("validate", "--n-modes", "1"), "beta,m,n_modes")):
         code, out, _ = run(capsys, *argv, "--quiet", "--config", str(config))
@@ -427,6 +408,7 @@ def test_json_null_output_and_report_mean_unset(capsys, tmp_path, monkeypatch):
     ('{"beta": [1, 2]}', "beta"),
     ('{"order": 1%s}' % ("0" * 400), "order"),
     ('{"order": 513}', "order"),
+    ('{"report": "report.csv"}', "report"),
 ])
 def test_malformed_config_is_a_usage_error(capsys, tmp_path, contents,
                                            fragment):
@@ -521,7 +503,6 @@ SAMPLES = {
     "beta_sweep": "0 1 3", "l_sweep": "2 3 2", "optimize_l": "true",
     "coords": "abc", "t_end": "5", "samples": "11", "rtol": "1e-8",
     "atol": "1e-9", "initial": "1 2 3", "n_modes": "1 2", "m": "2",
-    "report": "report.csv",
 }
 
 
@@ -552,6 +533,9 @@ def test_argparse_rejects_unknown_commands(capsys):
     assert excinfo.value.code == 2
     with pytest.raises(SystemExit) as excinfo:
         main([])
+    assert excinfo.value.code == 2
+    with pytest.raises(SystemExit) as excinfo:
+        main(["validate", "--report", "report.csv"])
     assert excinfo.value.code == 2
 
 

@@ -140,3 +140,20 @@ def test_an_underflowed_coupling_is_inadmissible(capsys):
     assert capsys.readouterr() == ("", "anelor: the buoyancy or source coupling underflows "
                                        "to 0 at beta = 0.0, l = 1e+300\n")
     assert main(["coeffs", "--l", "1e300", "--ra", "0", "--quiet"]) == 0
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("source", ["closed_form", "oracle"])
+@pytest.mark.parametrize("prandtl", [10.0, 1e-200])
+def test_a_non_finite_lorenz_map_is_inadmissible(capsys, source, prandtl):
+    # at Ra = 1e308 every coefficient is finite, but r = e2*e5/(e1*e4) overflows;
+    # at Pr = 1e-200, e1^2 * e4^2 also underflows to 0 under b
+    params = PhysicalParams(prandtl=prandtl, rayleigh=1e308)
+    message = (f"no Lorenz map at beta = 0.0, l = {params.length}, Ra = 1e+308: "
+               "the Lorenz parameters or the scaling are not finite")
+    with pytest.raises(InadmissibleError) as excinfo:
+        scale_to_lorenz(coefficients(params, source))
+    assert str(excinfo.value) == message
+    argv = ["simulate", "--ra", "1e308", "--pr", repr(prandtl), "--source", source]
+    assert main([*argv, "--samples", "3", "--quiet"]) == 1
+    assert capsys.readouterr() == ("", f"anelor: {message}\n")
