@@ -21,7 +21,7 @@ command line over ANELOR_<FIELD> environment variables over a config file
 (flat field = value lines or JSON) over defaults. Environment variables and
 config keys use the field names (`prandtl`, `t_end`, `n_modes`), not the
 flags (`--pr`, `--t-end`, `--n-modes`). All three sources go through the
-same coercion, so they accept the same values.
+same coercion, so they accept the same values and reject unknown names.
 
 Tables are CSV (header row, comma separator, LF endings, 17 significant
 digits) or JSON; either stream to stdout or to --output. Summary lines go to
@@ -262,9 +262,9 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     merged = {name: setting.default for name, setting in _SETTINGS.items()} | _PHYSICAL
     if args.config:
         merged.update(_coerce_known(args.config, _load_config_file(args.config)))
-    environment = {name: os.environ.get(ENV_PREFIX + name.upper()) for name in _SETTINGS}
     merged.update(_coerce_known("environment", {
-        name: value for name, value in environment.items() if value is not None}))
+        key[len(ENV_PREFIX):].lower(): value for key, value in os.environ.items()
+        if key.startswith(ENV_PREFIX)}))
     merged.update(_coerce_known("command line", {
         name: value for name, value in vars(args).items()
         if name in _SETTINGS and value is not None}))

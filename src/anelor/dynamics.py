@@ -7,13 +7,15 @@ dense output and the step control of Hairer, Norsett & Wanner, Solving ODEs I,
 Sec. II.4. Each system is written once, in `_SYSTEMS`. Its RHS function and
 its step loop are generated from that entry: the loop pastes the RHS into
 every stage, as a call and a tuple per stage cost as much as the arithmetic,
-steers the step size without min/max calls, and packs each accepted step as
-7n doubles into one bytearray that `_dense_output` reads without a copy.
+steers the step size without min/max calls, and walks the output times with a
+cursor: only an accepted step that holds one packs its 7n + 2 doubles into the
+bytearray `_dense_output` reads, so memory follows the grid, not the steps.
 Also here: the decay/growth diagnostic of the trailing log amplitude.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import linecache
 import math
@@ -152,13 +154,14 @@ def _initial_step(fun, arg, y, t_end, rtol, atol):
 
 
 _LOOP = """\
-def dopri45(p, y, t_end, rtol, atol, records):
+def dopri45(p, y, t_end, rtol, atol, t_eval):
     {params}
     ({k1}), h_abs = _initial_step(rhs, p, y, t_end, rtol, atol)
     {y} = y
     {abs_y} = {abs_y0}
-    nfev, t, bounds = 2, 0.0, [0.0]
-    ulp, hypot, append = math.ulp, math.hypot, bounds.append
+    nfev, rejected, t, records = 2, 0, 0.0, bytearray()
+    t_eval = [*t_eval, math.inf]
+    t_out, ulp, hypot = t_eval[0], math.ulp, math.hypot
     while t < t_end:
         min_step = 10.0 * ulp(t)
         h_abs = min_step if min_step > h_abs else h_abs
@@ -179,14 +182,15 @@ def dopri45(p, y, t_end, rtol, atol, records):
             factor = {safety!r} * error ** -0.2
             h_abs = h * (factor if factor > {min_factor!r} else {min_factor!r})
             limit = 1.0
-        if records is not None:
-            records += pack({y} {k})
-        append(t_new)
+            rejected += 1
+        if t_out <= t_new:
+            records += pack(t, t_new, {y} {k})
+            t_out = t_eval[bisect_right(t_eval, t_new)]
         t = t_new
         {y} = {state}
         {abs_y} = {abs_z}
         {k1} = {k7}
-    return ({y}), nfev, bounds
+    return ({y}), nfev, rejected, records
 """
 
 
@@ -215,40 +219,41 @@ def _stepper(system: _System):
         abs_y=names("ay"), abs_z=names("az"), abs_y0=", ".join(f"abs(y{i})" for i in range(n)),
         error=error, sqrt_n=math.sqrt(n), stages="\n".join(" " * 12 + x for x in lines),
         safety=_SAFETY, min_factor=_MIN_FACTOR, max_factor=_MAX_FACTOR)
-    namespace = dict(globals(), rhs=_rhs(system), pack=struct.Struct(f"{7 * n}d").pack)
+    namespace = dict(globals(), rhs=_rhs(system), pack=struct.Struct(f"{7 * n + 2}d").pack,
+                     bisect_right=bisect.bisect_right)
     return _compile(source, f"<dopri45 {system.name}>", "dopri45", namespace)
 
 
-def _dopri45(system: _System, arg, y, t_end, rtol, atol, records=None):
+def _dopri45(system: _System, arg, y, t_end, rtol, atol, t_eval=()):
     """Integrate `system` with parameters `arg` from y (n floats) at t = 0 to
     t_end with `_stepper(system)`, which is generated on first use.
 
     A step is accepted when the RMS of the embedded error, scaled by atol +
     rtol * max(|y_old|, |y_new|), is below one; the next step is scaled by
     0.9 * err^(-1/5), clipped to [0.2, 10] and to at most 1 (`limit`) after a
-    rejection. Returns (final y, RHS evaluations, step bounds [0, ..., t_end])
-    and, if `records` is a bytearray, appends to it per step the 7n doubles
-    y, k1, k3, ..., k7 that `_dense_output` reads. Overflow, non-finite states
-    and steps below the float spacing raise IntegrationError."""
+    rejection. Returns (final y, RHS evaluations, accepted steps, records),
+    where each accepted step (t, t_new] holding a time of the increasing
+    `t_eval` packs t, t_new, y, k1, k3, ..., k7 (7n + 2 doubles) into the
+    records bytearray for `_dense_output`. Overflow, non-finite states and
+    steps below the float spacing raise IntegrationError."""
     try:
-        y, nfev, bounds = _stepper(system)(arg, y, t_end, rtol, atol, records)
+        y, nfev, rejected, records = _stepper(system)(arg, y, t_end, rtol, atol, t_eval)
     except (OverflowError, ZeroDivisionError) as exc:
         raise IntegrationError(f"floating-point failure: {exc}") from exc
     if not all(map(math.isfinite, y)):
         raise IntegrationError("integration produced non-finite state values")
-    return y, nfev, bounds
+    return y, nfev, (nfev - 2) // 6 - rejected, records
 
 
-def _dense_output(t_eval, bounds, records) -> np.ndarray:
-    """States at t_eval from the interpolant of the step (t_i, t_i+1] holding
-    each time; t = 0 falls in the first step. `records` is the bytearray of
-    `_dopri45`, 7n packed doubles per step."""
-    bounds = np.asarray(bounds)
-    index = np.searchsorted(bounds[1:], t_eval, side="left")
-    table = np.frombuffer(records).reshape(bounds.size - 1, 7, -1)
-    y_old, stages = table[index, 0], table[index, 1:]
-    h = bounds[index + 1] - bounds[index]
-    x = (t_eval - bounds[index]) / h
+def _dense_output(t_eval, records, n) -> np.ndarray:
+    """States at t_eval from the interpolant of the kept step (t, t_new]
+    holding each time; t = 0 falls in the first step. `records` is the
+    bytearray of `_dopri45` for n states, 7n + 2 packed doubles per step."""
+    table = np.frombuffer(records).reshape(-1, 7 * n + 2)
+    index = np.searchsorted(table[:, 1], t_eval, side="left")
+    t, h = table[index, 0], table[index, 1] - table[index, 0]
+    y_old, stages = table[index, 2:n + 2], table[index, n + 2:].reshape(-1, 6, n)
+    x = (t_eval - t) / h
     weights = np.cumprod(np.repeat(x[:, None], 4, axis=1), axis=1) @ _P.T
     return y_old + h[:, None] * np.einsum("mkn,mk->mn", stages, weights)
 
@@ -264,16 +269,15 @@ def _integrate(system, arg, initial, t_end, rtol, atol, labels, t_eval):
         raise ValueError("initial state must be three finite components")
     t_end = float(t_end)
     t_eval = np.linspace(0.0, t_end, 801) if t_eval is None else np.asarray(t_eval, float)
-    if (t_eval.ndim != 1 or t_eval.size == 0 or np.any(t_eval < 0.0)
-            or np.any(t_eval > t_end)):
-        raise ValueError("t_eval must be a non-empty 1-d array of times in "
-                         "[0, t_end]")
-    records = bytearray()
-    _, nfev, bounds = _dopri45(system, arg, initial.tolist(), t_end, rtol, atol, records)
-    states = _dense_output(t_eval, bounds, records)
+    if (t_eval.ndim != 1 or t_eval.size == 0 or np.any(np.diff(t_eval) <= 0.0)
+            or not np.all((t_eval >= 0.0) & (t_eval <= t_end))):
+        raise ValueError("t_eval must be a non-empty, strictly increasing 1-d "
+                         "array of times in [0, t_end]")
+    _, nfev, steps, records = _dopri45(system, arg, initial.tolist(), t_end, rtol, atol,
+                                       t_eval.tolist())
+    states = _dense_output(t_eval, records, initial.size)
     if not np.all(np.isfinite(states)):
         raise IntegrationError("integration produced non-finite state values")
-    steps = len(bounds) - 1
     return Trajectory(times=t_eval, states=states, labels=labels, rtol=rtol, atol=atol,
                       nfev=nfev, steps=steps, rejected=(nfev - 2) // 6 - steps)
 

@@ -36,7 +36,7 @@ class PhysicalParams:
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
-            object.__setattr__(self, name, value + 0.0)  # -0.0 becomes 0.0
+            object.__setattr__(self, name, float(value) + 0.0)  # -0.0 becomes 0.0
         if self.beta < 0.0:
             raise ValueError(f"beta must be >= 0, got {self.beta}")
         if self.prandtl <= 0.0:

@@ -453,6 +453,15 @@ def test_bad_environment_value_is_a_usage_error(capsys, monkeypatch):
     assert code == 2 and "format" in err
 
 
+@pytest.mark.parametrize("variable", ["ANELOR_BETTA", "ANELOR_REPORT"])
+def test_unknown_environment_variable_is_a_usage_error(capsys, monkeypatch, variable):
+    # a misspelt setting, or the removed --report, exits 2 as in a config file
+    monkeypatch.setenv(variable, "3")
+    code, out, err = run(capsys, "critical", "--source", "closed_form")
+    assert code == 2 and out == ""
+    assert err.startswith("anelor:") and repr(variable[len("ANELOR_"):].lower()) in err
+
+
 def test_order_above_512_is_a_usage_error_from_the_environment(capsys, monkeypatch):
     assert resolve_config(_build_parser().parse_args(["coeffs", "--order", "512"])).order == 512
     monkeypatch.setenv("ANELOR_ORDER", "513")

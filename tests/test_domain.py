@@ -8,6 +8,7 @@ derandomized, so every run checks the same examples.
 
 import math
 
+import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -67,6 +68,16 @@ def test_every_entry_point_rejects_an_overflowing_prandtl_number(route):
     message = str(excinfo.value)
     assert f"beta = 0.0, l = {params.length}" in message
     assert route.startswith("pencil") or f"l = {params.length}, Pr = 1e+308" in message
+
+
+# a numpy scalar is stored as a Python float, whose overflow raises the typed
+# error where numpy's would only warn
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_numpy_prandtl_number_overflows_into_the_typed_error():
+    params = PhysicalParams(prandtl=np.float64(9.92e158), rayleigh=1e300)
+    assert type(params.prandtl) is float
+    with pytest.raises(InadmissibleError, match=r"Pr = 9\.92e\+158"):
+        coefficients(params, "closed_form")
 
 
 def outcome(route, params):

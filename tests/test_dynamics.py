@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import traceback
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -188,6 +189,16 @@ def test_integration_rejects_bad_arguments():
         integrate_reduced(coeffs, [1.0, 1.0, math.nan], 1.0)
 
 
+@pytest.mark.parametrize("t_eval", [[50.0, 0.0], [0.0, 25.0, 25.0], [0.0, math.nan]])
+def test_output_times_are_checked_before_integrating(t_eval):
+    # the runaway system fails its integration, so a ValueError shows that the
+    # output times were rejected first
+    runaway = GalerkinCoeffs(1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, "closed_form",
+                             make_params())
+    with pytest.raises(ValueError, match="strictly increasing"):
+        integrate_reduced(runaway, [1.0, 1.0, 1.0], 50.0, t_eval=t_eval)
+
+
 def test_finite_time_blowup_raises():
     params = make_params()
     runaway = GalerkinCoeffs(1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0,
@@ -262,13 +273,15 @@ def test_six_state_linear_system_matches_its_exponential_solution():
     # the 6-float loop serves Lyapunov; check it on a flow known in closed form
     blocks = ((-0.5, 2.0), (0.25, -1.0), (-0.1, 3.5))
     initial = [1.0, -2.0, 0.5, 3.0, -1.5, 0.25]
-    records = bytearray()
-    final, nfev, bounds = _dopri45(ROTATING, sum(blocks, ()), initial, 3.0,
-                                   1e-10, 1e-12, records)
-    steps = len(bounds) - 1
-    assert bounds[0] == 0.0 and bounds[-1] == 3.0
+    # an output grid finer than every step keeps each step's record, so the
+    # table spans [0, 3] and the dense output can read any time from it
+    final, nfev, steps, records = _dopri45(ROTATING, sum(blocks, ()), initial, 3.0,
+                                           1e-10, 1e-12, np.linspace(0.0, 3.0, 3001))
+    table = np.frombuffer(records).reshape(-1, 7 * 6 + 2)
+    assert len(table) == steps > 0
+    assert table[0, 0] == 0.0 and table[-1, 1] == 3.0
+    assert np.all(table[1:, 0] == table[:-1, 1])
     assert (nfev - 2) % 6 == 0 and nfev >= 2 + 6 * steps
-    assert len(np.frombuffer(records)) == 7 * 6 * steps
     times = np.linspace(0.0, 3.0, 61)
     exact = np.empty((times.size, 6))
     for k, (a, w) in enumerate(blocks):
@@ -276,7 +289,7 @@ def test_six_state_linear_system_matches_its_exponential_solution():
         c, s, g = np.cos(w * times), np.sin(w * times), np.exp(a * times)
         exact[:, 2 * k] = g * (p * c - q * s)
         exact[:, 2 * k + 1] = g * (p * s + q * c)
-    states = _dense_output(times, bounds, records)
+    states = _dense_output(times, records, 6)
     error = np.linalg.norm(states - exact, axis=1) / np.linalg.norm(exact, axis=1)
     assert np.max(error) <= 1e-9
     assert np.linalg.norm(np.subtract(final, exact[-1])) <= 1e-9 * np.linalg.norm(exact[-1])
@@ -308,12 +321,14 @@ def test_pasted_rhs_matches_the_public_functions_bit_for_bit():
         for _ in range(100):
             lp = LorenzParams(*rng.uniform(0.5, 30.0, 3))
             arg = rng.uniform(-2.0, 2.0, 7).tolist() if system.name == "reduced" else lp
-            records = bytearray()
-            _, _, bounds = _dopri45(system, arg, rng.uniform(-5.0, 5.0, n).tolist(),
-                                    0.05, 1e-10, 1e-12, records)
-            table = np.reshape(np.frombuffer(records), (-1, 7, n)).tolist()
-            for step, (y, k1, *later) in enumerate(table):
-                h = bounds[step + 1] - bounds[step]
+            # an output grid finer than every step keeps every step's record
+            _, _, steps, records = _dopri45(system, arg, rng.uniform(-5.0, 5.0, n).tolist(),
+                                            0.05, 1e-10, 1e-12, np.linspace(0.0, 0.05, 1001))
+            rows = np.reshape(np.frombuffer(records), (-1, 7 * n + 2))
+            assert len(rows) == steps > 0
+            table = [(t_new - t, *np.reshape(row, (7, n)).tolist())
+                     for t, t_new, *row in rows.tolist()]
+            for step, (h, y, k1, *later) in enumerate(table):
                 assert list(rhs(0.0, y, arg)) == k1
                 # no weight reads k2, so steps do not record it: rebuild it at
                 # stage 2's state, and stage 3's state checks it
@@ -322,7 +337,7 @@ def test_pasted_rhs_matches_the_public_functions_bit_for_bit():
                     state = stage_state(y, h, weights, stages)
                     assert list(rhs(0.0, state, arg)) == stages[s]
                 if step + 1 < len(table):
-                    assert table[step + 1][0] == state
+                    assert table[step + 1][1] == state
 
 
 def test_generated_code_is_readable_by_tools():
@@ -391,6 +406,31 @@ def test_reduced_run_matches_golden_values():
               800: [34.19947076235237, 19.50728329150348, -76.17376677817141]}
     for row, values in golden.items():
         assert np.max(np.abs(traj.states[row] / values - 1.0)) <= 1e-12
+
+
+def test_memory_follows_the_output_grid_not_the_step_count():
+    # about 4700 accepted steps for three output times: only the three steps
+    # holding them keep a record. A first short run compiles the stepper
+    # outside the traced region.
+    lp = LorenzParams(10.0, 8.0 / 3.0, 28.0)
+    integrate_lorenz(lp, [1.0, 1.0, 1.0], 1.0, t_eval=[0.0, 1.0])
+    tracemalloc.start()
+    try:
+        traj = integrate_lorenz(lp, [1.0, 1.0, 1.0], 20.0, t_eval=[0.0, 10.0, 20.0])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert traj.steps > 4000
+    assert peak < 0.1e6
+
+
+def test_sparse_output_times_match_the_default_grid_bit_for_bit():
+    lp = LorenzParams(10.0, 8.0 / 3.0, 28.0)
+    dense = integrate_lorenz(lp, [1.0, 1.0, 1.0], 100.0)
+    sparse = integrate_lorenz(lp, [1.0, 1.0, 1.0], 100.0, t_eval=[0.0, 50.0, 100.0])
+    assert np.array_equal(sparse.states, dense.states[[0, 400, 800]])
+    assert (sparse.nfev, sparse.steps, sparse.rejected) == (
+        dense.nfev, dense.steps, dense.rejected)
 
 
 def test_stiff_run_rejects_steps_at_the_shrink_limit():
