@@ -19,8 +19,7 @@ optimum = minimize_over_length(beta=0.0)
 print(f"flat layer, minimized over width: Ra* = {optimum.rayleigh:.10f} "
       f"at l = {optimum.length:.10f}")
 print(f"classic values:                   Ra* = {classic:.10f} "
-      f"at l = {2.0 * math.sqrt(2.0):.10f}")
-print(f"({optimum.evaluations} objective evaluations)\n")
+      f"at l = {2.0 * math.sqrt(2.0):.10f}\n")
 
 base = PhysicalParams(rayleigh=0.0)
 flat = critical_rayleigh(base, "closed_form")

@@ -206,6 +206,9 @@ def _check(config) -> None:
         raise ConfigError("initial state must be finite")
     if config.subcommand == "critical" and config.l_sweep and config.optimize_l:
         raise ConfigError("--l-sweep and --optimize-l are mutually exclusive")
+    if config.subcommand == "critical" and config.optimize_l and config.source == "published":
+        raise ConfigError("--optimize-l needs --source oracle or closed_form: the published "
+                          "gamma term, 4*pi^2/l, has no closed-form width minimum")
     if config.subcommand == "simulate" and config.coords != "abc" and config.rayleigh <= 0.0:
         raise ConfigError("simulate in xyz/both coordinates needs --ra > 0")
 

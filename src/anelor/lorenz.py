@@ -20,14 +20,14 @@ with sigma = e1/e4, delta = e7/e4 and r = e2*e5/(e1*e4). Since e2 and e5
 each carry a factor sqrt(Ra), r is linear in the Rayleigh number and the
 critical value where the conducting state loses stability is simply
 Ra* = Ra_ref / r(Ra_ref). The module also provides the rest points of the
-Lorenz system, the exact eigenvalues of the conducting state, and a
-one-dimensional minimizer of Ra* over the domain width.
+Lorenz system, the exact eigenvalues of the conducting state, and the
+domain width that minimizes Ra*, in closed form as the root of a cubic.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -106,7 +106,6 @@ class StabilityReport:
 class LengthOptimum:
     length: float
     rayleigh: float
-    evaluations: int
 
 
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")  # non-finite results raise below
@@ -188,7 +187,8 @@ def critical_rayleigh(
     r is exactly linear in Ra, so one evaluation at a reference Rayleigh
     number fixes the crossing. Where r does not grow with Ra (e4 >= 0, for
     one) there is no onset, and InadmissibleError names beta, l, e4 and the
-    rate. Only this domain applies: the Lorenz map's e7 and e3*e6 conditions
+    rate; it names beta, l and the rate where Ra* = 1/rate overflows. Only
+    this domain applies: the Lorenz map's e7 and e3*e6 conditions
     (`scale_to_lorenz`) do not.
     """
     c = coefficients(params.with_rayleigh(1.0), source, order)
@@ -198,6 +198,9 @@ def critical_rayleigh(
         rate = f"grows at rate {slope:.6g} per unit Ra" if scale else "is undefined"
         raise InadmissibleError(f"no onset at beta = {params.beta}, l = {params.length}: "
                                 f"r {rate} (e4 = {c.e4:.6g}) and cannot cross 1")
+    if not 1.0 / slope < math.inf:
+        raise InadmissibleError(f"no finite onset at beta = {params.beta}, l = {params.length}: "
+                                f"r grows at rate {slope:.6g} per unit Ra, so Ra* overflows")
     return 1.0 / slope
 
 
@@ -220,43 +223,34 @@ def minimize_over_length(
     source: str = "closed_form",
     order: int = ORDER,
 ) -> LengthOptimum:
-    """Domain width that minimizes the critical Rayleigh number.
+    """Domain width that minimizes the critical Rayleigh number, and Ra* there.
 
-    One golden section over l in [0.5, 10], 46 onsets; Ra* is flat at its
-    minimum, so l is good to about 1e-7. The minimum is unique wherever the
-    onset exists: with q = (2*pi/l)^2, a, b = pi^2 -+ beta^2/4 and c = (1 +
-    gamma)*beta^2, the closed form's dRa*/dq = 0 is 2q^3 + (2b + c + a)q^2 =
-    a*b^2, with one positive root for beta < 2*pi (Descartes' rule) and none
-    above. Raises InadmissibleError when the bracket never leaves an edge of
-    the window (with the e4 = 0 width for beta > 2*pi) or meets a width with
-    e4 >= 0, where Ra* -> 0. `order` is the oracle's, as in `critical_rayleigh`.
+    With q = (2*pi/l)^2, a, b = pi^2 -+ beta^2/4 and c = (1 + gamma)*beta^2,
+    the closed form's Ra* is proportional to ((b + q)^2 + c*q)(a + q)/q, and
+    dRa*/dq = 0 is 2q^3 + (2b + c + a)q^2 = a*b^2. For beta < 2*pi that cubic
+    has one positive root (Descartes' rule), the minimum over every width;
+    the onset is evaluated there once, on the route asked. The oracle is the
+    same function of l to quadrature accuracy; the published route's gamma
+    term, 4*pi^2/l, is not polynomial in q, and it raises ValueError. For
+    beta >= 2*pi no root exists: Ra* falls toward the width where e4 = 0, and
+    InadmissibleError names it. `order` is the oracle's, as in
+    `critical_rayleigh`.
     """
-    evaluations = 0
-
-    def ra_star(length):
-        nonlocal evaluations
-        evaluations += 1
-        p = PhysicalParams(beta=beta, prandtl=prandtl, gamma=gamma, length=length)
-        return critical_rayleigh(p, source, order)
-
-    invphi, left, right = (math.sqrt(5.0) - 1.0) / 2.0, 0.5, 10.0
-    x1, x2 = right - invphi * (right - left), left + invphi * (right - left)
-    f1, f2 = ra_star(x1), ra_star(x2)
-    while right - left > 1e-8:
-        if f1 <= f2:
-            right, x2, f2 = x2, x1, f1
-            x1 = right - invphi * (right - left)
-            f1 = ra_star(x1)
-        else:
-            left, x1, f1 = x1, x2, f2
-            x2 = left + invphi * (right - left)
-            f2 = ra_star(x2)
-    if left == 0.5 or right == 10.0:
-        message = (f"Ra* is still falling at the edge l = {left if left == 0.5 else right:.6g} "
-                   f"of the window [0.5, 10] at beta = {beta}")
-        if beta > 2.0 * math.pi:
-            width = 2.0 * math.pi / math.sqrt(beta**2 / 4.0 - math.pi**2)
-            message += f"; the onset ends where e4 = 0, at l = {width:.6g}"
-        raise InadmissibleError(message)
-    best = 0.5 * (left + right)
-    return LengthOptimum(length=best, rayleigh=ra_star(best), evaluations=evaluations)
+    params = PhysicalParams(beta=beta, prandtl=prandtl, gamma=gamma)
+    if source == "published":
+        raise ValueError("the published onset has no closed-form width minimum: its "
+                         "gamma term, 4*pi^2/l, is not polynomial in (2*pi/l)^2")
+    half = params.beta / 2.0
+    a, b = (math.pi - half) * (math.pi + half), math.pi**2 + half * half
+    if a <= 0.0:
+        root = math.sqrt(half - math.pi) * math.sqrt(half + math.pi)  # sqrt(-a), no overflow
+        width = 2.0 * math.pi / root if root else math.inf
+        raise InadmissibleError(f"no width minimizes Ra* at beta = {params.beta}: it falls "
+                                f"toward the width where e4 = 0, l = {width:.6g}")
+    p, ab2 = 2.0 * b + (1.0 + params.gamma) * params.beta**2 + a, a * b * b
+    # w = 1/q solves a*b^2*w^3 - p*w - 2 = 0; 27*a*b^2 <= p^3 (AM-GM), so its
+    # roots are real, and the largest, the positive one, has the trigonometric form
+    theta = math.acos(min(1.0, math.sqrt(27.0 * ab2 / (p * p * p))))
+    w = 2.0 * math.sqrt(p / (3.0 * ab2)) * math.cos(theta / 3.0)
+    length = 2.0 * math.pi * math.sqrt(w)
+    return LengthOptimum(length, critical_rayleigh(replace(params, length=length), source, order))

@@ -199,8 +199,14 @@ def test_critical_without_a_reduced_onset_fails_in_one_line(capsys):
     code, out, err = run(capsys, "critical", "--beta", "7", "--optimize-l")
     assert (code, out) == (1, "")
     assert len(err.splitlines()) == 1
-    assert err.startswith("anelor: no onset at beta = 7.0, l = 4.128677106875998: ")
-    assert "e4 = " in err and "rate" in err
+    assert err == ("anelor: no width minimizes Ra* at beta = 7.0: it falls toward the width "
+                   "where e4 = 0, l = 4.07245\n")
+
+
+def test_critical_optimize_l_rejects_the_published_route(capsys):
+    code, out, err = run(capsys, "critical", "--optimize-l", "--source", "published")
+    assert (code, out) == (2, "")
+    assert err.startswith("anelor: --optimize-l needs --source oracle or closed_form")
 
 
 def test_critical_optimize_l(capsys):

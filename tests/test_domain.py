@@ -155,6 +155,21 @@ def test_an_underflowed_coupling_is_inadmissible(capsys):
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("source", ["closed_form", "oracle"])
+def test_an_overflowing_onset_is_inadmissible(capsys, source):
+    # at gamma = 1e308, r grows so slowly with Ra that Ra* = 1/rate passes the
+    # largest float; the width minimum, l* = 1.1e77 at beta = 1, lies there too
+    params = PhysicalParams(beta=1.0, gamma=1e308, length=1e70)
+    with pytest.raises(InadmissibleError, match=r"^no finite onset at beta = 1\.0, l = 1e\+70: "
+                       r"r grows at rate .* per unit Ra, so Ra\* overflows$"):
+        critical_rayleigh(params, source)
+    assert main(["critical", "--optimize-l", "--gamma", "1e308", "--beta", "1",
+                 "--source", source]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("anelor: no finite onset at beta = 1.0, l = 1.12")
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("source", ["closed_form", "oracle"])
 @pytest.mark.parametrize("prandtl", [10.0, 1e-200])
 def test_a_non_finite_lorenz_map_is_inadmissible(capsys, source, prandtl):
     # at Ra = 1e308 every coefficient is finite, but r = e2*e5/(e1*e4) overflows;

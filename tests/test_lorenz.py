@@ -223,9 +223,8 @@ def test_taylor_ratio_tends_to_one_half():
 
 def test_minimize_over_length_recovers_classic_onset():
     optimum = minimize_over_length(beta=0.0)
-    assert optimum.rayleigh == pytest.approx(RA_CLASSIC, rel=1e-6)
-    assert optimum.length == pytest.approx(2.0 * ROOT2, abs=1e-6)
-    assert optimum.evaluations == 46
+    assert optimum.rayleigh == pytest.approx(RA_CLASSIC, rel=1e-14)
+    assert optimum.length == pytest.approx(2.0 * ROOT2, rel=1e-15)
 
 
 def onset_formula(beta, gamma, q):
@@ -255,27 +254,26 @@ def test_the_onset_formula_is_the_closed_form_onset(beta, length):
     assert formula == pytest.approx(onset, rel=1e-14)
 
 
-# at gamma = 4/3, beta = 6.2655 and 6.2662 lie past a 41-point grid's false edge at
-# 6.26545, below the true one at 6.26628611, where l* reaches 10
 @pytest.mark.parametrize("gamma", [1.0 / 3.0, 4.0 / 3.0, 3.0])
 @pytest.mark.parametrize("beta", [0.0, 0.5, 3.0, 6.0, 6.2655, 6.2662])
 def test_minimize_over_length_finds_the_root_of_the_cubic(beta, gamma):
     length, rayleigh = cubic_minimum(beta, gamma)
-    if length > 10.0:  # gamma = 3 from beta = 6.2655
-        with pytest.raises(InadmissibleError, match=r"^Ra\* is still falling at the edge l = 10 "):
-            minimize_over_length(beta=beta, gamma=gamma)
-        return
     optimum = minimize_over_length(beta=beta, gamma=gamma)
-    assert optimum.length == pytest.approx(length, abs=1e-6)
+    assert optimum.length == pytest.approx(length, rel=1e-12)
     assert optimum.rayleigh == pytest.approx(rayleigh, rel=1e-13)
-    assert optimum.evaluations == 46
 
 
-def test_minimize_over_length_raises_once_the_root_leaves_the_window():
-    assert cubic_minimum(6.2664, 4.0 / 3.0)[0] > 10.0
-    with pytest.raises(InadmissibleError, match=r"^Ra\* is still falling at the edge l = 10 of "
-                       r"the window \[0\.5, 10\] at beta = 6\.2664$"):
-        minimize_over_length(beta=6.2664, gamma=4.0 / 3.0)
+# the minimum lies at any width: near beta = 2 pi, or where a large viscosity
+# ratio makes the gamma term dominate e1, l* passes 10
+@pytest.mark.parametrize("beta, gamma, width", [
+    (6.2664, 4.0 / 3.0, 10.02), (6.27, 4.0 / 3.0, 10.64), (1.0, 1e4, 11.22),
+], ids=["beta-6.2664", "beta-6.27", "gamma-1e4"])
+def test_minimize_over_length_answers_beyond_l_10(beta, gamma, width):
+    length, rayleigh = cubic_minimum(beta, gamma)
+    optimum = minimize_over_length(beta=beta, gamma=gamma)
+    assert optimum.length == pytest.approx(width, abs=5e-3)
+    assert optimum.length == pytest.approx(length, rel=1e-12)
+    assert optimum.rayleigh == pytest.approx(rayleigh, rel=1e-13)
 
 
 def test_minimize_over_length_is_deterministic():
@@ -285,30 +283,30 @@ def test_minimize_over_length_is_deterministic():
 
 
 def test_minimize_over_length_oracle_route_agrees():
-    closed = minimize_over_length(beta=0.2, source="closed_form")
-    oracle = minimize_over_length(beta=0.2, source="oracle")
-    assert oracle.rayleigh == pytest.approx(closed.rayleigh, rel=1e-9)
+    # both routes minimize at the cubic's root, so only the onset there differs
+    for beta in (0.2, 3.0, 6.2):
+        closed = minimize_over_length(beta=beta, source="closed_form")
+        oracle = minimize_over_length(beta=beta, source="oracle")
+        assert oracle.length == closed.length
+        assert oracle.rayleigh == pytest.approx(closed.rayleigh, rel=1e-12)
 
 
-def test_minimize_over_length_edge_raises():
-    # a large viscosity ratio makes the gamma term dominate e1, which pushes
-    # the minimum of Ra* over the window past its edge l = 10
-    with pytest.raises(InadmissibleError, match="edge l = 10"):
-        minimize_over_length(beta=1.0, gamma=1e4)
-
-
-def test_edge_message_names_the_falling_onset_below_two_pi():
-    # below beta = 2 pi, e4 stays negative at every width, but Ra* still falls at l = 10
-    with pytest.raises(InadmissibleError, match=r"^Ra\* is still falling at the edge l = 10 ") as info:
-        minimize_over_length(beta=6.27)
-    assert "e4" not in str(info.value)
+def test_minimize_over_length_rejects_the_published_route():
+    # the published gamma term, 4 pi^2/l, is not polynomial in q = (2 pi/l)^2
+    with pytest.raises(ValueError, match="published") as info:
+        minimize_over_length(beta=1.0, source="published")
+    assert not isinstance(info.value, InadmissibleError)
 
 
 def test_edge_message_names_the_e4_width_above_two_pi():
-    # above 2 pi the onset ends at l = 2 pi / sqrt(beta^2/4 - pi^2), 27.32 at beta = 6.3
-    with pytest.raises(InadmissibleError, match=r"^Ra\* is still falling at the edge l = 10 .*"
-                       r"; the onset ends where e4 = 0, at l = 27\.3193$"):
+    # above 2 pi the onset ends at l = 2 pi / sqrt(beta^2/4 - pi^2), 27.32 at beta = 6.3,
+    # and Ra* falls toward it from every narrower width
+    with pytest.raises(InadmissibleError, match=r"^no width minimizes Ra\* at beta = 6\.3: it "
+                       r"falls toward the width where e4 = 0, l = 27\.3193$"):
         minimize_over_length(beta=6.3)
+    with pytest.raises(InadmissibleError, match=r"^no width minimizes Ra\* at beta = "
+                       r"6\.283185307179586: .*, l = inf$"):
+        minimize_over_length(beta=2.0 * math.pi)
     width = 2.0 * math.pi / math.sqrt(6.3**2 / 4.0 - math.pi**2)
     assert critical_rayleigh(make_params(beta=6.3, length=0.999 * width), "closed_form") > 0.0
     with pytest.raises(InadmissibleError, match="e4 = "):
@@ -319,9 +317,8 @@ def test_no_reduced_onset_where_e4_is_not_negative():
     # beta > 2 pi gives e4 >= 0 from l = 2 pi / sqrt(beta^2/4 - pi^2), 4.072 at beta = 7
     with pytest.raises(InadmissibleError, match=r"^no onset at beta = 7\.0, l = 4\.3: .*e4 = 3\.85"):
         critical_rayleigh(make_params(beta=7.0, length=4.3), "closed_form")
-    # the golden section's first probe, l = 10 - 9.5/phi, already lies past that edge
-    with pytest.raises(InadmissibleError,
-                       match=r"^no onset at beta = 7\.0, l = 4\.128677106875998:"):
+    with pytest.raises(InadmissibleError, match=r"^no width minimizes Ra\* at beta = 7\.0: "
+                       r".*e4 = 0, l = 4\.07245$"):
         minimize_over_length(beta=7.0)
 
 
