@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from anelor.lorenz import critical_rayleigh, minimize_over_length, taylor_ratio
+from anelor.lorenz import critical_rayleigh, minimize_over_length
 from anelor.params import PhysicalParams
 
 classic = 27.0 * math.pi**4 / 4.0
@@ -30,4 +30,5 @@ for beta in np.concatenate(([0.0], np.geomspace(0.01, 2.0, 8))):
 
 print("\nfirst-order rate (Ra*/Ra*0 - 1)/beta, tending to 1/2:")
 for beta in (1e-1, 1e-2, 1e-3, 1e-4):
-    print(f"  beta = {beta:<7g} ratio = {taylor_ratio(base.with_beta(beta)):.7f}")
+    rate = (critical_rayleigh(base.with_beta(beta), "closed_form") / flat - 1.0) / beta
+    print(f"  beta = {beta:<7g} ratio = {rate:.7f}")

@@ -34,7 +34,6 @@ __all__ = [
     "ModeIndex",
     "QuadratureRule",
     "ModeGrid",
-    "fourier_eval",
     "fourier_factor",
     "fourier_partial",
     "vertical_partial",
@@ -66,21 +65,6 @@ class ModeIndex:
             raise ValueError("parity -1 with horizontal index 0 is not a mode")
 
 
-def fourier_eval(parity, m, x, length):
-    """Normalized horizontal factor phi[parity, m] at x."""
-    x = np.asarray(x, dtype=float)
-    if m == 0:
-        if parity == -1:
-            raise ValueError("parity -1 with m = 0 is not a mode")
-        return np.full_like(x, np.sqrt(1.0 / length))
-    arg = (2.0 * np.pi * m / length) * x
-    if parity == 1:
-        return np.sqrt(2.0 / length) * np.cos(arg)
-    if parity == -1:
-        return np.sqrt(2.0 / length) * np.sin(arg)
-    raise ValueError(f"parity must be +1 or -1, got {parity}")
-
-
 def fourier_factor(parity, m, length, order=0):
     """(factor, parity') with d^order/dx^order phi[parity, m] = factor * phi[parity', m];
     each derivative flips the parity and multiplies by -parity * 2*pi*m/l."""
@@ -92,13 +76,19 @@ def fourier_factor(parity, m, length, order=0):
 
 
 def fourier_partial(parity, m, x, length, order=0):
-    """d^order/dx^order of phi[parity, m], a scaled copy of one of the two branches."""
+    """d^order/dx^order of phi[parity, m] at x, a scaled copy of one of the two branches."""
+    if parity not in (1, -1):
+        raise ValueError(f"parity must be +1 or -1, got {parity}")
+    if m == 0 and parity == -1:
+        raise ValueError("parity -1 with m = 0 is not a mode")
     if order < 0:
         raise ValueError("derivative order must be >= 0")
-    if m == 0 and order > 0:
-        return np.zeros_like(np.asarray(x, dtype=float))
+    x = np.asarray(x, dtype=float)
     factor, cur = fourier_factor(parity, m, length, order)
-    return factor * fourier_eval(cur, m, x, length)
+    if m == 0:  # the constant sqrt(1/l), whose derivatives vanish
+        return np.zeros_like(x) if order else factor * np.full_like(x, np.sqrt(1.0 / length))
+    arg = (2.0 * np.pi * m / length) * x
+    return factor * (np.sqrt(2.0 / length) * (np.cos(arg) if cur == 1 else np.sin(arg)))
 
 
 def vertical_partial(n, z, beta, order=0):

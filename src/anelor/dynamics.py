@@ -303,7 +303,7 @@ def map_trajectory(traj: Trajectory, scaling: ScalingMap) -> Trajectory:
     """
     if tuple(traj.labels) != REDUCED_LABELS:
         raise ValueError("expected a reduced (t, A, B, C) trajectory")
-    return replace(traj, times=scaling.time_to_lorenz(traj.times),
+    return replace(traj, times=traj.times * scaling.d,
                    states=scaling.apply(traj.states), labels=LORENZ_LABELS)
 
 

@@ -44,7 +44,6 @@ __all__ = [
     "origin_eigenvalues",
     "classify_rest_state",
     "critical_rayleigh",
-    "taylor_ratio",
     "minimize_over_length",
 ]
 
@@ -88,9 +87,6 @@ class ScalingMap:
     def apply(self, states):
         """Reduced (A, B, C) states, shape (..., 3), to Lorenz (X, Y, Z)."""
         return np.asarray(states) * np.array([self.a, self.b, self.c])
-
-    def time_to_lorenz(self, t):
-        return np.asarray(t) * self.d
 
 
 @dataclass(frozen=True)
@@ -204,18 +200,6 @@ def critical_rayleigh(
     return 1.0 / slope
 
 
-def taylor_ratio(params: PhysicalParams, source: str = "closed_form") -> float:
-    """First-order sensitivity (Ra*(beta)/Ra*(0) - 1) / beta at params.beta.
-
-    Tends to 1/2 as beta -> 0: weak stratification raises the onset of
-    convection at half the relative rate of beta itself.
-    """
-    if params.beta <= 0.0:
-        raise ValueError("the ratio needs beta > 0")
-    flat = critical_rayleigh(params.with_beta(0.0), source)
-    return (critical_rayleigh(params, source) / flat - 1.0) / params.beta
-
-
 def minimize_over_length(
     beta: float = 0.0,
     prandtl: float = PhysicalParams.prandtl,
@@ -233,8 +217,9 @@ def minimize_over_length(
     same function of l to quadrature accuracy; the published route's gamma
     term, 4*pi^2/l, is not polynomial in q, and it raises ValueError. For
     beta >= 2*pi no root exists: Ra* falls toward the width where e4 = 0, and
-    InadmissibleError names it. `order` is the oracle's, as in
-    `critical_rayleigh`.
+    InadmissibleError names it. Where the minimizing width overflows, as it
+    does once (1 + gamma)*beta^2 does, InadmissibleError names beta and gamma.
+    `order` is the oracle's, as in `critical_rayleigh`.
     """
     params = PhysicalParams(beta=beta, prandtl=prandtl, gamma=gamma)
     if source == "published":
@@ -253,4 +238,7 @@ def minimize_over_length(
     theta = math.acos(min(1.0, math.sqrt(27.0 * ab2 / (p * p * p))))
     w = 2.0 * math.sqrt(p / (3.0 * ab2)) * math.cos(theta / 3.0)
     length = 2.0 * math.pi * math.sqrt(w)
+    if not length < math.inf:
+        raise InadmissibleError(f"no finite width minimizes Ra* at beta = {params.beta}, "
+                                f"gamma = {params.gamma}: the minimizing width overflows")
     return LengthOptimum(length, critical_rayleigh(replace(params, length=length), source, order))

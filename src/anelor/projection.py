@@ -356,8 +356,9 @@ def published_coefficients(params: PhysicalParams) -> GalerkinCoeffs:
 def coefficients(
     params: PhysicalParams, source: str = "oracle", order: int = ORDER
 ) -> GalerkinCoeffs:
-    """Dispatch on provenance; the oracle is the default everywhere, and the
-    only route that reads `order`."""
+    """Dispatch on provenance; the oracle is the default everywhere except
+    `minimize_over_length`, which defaults to the closed form, and the only
+    route that reads `order`."""
     if source == "oracle":
         return oracle_coefficients(params, order)
     if source == "closed_form":

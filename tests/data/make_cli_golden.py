@@ -39,6 +39,8 @@ COMMANDS = {
     "critical-no-onset": ["critical", "--beta", "7", "--l", "4.3", "--source", "closed_form"],
     "critical-optimize-l-no-onset": ["critical", "--beta", "7", "--optimize-l",
                                      "--source", "closed_form"],
+    "critical-optimize-l-gamma-overflow": ["critical", "--optimize-l", "--gamma", "1e308",
+                                           "--beta", "6", "--source", "closed_form"],
     "critical-e4-zero": ["critical", "--beta", "6.5", "--l", "7.548244634153276",
                          "--source", "closed_form"],
     "simulate-csv": ["simulate", "--ra", "1500", "--beta", "0.2", "--coords", "both"],

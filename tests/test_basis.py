@@ -7,7 +7,6 @@ from anelor.basis import (
     ModeGrid,
     ModeIndex,
     QuadratureRule,
-    fourier_eval,
     fourier_partial,
     mode_eval,
     mode_partial,
@@ -109,8 +108,22 @@ def test_x_derivative_flips_parity(parity, m):
     if m == 0:
         assert np.all(got == 0.0)
         return
-    expected = -parity * (2.0 * math.pi * m / length) * fourier_eval(-parity, m, x, length)
+    wave = 2.0 * math.pi * m / length
+    branch = np.cos(wave * x) if parity == -1 else np.sin(wave * x)  # phi[-parity, m]
+    expected = -parity * wave * math.sqrt(2.0 / length) * branch
     assert np.max(np.abs(got - expected)) < 1e-12 * np.max(np.abs(expected))
+
+
+@pytest.mark.parametrize("parity, m, order, message", [
+    (-1, 0, 1, "parity -1 with m = 0 is not a mode"),
+    (2, 0, 2, "parity must be +1 or -1, got 2"),
+    (2, 1, 1, "parity must be +1 or -1, got 2"),
+], ids=["sine-at-m0", "parity-2-at-m0", "parity-2"])
+def test_fourier_partial_rejects_a_label_that_is_no_mode(parity, m, order, message):
+    # at every order, naming the parity the caller gave
+    with pytest.raises(ValueError) as excinfo:
+        fourier_partial(parity, m, np.linspace(0.0, 2.5, 5), 2.5, order)
+    assert str(excinfo.value) == message
 
 
 @pytest.mark.parametrize("order,h", [(1, 1e-6), (2, 1e-5), (3, 4e-4), (4, 3e-3)])

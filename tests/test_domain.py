@@ -15,7 +15,11 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from anelor.cli import ROUTE_GATE, main  # noqa: E402
-from anelor.lorenz import critical_rayleigh, scale_to_lorenz  # noqa: E402
+from anelor.lorenz import (  # noqa: E402
+    critical_rayleigh,
+    minimize_over_length,
+    scale_to_lorenz,
+)
 from anelor.params import InadmissibleError, PhysicalParams  # noqa: E402
 from anelor.projection import coefficients  # noqa: E402
 from anelor.spectral import (  # noqa: E402
@@ -166,6 +170,20 @@ def test_an_overflowing_onset_is_inadmissible(capsys, source):
                  "--source", source]) == 1
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("anelor: no finite onset at beta = 1.0, l = 1.12")
+
+
+@pytest.mark.filterwarnings("error")
+def test_an_overflowing_width_minimum_is_inadmissible(capsys):
+    # at beta = 6 the minimizing width passes the largest float from gamma about
+    # 5e306, before any onset is evaluated
+    message = ("no finite width minimizes Ra* at beta = 6.0, gamma = 1e+308: "
+               "the minimizing width overflows")
+    with pytest.raises(InadmissibleError) as excinfo:
+        minimize_over_length(beta=6.0, gamma=1e308, source="closed_form")
+    assert str(excinfo.value) == message
+    assert main(["critical", "--optimize-l", "--gamma", "1e308", "--beta", "6",
+                 "--source", "closed_form"]) == 1
+    assert capsys.readouterr() == ("", f"anelor: {message}\n")
 
 
 @pytest.mark.filterwarnings("error")

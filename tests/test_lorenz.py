@@ -1,8 +1,10 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
+from anelor.cli import main
 from anelor.lorenz import (
     LorenzParams,
     classify_rest_state,
@@ -11,7 +13,6 @@ from anelor.lorenz import (
     minimize_over_length,
     origin_eigenvalues,
     scale_to_lorenz,
-    taylor_ratio,
 )
 from anelor.params import InadmissibleError, PhysicalParams
 from anelor.projection import (
@@ -209,16 +210,23 @@ def test_width_minimized_onset_rises_with_beta_up_to_5_8(gamma):
     assert all(b > a for a, b in zip(values, values[1:]))
 
 
-def test_taylor_ratio_tends_to_one_half():
-    params = make_params()
-    ratio = taylor_ratio(params.with_beta(1e-3))
-    assert 0.495 <= ratio <= 0.505
+def test_critical_taylor_column_tends_to_one_half(capsys):
+    # `critical`'s taylor_ratio column, (Ra*(beta)/Ra*(0) - 1)/beta, from the onsets
+    # of its own rows
+    assert main(["critical", "--beta-sweep", "0", "0.001", "3", "--source", "closed_form",
+                 "--format", "json", "--quiet"]) == 0
+    document = json.loads(capsys.readouterr().out)
+    params = PhysicalParams(**document["params"])
+    betas, taylor = zip(*[(row[0], row[4]) for row in document["rows"]])
+    assert betas == (0.0, 5e-4, 1e-3)
+    assert taylor[0] is None
+    flat = critical_rayleigh(params, "closed_form")
+    assert list(taylor[1:]) == [
+        (critical_rayleigh(params.with_beta(beta), "closed_form") / flat - 1.0) / beta
+        for beta in betas[1:]]
+    assert 0.495 <= taylor[2] <= 0.505
     # deviation from 1/2 halves with beta
-    gap1 = abs(taylor_ratio(params.with_beta(1e-3)) - 0.5)
-    gap2 = abs(taylor_ratio(params.with_beta(5e-4)) - 0.5)
-    assert gap1 / gap2 == pytest.approx(2.0, rel=0.01)
-    with pytest.raises(ValueError):
-        taylor_ratio(params.with_beta(0.0))
+    assert abs(taylor[2] - 0.5) / abs(taylor[1] - 0.5) == pytest.approx(2.0, rel=0.01)
 
 
 def test_minimize_over_length_recovers_classic_onset():
