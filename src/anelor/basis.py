@@ -54,15 +54,19 @@ class ModeIndex:
     vertical: int
 
     def __post_init__(self):
-        if self.parity not in (1, -1):
-            raise ValueError(f"parity must be +1 or -1, got {self.parity}")
-        if self.horizontal < 0:
-            raise ValueError(f"horizontal index must be >= 0, got {self.horizontal}")
-        if self.vertical < 1:
-            raise ValueError(f"vertical index must be >= 1, got {self.vertical}")
-        if self.horizontal == 0 and self.parity == -1:
-            # the sine branch is identically zero at m = 0
-            raise ValueError("parity -1 with horizontal index 0 is not a mode")
+        _check_label(self.parity, self.horizontal, self.vertical)
+
+
+def _check_label(parity, m, n):
+    """ValueError naming the label unless (parity, m, n) labels a mode; numpy's integers
+    pass. The factors call it directly, since a ModeIndex per call costs a dataclass."""
+    if parity not in (1, -1):
+        raise ValueError(f"parity must be +1 or -1, got {parity}")
+    for name, value, low in (("horizontal index m", m, 0), ("vertical index n", n, 1)):
+        if not (isinstance(value, (int, np.integer)) and value >= low):
+            raise ValueError(f"{name} must be an integer >= {low}, got {value}")
+    if m == 0 and parity == -1:  # the sine branch is identically zero at m = 0
+        raise ValueError("parity -1 with m = 0 is not a mode")
 
 
 def fourier_factor(parity, m, length, order=0):
@@ -77,10 +81,7 @@ def fourier_factor(parity, m, length, order=0):
 
 def fourier_partial(parity, m, x, length, order=0):
     """d^order/dx^order of phi[parity, m] at x, a scaled copy of one of the two branches."""
-    if parity not in (1, -1):
-        raise ValueError(f"parity must be +1 or -1, got {parity}")
-    if m == 0 and parity == -1:
-        raise ValueError("parity -1 with m = 0 is not a mode")
+    _check_label(parity, m, 1)
     if order < 0:
         raise ValueError("derivative order must be >= 0")
     x = np.asarray(x, dtype=float)
@@ -95,6 +96,7 @@ def vertical_partial(n, z, beta, order=0):
     """d^order/dz^order of sqrt(2) * sin(n*pi*z) * exp(-beta*z/2) at z: the mode is
     sqrt(2) * Im(exp(c*z)) with c = -beta/2 + i*n*pi, so the derivative is
     sqrt(2) * Im(c^order * exp(c*z)), exact at every order."""
+    _check_label(1, 0, n)
     if order < 0:
         raise ValueError("derivative order must be >= 0")
     c = complex(-0.5 * beta, n * np.pi)

@@ -45,7 +45,7 @@ import numpy as np
 from .dynamics import integrate_lorenz, integrate_reduced, map_trajectory
 from .lorenz import critical_rayleigh, minimize_over_length, scale_to_lorenz
 from .params import InadmissibleError, PhysicalParams
-from .projection import ORDER, PROVENANCES, ProjectionTermReport, coefficients, discrepancy_report
+from .projection import PROVENANCES, ProjectionTermReport, coefficients, discrepancy_report
 from .spectral import critical_rayleigh_spectral
 
 __all__ = ["ConfigError", "RunConfig", "main", "entry", "render_csv"]
@@ -132,7 +132,6 @@ _SETTINGS = {
     "gamma": _row(float, None, None, "--gamma",
                   help="viscosity ratio (bulk over shear plus one third)"),
     "length": _row(float, None, None, "--l", "--length", help="domain width"),
-    "order": _row(_as_int, ORDER, None, "--order", help="oracle Gauss points per axis, 2-512"),
     "source": _row(str, "oracle", None, "--source", choices=PROVENANCES, help="coefficient route"),
     "format": _row(str, "csv", None, "--format", choices=("csv", "json"), help="table format"),
     "output": _row(_as_path, None, None, "--output",
@@ -175,8 +174,6 @@ def _check(config) -> None:
         if choices and getattr(config, name) not in choices:
             raise ConfigError(f"{name} must be one of {', '.join(choices)}, "
                               f"got {getattr(config, name)!r}")
-    if not 2 <= config.order <= 512:  # the oracle's memory grows as order^2
-        raise ConfigError(f"quadrature order must lie in [2, 512], got {config.order}")
     if config.workers < 1:
         raise ConfigError("workers must be at least 1")
     if config.samples < 2:
@@ -347,7 +344,7 @@ def _pool_map(config: RunConfig, function, items) -> list:
 
 def _cmd_coeffs(config: RunConfig) -> int:
     params = config.physical()
-    reports = discrepancy_report(params, config.order)
+    reports = discrepancy_report(params)
     worst = float(max(
         report.rel_dev_closed_form for report in reports if report.term.startswith("e")
     ))
@@ -372,10 +369,9 @@ def _cmd_critical(config: RunConfig) -> int:
         """(width, Ra*) at the point's width, or at the optimal one under --optimize-l."""
         if config.optimize_l:
             best = minimize_over_length(beta=point.beta, prandtl=point.prandtl,
-                                        gamma=point.gamma, source=config.source,
-                                        order=config.order)
+                                        gamma=point.gamma, source=config.source)
             return best.length, best.rayleigh
-        return point.length, critical_rayleigh(point, config.source, config.order)
+        return point.length, critical_rayleigh(point, config.source)
 
     # each distinct point once, the beta = 0 references first, so their errors come first
     distinct = list(dict.fromkeys([replace(point, beta=0.0) for point in points] + points))
@@ -397,7 +393,7 @@ def _cmd_simulate(config: RunConfig) -> int:
     params = config.physical()
     initial = np.asarray(config.initial, dtype=float)
     extra = {"params": asdict(params)}
-    coeffs = coefficients(params, config.source, config.order)
+    coeffs = coefficients(params, config.source)
     grid = np.linspace(0.0, config.t_end, config.samples)
     tolerances = (config.rtol, config.atol)
 
@@ -437,7 +433,7 @@ def _cmd_validate(config: RunConfig) -> int:
     unchecked = "no N=1 truncation requested"
     try:
         reduced_value = critical_rayleigh(replace(params, length=params.length / config.m),
-                                          config.source, config.order)
+                                          config.source)
     except InadmissibleError as exc:
         reduced_value, unchecked = None, f"reduced route: {exc}"
 

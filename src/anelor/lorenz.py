@@ -32,7 +32,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .params import InadmissibleError, PhysicalParams
-from .projection import ORDER, GalerkinCoeffs, coefficients
+from .projection import GalerkinCoeffs, coefficients
 
 __all__ = [
     "LorenzParams",
@@ -175,9 +175,7 @@ def classify_rest_state(lp: LorenzParams) -> StabilityReport:
     return StabilityReport(classification, leading, eigenvalues)
 
 
-def critical_rayleigh(
-    params: PhysicalParams, source: str = "oracle", order: int = ORDER
-) -> float:
+def critical_rayleigh(params: PhysicalParams, source: str = "oracle") -> float:
     """Rayleigh number where the conducting state loses stability (r = 1).
 
     r is exactly linear in Ra, so one evaluation at a reference Rayleigh
@@ -187,7 +185,7 @@ def critical_rayleigh(
     this domain applies: the Lorenz map's e7 and e3*e6 conditions
     (`scale_to_lorenz`) do not.
     """
-    c = coefficients(params.with_rayleigh(1.0), source, order)
+    c = coefficients(params.with_rayleigh(1.0), source)
     scale = c.e1 * c.e4  # Python floats: e4 = 0 is tested here, never divided by
     slope = c.e2 * c.e5 / scale if scale else math.nan
     if not slope > 0.0:
@@ -205,7 +203,6 @@ def minimize_over_length(
     prandtl: float = PhysicalParams.prandtl,
     gamma: float = PhysicalParams.gamma,
     source: str = "closed_form",
-    order: int = ORDER,
 ) -> LengthOptimum:
     """Domain width that minimizes the critical Rayleigh number, and Ra* there.
 
@@ -219,7 +216,6 @@ def minimize_over_length(
     beta >= 2*pi no root exists: Ra* falls toward the width where e4 = 0, and
     InadmissibleError names it. Where the minimizing width overflows, as it
     does once (1 + gamma)*beta^2 does, InadmissibleError names beta and gamma.
-    `order` is the oracle's, as in `critical_rayleigh`.
     """
     params = PhysicalParams(beta=beta, prandtl=prandtl, gamma=gamma)
     if source == "published":
@@ -241,4 +237,4 @@ def minimize_over_length(
     if not length < math.inf:
         raise InadmissibleError(f"no finite width minimizes Ra* at beta = {params.beta}, "
                                 f"gamma = {params.gamma}: the minimizing width overflows")
-    return LengthOptimum(length, critical_rayleigh(replace(params, length=length), source, order))
+    return LengthOptimum(length, critical_rayleigh(replace(params, length=length), source))

@@ -64,7 +64,7 @@ __all__ = [
 
 PROVENANCES = ("oracle", "closed_form", "published")
 
-# oracle quadrature points per axis, unless a caller asks for another order
+# oracle quadrature points per axis, converged over the oracle's whole domain
 ORDER = 64
 
 # relative-deviation floor; keeps identically-zero projections (quadrature
@@ -315,17 +315,16 @@ def _assemble(terms: dict, params: PhysicalParams, provenance: str) -> GalerkinC
     return GalerkinCoeffs(**quotients, provenance=provenance, params=params)
 
 
-def oracle_coefficients(
-    params: PhysicalParams, order: int = ORDER, check_convergence: bool = False
-) -> GalerkinCoeffs:
-    """Reference coefficients, every integral by `order`-point quadrature per axis.
+def oracle_coefficients(params: PhysicalParams, *,
+                        check_convergence: bool = False) -> GalerkinCoeffs:
+    """Reference coefficients, every integral by ORDER-point quadrature per axis.
 
     With check_convergence=True the order is doubled and a relative move
     above 1e-9 in any coefficient raises QuadratureConvergenceError.
     """
-    coeffs = _assemble(_oracle_terms(params, order), params, "oracle")
+    coeffs = _assemble(_oracle_terms(params, ORDER), params, "oracle")
     if check_convergence:
-        refined = _assemble(_oracle_terms(params, 2 * order), params, "oracle")
+        refined = _assemble(_oracle_terms(params, 2 * ORDER), params, "oracle")
         base, again = coeffs.as_array(), refined.as_array()
         moves = np.abs(again - base) / np.maximum(np.abs(again), _DEV_FLOOR)
         if np.any(moves > 1e-9):
@@ -353,14 +352,11 @@ def published_coefficients(params: PhysicalParams) -> GalerkinCoeffs:
     return _assemble(_published_terms(params), params, "published")
 
 
-def coefficients(
-    params: PhysicalParams, source: str = "oracle", order: int = ORDER
-) -> GalerkinCoeffs:
+def coefficients(params: PhysicalParams, source: str = "oracle") -> GalerkinCoeffs:
     """Dispatch on provenance; the oracle is the default everywhere except
-    `minimize_over_length`, which defaults to the closed form, and the only
-    route that reads `order`."""
+    `minimize_over_length`, which defaults to the closed form."""
     if source == "oracle":
-        return oracle_coefficients(params, order)
+        return oracle_coefficients(params)
     if source == "closed_form":
         return closed_form_coefficients(params)
     if source == "published":
@@ -372,9 +368,7 @@ def _rel_dev(value: float, reference: float, floor: float) -> float:
     return abs(value - reference) / max(abs(value), abs(reference), floor)
 
 
-def discrepancy_report(
-    params: PhysicalParams, order: int = ORDER
-) -> list[ProjectionTermReport]:
+def discrepancy_report(params: PhysicalParams) -> list[ProjectionTermReport]:
     """Route comparison for every projected term and every coefficient.
 
     Deviations are relative to the larger of the two values being compared;
@@ -382,7 +376,7 @@ def discrepancy_report(
     dominant magnitude of the system, so quadrature noise in a vanishing
     projection does not read as disagreement.
     """
-    oracle_terms = _oracle_terms(params, order)
+    oracle_terms = _oracle_terms(params, ORDER)
     closed_terms = _closed_form_terms(params)
     published_terms = _published_terms(params)
     oracle = _assemble(oracle_terms, params, "oracle").as_array().tolist()

@@ -32,10 +32,19 @@ def all_modes(max_m, max_n):
     return modes
 
 
-@pytest.mark.parametrize("parity,m,n", [(0, 1, 1), (1, -1, 1), (1, 1, 0), (-1, 0, 1)])
+@pytest.mark.parametrize("parity,m,n", [(0, 1, 1), (1, -1, 1), (1, 1, 0), (-1, 0, 1),
+                                        (1, 1.5, 2.5), (1, 1, 2.5), (1, 2.0, 1)])
 def test_mode_index_rejects_bad_labels(parity, m, n):
     with pytest.raises(ValueError):
         ModeIndex(parity, m, n)
+
+
+def test_labels_accept_numpy_integers():
+    m, n = np.int64(2), np.int32(3)
+    assert ModeIndex(-1, m, n) == ModeIndex(-1, 2, 3)
+    x, z = np.linspace(0.0, 2.5, 5), np.linspace(0.0, 1.0, 5)
+    assert np.array_equal(fourier_partial(-1, m, x, 2.5, 1), fourier_partial(-1, 2, x, 2.5, 1))
+    assert np.array_equal(vertical_partial(n, z, 1.3, 2), vertical_partial(3, z, 1.3, 2))
 
 
 @pytest.mark.parametrize("beta", [0.0, 0.1, 1.0])
@@ -118,9 +127,11 @@ def test_x_derivative_flips_parity(parity, m):
     (-1, 0, 1, "parity -1 with m = 0 is not a mode"),
     (2, 0, 2, "parity must be +1 or -1, got 2"),
     (2, 1, 1, "parity must be +1 or -1, got 2"),
-], ids=["sine-at-m0", "parity-2-at-m0", "parity-2"])
+    (1, -1, 1, "horizontal index m must be an integer >= 0, got -1"),
+    (1, 1.5, 0, "horizontal index m must be an integer >= 0, got 1.5"),
+], ids=["sine-at-m0", "parity-2-at-m0", "parity-2", "negative-m", "fractional-m"])
 def test_fourier_partial_rejects_a_label_that_is_no_mode(parity, m, order, message):
-    # at every order, naming the parity the caller gave
+    # at every order, naming the label the caller gave
     with pytest.raises(ValueError) as excinfo:
         fourier_partial(parity, m, np.linspace(0.0, 2.5, 5), 2.5, order)
     assert str(excinfo.value) == message
@@ -202,6 +213,9 @@ def test_vertical_partial_agrees_with_the_profiles(beta):
             assert np.max(np.abs(points - row)) <= 1e-15 * np.max(np.abs(row))
     with pytest.raises(ValueError):
         vertical_partial(4, z, beta, -1)
+    for n in (1.5, -1, 0):
+        with pytest.raises(ValueError, match=f"vertical index n must be an integer >= 1, got {n}$"):
+            vertical_partial(n, z, 1.0)
 
 
 def test_quadrature_is_exact_on_polynomials():

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import anelor.projection
 from anelor import cli
 from anelor.cli import _SETTINGS, _build_parser, main, render_csv, resolve_config
 from anelor.lorenz import critical_rayleigh, minimize_over_length
@@ -39,10 +40,19 @@ def test_coeffs_table_and_exit_code(capsys):
                                                     rel=1e-12)
 
 
-def test_coeffs_gate_fails_on_coarse_quadrature(capsys):
-    code, _, err = run(capsys, "coeffs", "--order", "4", "--ra", "100")
+def test_coeffs_gate_fails_on_coarse_quadrature(capsys, monkeypatch):
+    # 16 points per axis leave the oracle 1.5e-4 off at beta = 60 without any
+    # orthogonality error; only the gate notices
+    monkeypatch.setattr(anelor.projection, "ORDER", 16)
+    code, _, err = run(capsys, "coeffs", "--beta", "60")
     assert code == 1
     assert "FAIL" in err
+
+
+def test_coeffs_gate_passes_at_the_oracle_domain_edge(capsys):
+    code, out, err = run(capsys, "coeffs", "--beta", "354", "--l", "0.3", "--ra", "1e4")
+    assert code == 0 and out.startswith(REPORT_HEADER)
+    assert err.endswith(": ok\n")
 
 
 def test_quiet_suppresses_the_summary(capsys):
@@ -218,26 +228,6 @@ def test_critical_optimize_l(capsys):
     assert row[2] == pytest.approx(27.0 * math.pi**4 / 4.0, rel=1e-6)
 
 
-@pytest.mark.parametrize("extra", [(), ("--optimize-l",)], ids=["fixed-l", "optimize-l"])
-def test_critical_fails_at_an_unresolving_order(capsys, extra):
-    # four points per axis do not resolve the oracle's integrands
-    code, out, err = run(capsys, "critical", "--order", "4", "--beta", "0.5", *extra)
-    assert (code, out) == (1, "")
-    assert err.startswith("anelor:") and "orthogonality" in err
-
-
-def test_critical_sweep_runs_the_oracle_at_the_given_order(capsys):
-    code, out, _ = run(capsys, "critical", "--order", "96", "--beta-sweep", "0", "1", "3",
-                       "--quiet")
-    assert code == 0
-    rows = [line.split(",") for line in out.splitlines()[1:]]
-    assert len(rows) == 3
-    flat = critical_rayleigh(PhysicalParams(beta=0.0), "oracle", 96)
-    for row in rows:
-        ra = critical_rayleigh(PhysicalParams(beta=float(row[0])), "oracle", 96)
-        assert (float(row[2]), float(row[3])) == (ra, ra / flat)
-
-
 def test_simulate_reduced_csv(capsys):
     code, out, _ = run(capsys, "simulate", "--coords", "abc", "--ra", "500",
                        "--t-end", "2", "--samples", "5", "--initial",
@@ -298,23 +288,22 @@ def test_validate_onsets_match_golden_values(capsys, beta):
 
 
 def test_validate_raises_the_order_for_high_truncations(capsys):
-    # the exact pencil does not depend on --order
     code, out, _ = run(capsys, "validate", "--beta", "1", "--l", "2.83",
-                       "--n-modes", "56", "--order", "64", "--quiet")
+                       "--n-modes", "56", "--quiet")
     assert code == 0
     ra = float(out.splitlines()[1].split(",")[3])
     assert math.isfinite(ra) and abs(ra - 1152.378) < 1e-3
 
 
 def test_validate_reduced_onset_matches_the_exact_n1_pencil(capsys):
-    # the reduced side runs the oracle at --order, as critical does: eight points
-    # per axis leave it 1.16e-10 from the exact N = 1 pencil, inside the gate
+    # the reduced side runs the oracle, as critical does; its onset is the exact
+    # N = 1 pencil's to rounding (1.7e-16)
     code, out, _ = run(capsys, "validate", "--beta", "3", "--n-modes", "1",
-                       "--order", "8", "--format", "json", "--quiet")
+                       "--format", "json", "--quiet")
     assert code == 0
     (row,) = json.loads(out)["rows"]
-    assert row[4] == critical_rayleigh(PhysicalParams(beta=3.0), "oracle", 8)
-    assert row[5] == pytest.approx(1.16e-10, rel=0.01) and row[5] <= cli.ROUTE_GATE
+    assert row[4] == critical_rayleigh(PhysicalParams(beta=3.0), "oracle")
+    assert row[5] <= 1e-14
 
 
 @pytest.mark.parametrize("harmonic", [2, 3])
@@ -357,14 +346,6 @@ def test_validate_without_n1_leaves_the_route_check_open(capsys):
     consistency = json.loads(out)["route_consistency"]
     assert consistency["rel_dev"] is None and consistency["passed"] is None
     assert err == "route consistency not checked (no N=1 truncation requested)\n"
-
-
-def test_validate_fails_at_an_unresolving_order_as_critical_does(capsys):
-    # the reduced onset is critical's, so four points per axis fail it alike
-    code, out, err = run(capsys, "validate", "--beta", "0.5", "--order", "4", "--n-modes", "2")
-    assert (code, out) == (1, "")
-    assert err.startswith("anelor: ('temperature time derivative', 'B', 'C') projection ")
-    assert run(capsys, "critical", "--beta", "0.5", "--order", "4") == (code, out, err)
 
 
 def test_environment_and_config_precedence(capsys, tmp_path, monkeypatch):
@@ -412,9 +393,10 @@ def test_json_null_output_means_unset(capsys, tmp_path, monkeypatch):
     ("beta 0.1\n", ":1:"),
     ("beta = fast\n", "beta"),
     ('{"beta": [1, 2]}', "beta"),
-    ('{"order": 1%s}' % ("0" * 400), "order"),
-    ('{"order": 513}', "order"),
+    ('{"samples": 1%s}' % ("0" * 400), "samples"),
+    ('{"n_modes": 513}', "n_modes"),
     ('{"report": "report.csv"}', "report"),
+    ('{"order": 64}', "order"),
 ])
 def test_malformed_config_is_a_usage_error(capsys, tmp_path, contents,
                                            fragment):
@@ -433,7 +415,7 @@ def test_missing_config_file(capsys, tmp_path):
 
 @pytest.mark.parametrize("argv", [
     ("coeffs", "--beta", "-1"),
-    ("coeffs", "--order", "1"),
+    ("coeffs", "--workers", "0"),
     ("simulate", "--coords", "xyz", "--ra", "0"),
     ("simulate", "--ra", "100", "--samples", "1"),
     ("simulate", "--ra", "100", "--rtol", "2"),
@@ -445,7 +427,7 @@ def test_missing_config_file(capsys, tmp_path):
     ("critical", "--beta-sweep", "-1", "1", "3"),
     ("critical", "--l-sweep", "0", "2", "3"),
     ("critical", "--beta-sweep", "0", "inf", "3"),
-    ("coeffs", "--order", "513"),
+    ("simulate", "--ra", "100", "--t-end", "0"),
 ])
 def test_invalid_settings_exit_two(capsys, argv):
     code, _, err = run(capsys, *argv)
@@ -459,20 +441,13 @@ def test_bad_environment_value_is_a_usage_error(capsys, monkeypatch):
     assert code == 2 and "format" in err
 
 
-@pytest.mark.parametrize("variable", ["ANELOR_BETTA", "ANELOR_REPORT"])
+@pytest.mark.parametrize("variable", ["ANELOR_BETTA", "ANELOR_REPORT", "ANELOR_ORDER"])
 def test_unknown_environment_variable_is_a_usage_error(capsys, monkeypatch, variable):
-    # a misspelt setting, or the removed --report, exits 2 as in a config file
+    # a misspelt setting, or the removed --report or --order, exits 2 as in a config file
     monkeypatch.setenv(variable, "3")
     code, out, err = run(capsys, "critical", "--source", "closed_form")
     assert code == 2 and out == ""
     assert err.startswith("anelor:") and repr(variable[len("ANELOR_"):].lower()) in err
-
-
-def test_order_above_512_is_a_usage_error_from_the_environment(capsys, monkeypatch):
-    assert resolve_config(_build_parser().parse_args(["coeffs", "--order", "512"])).order == 512
-    monkeypatch.setenv("ANELOR_ORDER", "513")
-    code, _, err = run(capsys, "coeffs")
-    assert code == 2 and "order" in err
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -505,18 +480,18 @@ def test_n_modes_above_512_is_a_usage_error_from_every_source(capsys, monkeypatc
 
 
 def test_huge_environment_integer_is_a_usage_error(capsys, monkeypatch):
-    monkeypatch.setenv("ANELOR_ORDER", "1e400")
+    monkeypatch.setenv("ANELOR_SAMPLES", "1e400")
     code, _, err = run(capsys, "coeffs")
-    assert code == 2 and err.startswith("anelor:") and "order" in err
+    assert code == 2 and err.startswith("anelor:") and "samples" in err
 
 
 # one value per setting, each unlike its default, in the form a flag takes
 SAMPLES = {
     "beta": "0.5", "prandtl": "7", "rayleigh": "900", "gamma": "1",
-    "length": "3", "order": "3.0", "source": "closed_form", "format": "json",
+    "length": "3", "source": "closed_form", "format": "json",
     "output": "table.csv", "quiet": "true", "workers": "2",
     "beta_sweep": "0 1 3", "l_sweep": "2 3 2", "optimize_l": "true",
-    "coords": "abc", "t_end": "5", "samples": "11", "rtol": "1e-8",
+    "coords": "abc", "t_end": "5", "samples": "11.0", "rtol": "1e-8",
     "atol": "1e-9", "initial": "1 2 3", "n_modes": "1 2", "m": "2",
 }
 
@@ -551,6 +526,9 @@ def test_argparse_rejects_unknown_commands(capsys):
     assert excinfo.value.code == 2
     with pytest.raises(SystemExit) as excinfo:
         main(["validate", "--report", "report.csv"])
+    assert excinfo.value.code == 2
+    with pytest.raises(SystemExit) as excinfo:
+        main(["coeffs", "--order", "64"])
     assert excinfo.value.code == 2
 
 

@@ -1,7 +1,6 @@
 """Property test of the command line: `validate`'s reduced column is the onset
-`critical` prints at the m-th harmonic's width l/m, for every coefficient route
-and quadrature order. Draws are derandomized, so every run checks the same
-examples.
+`critical` prints at the m-th harmonic's width l/m, for every coefficient route.
+Draws are derandomized, so every run checks the same examples.
 """
 
 import contextlib
@@ -25,13 +24,12 @@ def table(*argv):
     return row.split(",")
 
 
-@pytest.mark.parametrize("order", ["8", "64", "96"])
 @pytest.mark.parametrize("source", ["oracle", "closed_form", "published"])
 @settings(derandomize=True, database=None, deadline=None, max_examples=6)
 @given(m=st.sampled_from([1, 2, 3]), beta=st.floats(0.0, 5.0))
 def test_validate_reduced_onset_is_the_critical_onset_at_the_harmonic_width(
-        source, order, m, beta):
-    common = ("--beta", repr(beta), "--source", source, "--order", order)
+        source, m, beta):
+    common = ("--beta", repr(beta), "--source", source)
     reduced = table("validate", *common, "--m", str(m), "--n-modes", "1")[4]
     length = PhysicalParams().length / m
     assert reduced == table("critical", *common, "--l", repr(length))[2]

@@ -318,11 +318,12 @@ def test_report_beta0_closed_column_within_1e10():
         assert row.rel_dev_closed_form < 1e-10
 
 
-def test_oracle_column_stable_under_order_doubling():
+def test_oracle_column_stable_under_order_doubling(monkeypatch):
     params = PhysicalParams(beta=0.8, prandtl=10.0, rayleigh=120.0,
                             gamma=4.0 / 3.0, length=2.0)
-    coarse = oracle_coefficients(params, 64)
-    fine = oracle_coefficients(params, 128)
+    coarse = oracle_coefficients(params)
+    monkeypatch.setattr(anelor.projection, "ORDER", 128)
+    fine = oracle_coefficients(params)
     assert np.max(rel_dev(coarse.as_array(), fine.as_array())) < 1e-12
 
 
@@ -332,11 +333,34 @@ def test_convergence_check_passes_at_default_order():
     oracle_coefficients(params, check_convergence=True)
 
 
-def test_convergence_check_rejects_coarse_rule():
+def test_convergence_check_rejects_coarse_rule(monkeypatch):
     params = PhysicalParams(beta=0.3, prandtl=10.0, rayleigh=100.0,
                             gamma=4.0 / 3.0, length=2.0 * ROOT2)
+    monkeypatch.setattr(anelor.projection, "ORDER", 4)
     with pytest.raises(QuadratureConvergenceError):
-        oracle_coefficients(params, 4, check_convergence=True)
+        oracle_coefficients(params, check_convergence=True)
+
+
+def test_convergence_check_is_keyword_only():
+    # a positional second argument is no order and no check: it is refused
+    with pytest.raises(TypeError):
+        oracle_coefficients(PhysicalParams(rayleigh=100.0), True)
+
+
+def test_fixed_order_is_converged_across_the_oracle_domain():
+    # beta up to 354, just inside the edge where exp(2 beta z) overflows, and
+    # widths from 0.05 to 50: the order-doubling check passes, and the oracle
+    # meets the closed form to 1e-12 relative (2.3e-13 at worst on these draws)
+    rng = np.random.default_rng(20260)
+    for _ in range(100):
+        params = PhysicalParams(
+            beta=rng.uniform(0.0, 354.0), length=float(np.exp(rng.uniform(-3.0, 3.9))),
+            rayleigh=10.0 ** rng.uniform(0.0, 8.0), prandtl=10.0 ** rng.uniform(-2.0, 3.0),
+            gamma=rng.uniform(1.0 / 3.0, 3.0))
+        oracle = oracle_coefficients(params, check_convergence=True).as_array()
+        closed = closed_form_coefficients(params).as_array()
+        floor = 1e-8 * np.max(np.abs(closed))
+        assert np.all(np.abs(oracle - closed) <= 1e-12 * np.maximum(np.abs(closed), floor)), params
 
 
 def test_coefficients_dispatch():
@@ -399,13 +423,14 @@ def test_integral_cache_stays_within_its_bound():
         assert _oracle_integrals.cache_info().currsize <= bound
 
 
-def test_under_resolved_rule_raises_on_every_call():
+def test_under_resolved_rule_raises_on_every_call(monkeypatch):
     params = PhysicalParams(beta=0.3, prandtl=10.0, rayleigh=100.0,
                             gamma=4.0 / 3.0, length=2.0 * ROOT2)
+    monkeypatch.setattr(anelor.projection, "ORDER", 4)
     misses = _oracle_integrals.cache_info().misses
     for _ in range(2):
         with pytest.raises(QuadratureConvergenceError):
-            oracle_coefficients(params, 4)
+            oracle_coefficients(params)
     assert _oracle_integrals.cache_info().misses == misses + 2
 
 
