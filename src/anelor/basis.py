@@ -57,13 +57,17 @@ class ModeIndex:
         _check_label(self.parity, self.horizontal, self.vertical)
 
 
+_INTEGERS = (int, np.integer)  # bool is an int as well, so the checks exclude it by type
+
+
 def _check_label(parity, m, n):
     """ValueError naming the label unless (parity, m, n) labels a mode; numpy's integers
-    pass. The factors call it directly, since a ModeIndex per call costs a dataclass."""
-    if parity not in (1, -1):
+    pass, bools do not. The factors call it directly, since a ModeIndex per call costs
+    a dataclass, and inline the integer test, since a call per value costs as much."""
+    if type(parity) is bool or not (isinstance(parity, _INTEGERS) and parity in (1, -1)):
         raise ValueError(f"parity must be +1 or -1, got {parity}")
     for name, value, low in (("horizontal index m", m, 0), ("vertical index n", n, 1)):
-        if not (isinstance(value, (int, np.integer)) and value >= low):
+        if type(value) is bool or not (isinstance(value, _INTEGERS) and value >= low):
             raise ValueError(f"{name} must be an integer >= {low}, got {value}")
     if m == 0 and parity == -1:  # the sine branch is identically zero at m = 0
         raise ValueError("parity -1 with m = 0 is not a mode")
@@ -145,10 +149,10 @@ class QuadratureRule:
     """
 
     def __init__(self, order: int, length: float = 1.0):
-        if order < 1:
-            raise ValueError(f"order must be >= 1, got {order}")
-        if length <= 0.0:
-            raise ValueError(f"length must be > 0, got {length}")
+        if type(order) is bool or not (isinstance(order, _INTEGERS) and order >= 1):
+            raise ValueError(f"order must be an integer >= 1, got {order}")
+        if not 0.0 < length < np.inf:
+            raise ValueError(f"length must be finite and > 0, got {length}")
         self.order = int(order)
         self.length = float(length)
         nodes, weights = _gauss_legendre(self.order)

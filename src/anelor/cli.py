@@ -13,15 +13,19 @@ Subcommands
     validate    N-mode spectral onset versus the reduced route's onset, as
                 `critical` computes it
 
-Each setting is one row of the `_SETTINGS` table: its coercion, default,
-owning subcommand, flags and argparse keywords. The parsers, the defaults
-(the physical ones from `PhysicalParams()`), the `RunConfig` fields and the
-choice checks all derive from that table. Settings resolve with precedence:
-command line over ANELOR_<FIELD> environment variables over a config file
-(flat field = value lines or JSON) over defaults. Environment variables and
-config keys use the field names (`prandtl`, `t_end`, `n_modes`), not the
-flags (`--pr`, `--t-end`, `--n-modes`). All three sources go through the
-same coercion, so they accept the same values and reject unknown names.
+Each setting is one row of the `_SETTINGS` table: its coercion, default, the
+subcommands that take its flags, the flags and argparse keywords. Every
+subcommand takes --beta, --pr, --gamma, --l, --format, --output, --quiet and
+--config; coeffs and simulate take --ra, all but coeffs take --source, only
+critical takes --workers, and each other flag belongs to one subcommand. The
+parsers, the defaults (the physical ones from `PhysicalParams()`), the
+`RunConfig` fields and the choice checks all derive from that table. Settings
+resolve with precedence: command line over ANELOR_<FIELD> environment
+variables over a config file (flat field = value lines or JSON) over
+defaults. Environment variables and config keys set any field, for every
+subcommand; they use the field names (`prandtl`, `t_end`, `n_modes`), not the
+flags (`--pr`, `--t-end`, `--n-modes`). All three sources go through the same
+coercion, so they accept the same values and reject unknown names.
 
 Tables are CSV (header row, comma separator, LF endings, 17 significant
 digits) or JSON; either stream to stdout or to --output. Summary lines go to
@@ -111,52 +115,55 @@ def _as_triple(value):
 class _Setting(NamedTuple):
     coerce: Callable
     default: object
-    owner: str | None  # the subcommand that takes the flags; None: every one
+    commands: frozenset  # the subcommands that take the flags
     flags: tuple
     keywords: dict  # passed to add_argument, which never converts the value
 
 
-def _row(coerce, default, owner, *flags, **keywords) -> _Setting:
-    return _Setting(coerce, default, owner, flags, keywords)
+def _row(coerce, default, commands, *flags, **keywords) -> _Setting:
+    return _Setting(coerce, default, frozenset(commands), flags, keywords)
 
 
 _SWEEP = {"nargs": 3, "metavar": ("START", "STOP", "COUNT")}
 _PHYSICAL = asdict(PhysicalParams())
 
-# field name -> setting; rows of a subcommand keep their --help order, and the
-# physical settings' defaults come from _PHYSICAL
+_ALL = {"coeffs", "critical", "simulate", "validate"}
+
+# field name -> setting; a subcommand's --help lists its flags in row order, and
+# the physical settings' defaults come from _PHYSICAL
 _SETTINGS = {
-    "beta": _row(float, None, None, "--beta", help="background stratification rate"),
-    "prandtl": _row(float, None, None, "--pr", help="Prandtl number"),
-    "rayleigh": _row(float, None, None, "--ra", help="Rayleigh number"),
-    "gamma": _row(float, None, None, "--gamma",
+    "beta": _row(float, None, _ALL, "--beta", help="background stratification rate"),
+    "prandtl": _row(float, None, _ALL, "--pr", help="Prandtl number"),
+    "rayleigh": _row(float, None, {"coeffs", "simulate"}, "--ra", help="Rayleigh number"),
+    "gamma": _row(float, None, _ALL, "--gamma",
                   help="viscosity ratio (bulk over shear plus one third)"),
-    "length": _row(float, None, None, "--l", "--length", help="domain width"),
-    "source": _row(str, "oracle", None, "--source", choices=PROVENANCES, help="coefficient route"),
-    "format": _row(str, "csv", None, "--format", choices=("csv", "json"), help="table format"),
-    "output": _row(_as_path, None, None, "--output",
+    "length": _row(float, None, _ALL, "--l", "--length", help="domain width"),
+    "source": _row(str, "oracle", _ALL - {"coeffs"}, "--source", choices=PROVENANCES,
+                   help="coefficient route"),
+    "format": _row(str, "csv", _ALL, "--format", choices=("csv", "json"), help="table format"),
+    "output": _row(_as_path, None, _ALL, "--output",
                    help="write the table here instead of stdout"),
-    "quiet": _row(_as_bool, False, None, "--quiet", action="store_const", const=True,
+    "quiet": _row(_as_bool, False, _ALL, "--quiet", action="store_const", const=True,
                   help="suppress summary lines"),
-    "workers": _row(_as_int, 1, None, "--workers", help="thread pool size for sweeps"),
-    "beta_sweep": _row(_as_sweep, None, "critical", "--beta-sweep", **_SWEEP,
+    "workers": _row(_as_int, 1, {"critical"}, "--workers", help="thread pool size for sweeps"),
+    "beta_sweep": _row(_as_sweep, None, {"critical"}, "--beta-sweep", **_SWEEP,
                        help="sweep the stratification rate"),
-    "l_sweep": _row(_as_sweep, None, "critical", "--l-sweep", **_SWEEP,
+    "l_sweep": _row(_as_sweep, None, {"critical"}, "--l-sweep", **_SWEEP,
                     help="sweep the domain width"),
-    "optimize_l": _row(_as_bool, False, "critical", "--optimize-l", action="store_const",
+    "optimize_l": _row(_as_bool, False, {"critical"}, "--optimize-l", action="store_const",
                        const=True, help="minimize over the domain width"),
-    "coords": _row(str, "both", "simulate", "--coords", choices=("abc", "xyz", "both"),
+    "coords": _row(str, "both", {"simulate"}, "--coords", choices=("abc", "xyz", "both"),
                    help="coordinate system(s) to integrate"),
-    "t_end": _row(float, 20.0, "simulate", "--t-end",
+    "t_end": _row(float, 20.0, {"simulate"}, "--t-end",
                   help="integration span in the output coordinates"),
-    "samples": _row(_as_int, 801, "simulate", "--samples", help="number of output samples"),
-    "rtol": _row(float, 1e-10, "simulate", "--rtol", help="relative tolerance"),
-    "atol": _row(float, 1e-12, "simulate", "--atol", help="absolute tolerance"),
-    "initial": _row(_as_triple, (1e-3, 1e-3, 1e-3), "simulate", "--initial", nargs=3,
+    "samples": _row(_as_int, 801, {"simulate"}, "--samples", help="number of output samples"),
+    "rtol": _row(float, 1e-10, {"simulate"}, "--rtol", help="relative tolerance"),
+    "atol": _row(float, 1e-12, {"simulate"}, "--atol", help="absolute tolerance"),
+    "initial": _row(_as_triple, (1e-3, 1e-3, 1e-3), {"simulate"}, "--initial", nargs=3,
                     metavar=("A", "B", "C"), help="initial reduced state"),
-    "n_modes": _row(_as_int_list, (1, 2, 4, 8), "validate", "--n-modes", nargs="+",
+    "n_modes": _row(_as_int_list, (1, 2, 4, 8), {"validate"}, "--n-modes", nargs="+",
                     metavar="N", help="vertical truncations to check, 1-512"),
-    "m": _row(_as_int, 1, "validate", "--m", help="horizontal mode number"),
+    "m": _row(_as_int, 1, {"validate"}, "--m", help="horizontal mode number"),
 }
 
 
@@ -271,24 +278,18 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     return RunConfig(subcommand=args.command, **merged)
 
 
-def _add_flags(parser: argparse.ArgumentParser, owner: str | None) -> None:
-    for name, setting in _SETTINGS.items():
-        if setting.owner == owner:
-            parser.add_argument(*setting.flags, dest=name, **setting.keywords)
-
-
 def _build_parser() -> argparse.ArgumentParser:
-    shared = argparse.ArgumentParser(add_help=False)
-    _add_flags(shared, None)
-    shared.add_argument("--config", help="config file (key=value lines or JSON)")
-
     parser = argparse.ArgumentParser(
         prog="anelor",
         description="Lorenz-type reduction of anelastic convection",
     )
-    commands = parser.add_subparsers(dest="command", required=True)
+    subparsers = parser.add_subparsers(dest="command", required=True)
     for command, (text, _) in _COMMANDS.items():
-        _add_flags(commands.add_parser(command, parents=[shared], help=text), command)
+        subparser = subparsers.add_parser(command, help=text)
+        for name, setting in _SETTINGS.items():
+            if command in setting.commands:
+                subparser.add_argument(*setting.flags, dest=name, **setting.keywords)
+        subparser.add_argument("--config", help="config file (key=value lines or JSON)")
     return parser
 
 
@@ -437,12 +438,11 @@ def _cmd_validate(config: RunConfig) -> int:
     except InadmissibleError as exc:
         reduced_value, unchecked = None, f"reduced route: {exc}"
 
-    def solve(n_modes):
+    rows = []
+    for n_modes in config.n_modes:
         onset = critical_rayleigh_spectral(params, config.m, n_modes)
         rel = None if reduced_value is None else abs(onset - reduced_value) / reduced_value
-        return (params.beta, config.m, n_modes, onset, reduced_value, rel)
-
-    rows = _pool_map(config, solve, list(config.n_modes))
+        rows.append((params.beta, config.m, n_modes, onset, reduced_value, rel))
     columns = ("beta", "m", "n_modes", "ra_critical", "ra_reduced", "rel_dev")
 
     consistency = next((row[5] for row in rows if row[2] == 1), None)

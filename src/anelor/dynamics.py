@@ -231,7 +231,7 @@ def _dopri45(system: _System, arg, y, t_end, rtol, atol, t_eval=()):
     A step is accepted when the RMS of the embedded error, scaled by atol +
     rtol * max(|y_old|, |y_new|), is below one; the next step is scaled by
     0.9 * err^(-1/5), clipped to [0.2, 10] and to at most 1 (`limit`) after a
-    rejection. Returns (final y, RHS evaluations, accepted steps, records),
+    rejection. Returns (final y, RHS evaluations, rejected steps, records),
     where each accepted step (t, t_new] holding a time of the increasing
     `t_eval` packs t, t_new, y, k1, k3, ..., k7 (7n + 2 doubles) into the
     records bytearray for `_dense_output`. Overflow, non-finite states and
@@ -242,7 +242,7 @@ def _dopri45(system: _System, arg, y, t_end, rtol, atol, t_eval=()):
         raise IntegrationError(f"floating-point failure: {exc}") from exc
     if not all(map(math.isfinite, y)):
         raise IntegrationError("integration produced non-finite state values")
-    return y, nfev, (nfev - 2) // 6 - rejected, records
+    return y, nfev, rejected, records
 
 
 def _dense_output(t_eval, records, n) -> np.ndarray:
@@ -273,13 +273,13 @@ def _integrate(system, arg, initial, t_end, rtol, atol, labels, t_eval):
             or not np.all((t_eval >= 0.0) & (t_eval <= t_end))):
         raise ValueError("t_eval must be a non-empty, strictly increasing 1-d "
                          "array of times in [0, t_end]")
-    _, nfev, steps, records = _dopri45(system, arg, initial.tolist(), t_end, rtol, atol,
-                                       t_eval.tolist())
+    _, nfev, rejected, records = _dopri45(system, arg, initial.tolist(), t_end, rtol, atol,
+                                          t_eval.tolist())
     states = _dense_output(t_eval, records, initial.size)
     if not np.all(np.isfinite(states)):
         raise IntegrationError("integration produced non-finite state values")
     return Trajectory(times=t_eval, states=states, labels=labels, rtol=rtol, atol=atol,
-                      nfev=nfev, steps=steps, rejected=(nfev - 2) // 6 - steps)
+                      nfev=nfev, steps=(nfev - 2) // 6 - rejected, rejected=rejected)
 
 
 def integrate_reduced(coeffs: GalerkinCoeffs, initial, t_end, rtol=1e-10, atol=1e-12,

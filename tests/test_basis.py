@@ -33,7 +33,9 @@ def all_modes(max_m, max_n):
 
 
 @pytest.mark.parametrize("parity,m,n", [(0, 1, 1), (1, -1, 1), (1, 1, 0), (-1, 0, 1),
-                                        (1, 1.5, 2.5), (1, 1, 2.5), (1, 2.0, 1)])
+                                        (1, 1.5, 2.5), (1, 1, 2.5), (1, 2.0, 1),
+                                        (1.0, 1, 1), (-1.0, 1, 1), (True, 1, 1),
+                                        (1, True, 1), (1, 1, True), (1, False, 1)])
 def test_mode_index_rejects_bad_labels(parity, m, n):
     with pytest.raises(ValueError):
         ModeIndex(parity, m, n)
@@ -129,7 +131,11 @@ def test_x_derivative_flips_parity(parity, m):
     (2, 1, 1, "parity must be +1 or -1, got 2"),
     (1, -1, 1, "horizontal index m must be an integer >= 0, got -1"),
     (1, 1.5, 0, "horizontal index m must be an integer >= 0, got 1.5"),
-], ids=["sine-at-m0", "parity-2-at-m0", "parity-2", "negative-m", "fractional-m"])
+    (1.0, 1, 1, "parity must be +1 or -1, got 1.0"),
+    (True, 1, 0, "parity must be +1 or -1, got True"),
+    (1, True, 1, "horizontal index m must be an integer >= 0, got True"),
+], ids=["sine-at-m0", "parity-2-at-m0", "parity-2", "negative-m", "fractional-m",
+        "float-parity", "bool-parity", "bool-m"])
 def test_fourier_partial_rejects_a_label_that_is_no_mode(parity, m, order, message):
     # at every order, naming the label the caller gave
     with pytest.raises(ValueError) as excinfo:
@@ -213,7 +219,7 @@ def test_vertical_partial_agrees_with_the_profiles(beta):
             assert np.max(np.abs(points - row)) <= 1e-15 * np.max(np.abs(row))
     with pytest.raises(ValueError):
         vertical_partial(4, z, beta, -1)
-    for n in (1.5, -1, 0):
+    for n in (1.5, -1, 0, True):
         with pytest.raises(ValueError, match=f"vertical index n must be an integer >= 1, got {n}$"):
             vertical_partial(n, z, 1.0)
 
@@ -257,6 +263,23 @@ def test_quadrature_stable_under_order_doubling():
         )
 
     assert abs(product(64) - product(128)) < 1e-12
+
+
+@pytest.mark.parametrize("order, length, message", [
+    (0, 1.0, "order must be an integer >= 1, got 0"),
+    (2.7, 1.0, "order must be an integer >= 1, got 2.7"),
+    (4.0, 1.0, "order must be an integer >= 1, got 4.0"),
+    (True, 1.0, "order must be an integer >= 1, got True"),
+    (4, 0.0, "length must be finite and > 0, got 0.0"),
+    (4, math.nan, "length must be finite and > 0, got nan"),
+    (4, math.inf, "length must be finite and > 0, got inf"),
+])
+def test_quadrature_rule_rejects_what_it_cannot_honour(order, length, message):
+    with pytest.raises(ValueError) as excinfo:
+        QuadratureRule(order, length)
+    assert str(excinfo.value) == message
+    # numpy's integers are orders like any other
+    assert QuadratureRule(np.int64(4), 2.0).order == 4
 
 
 def test_weighted_inner_product_rejects_non_finite():

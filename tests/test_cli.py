@@ -117,10 +117,11 @@ def test_critical_sweep_table(capsys):
     assert onsets[0] < onsets[1] < onsets[2]
 
 
-def test_critical_json_document(capsys):
+def test_critical_json_document(capsys, monkeypatch):
     # no row depends on Ra, and params echoes the Ra = 0 record the rows used
-    code, out, _ = run(capsys, "critical", "--beta", "0.25", "--ra", "5", "--format",
-                       "json", "--source", "closed_form", "--quiet")
+    monkeypatch.setenv("ANELOR_RAYLEIGH", "5")
+    code, out, _ = run(capsys, "critical", "--beta", "0.25", "--format", "json",
+                       "--source", "closed_form", "--quiet")
     assert code == 0
     document = json.loads(out)
     assert document["command"] == "critical"
@@ -415,7 +416,7 @@ def test_missing_config_file(capsys, tmp_path):
 
 @pytest.mark.parametrize("argv", [
     ("coeffs", "--beta", "-1"),
-    ("coeffs", "--workers", "0"),
+    ("critical", "--workers", "0"),
     ("simulate", "--coords", "xyz", "--ra", "0"),
     ("simulate", "--ra", "100", "--samples", "1"),
     ("simulate", "--ra", "100", "--rtol", "2"),
@@ -502,7 +503,7 @@ def test_flag_environment_and_config_file_agree(name, monkeypatch, tmp_path):
         return resolve_config(_build_parser().parse_args(argv))
 
     setting, value = _SETTINGS[name], SAMPLES[name]
-    command = setting.owner or "coeffs"
+    command = min(setting.commands)
     base = ("--ra", "100") if command == "simulate" else ()
     flag = [setting.flags[-1]]
     if setting.keywords.get("action") != "store_const":
@@ -515,6 +516,45 @@ def test_flag_environment_and_config_file_agree(name, monkeypatch, tmp_path):
     assert resolve(command, *base, "--config", str(config)) == from_flag
     monkeypatch.setenv("ANELOR_" + name.upper(), value)
     assert resolve(command, *base) == from_flag
+
+
+# the flags each subcommand takes besides --config, which every one takes
+EVERY = {"--beta", "--pr", "--gamma", "--l", "--length", "--format", "--output", "--quiet"}
+FLAGS = {
+    "coeffs": EVERY | {"--ra"},
+    "critical": EVERY | {"--source", "--workers", "--beta-sweep", "--l-sweep", "--optimize-l"},
+    "simulate": EVERY | {"--ra", "--source", "--coords", "--t-end", "--samples", "--rtol",
+                         "--atol", "--initial"},
+    "validate": EVERY | {"--source", "--n-modes", "--m"},
+}
+
+
+@pytest.mark.parametrize("command", list(FLAGS))
+@pytest.mark.parametrize("name", list(_SETTINGS))
+def test_each_subcommand_takes_only_the_flags_it_reads(name, command, capsys, monkeypatch,
+                                                      tmp_path):
+    # argparse rejects a flag the subcommand does not read, while the
+    # environment and config files set every field for every subcommand
+    setting, value = _SETTINGS[name], SAMPLES[name]
+    values = [] if setting.keywords.get("action") == "store_const" else value.split()
+    for flag in setting.flags:
+        if flag in FLAGS[command]:
+            parsed = _build_parser().parse_args([command, flag, *values])
+            assert setting.coerce(getattr(parsed, name)) == setting.coerce(value)
+            continue
+        with pytest.raises(SystemExit) as excinfo:
+            _build_parser().parse_args([command, flag, *values])
+        assert excinfo.value.code == 2
+        assert f"unrecognized arguments: {' '.join([flag, *values])}" in capsys.readouterr().err
+    base = ["--ra", "100"] if command == "simulate" and name != "rayleigh" else []
+    config = tmp_path / "run.cfg"
+    config.write_text(f"{name} = {value}\n")
+    from_config = resolve_config(_build_parser().parse_args(
+        [command, *base, "--config", str(config)]))
+    monkeypatch.setenv("ANELOR_" + name.upper(), value)
+    from_environment = resolve_config(_build_parser().parse_args([command, *base]))
+    assert getattr(from_config, name) == getattr(from_environment, name) == \
+        setting.coerce(value)
 
 
 def test_argparse_rejects_unknown_commands(capsys):

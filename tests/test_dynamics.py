@@ -275,10 +275,11 @@ def test_six_state_linear_system_matches_its_exponential_solution():
     initial = [1.0, -2.0, 0.5, 3.0, -1.5, 0.25]
     # an output grid finer than every step keeps each step's record, so the
     # table spans [0, 3] and the dense output can read any time from it
-    final, nfev, steps, records = _dopri45(ROTATING, sum(blocks, ()), initial, 3.0,
-                                           1e-10, 1e-12, np.linspace(0.0, 3.0, 3001))
+    final, nfev, rejected, records = _dopri45(ROTATING, sum(blocks, ()), initial, 3.0,
+                                              1e-10, 1e-12, np.linspace(0.0, 3.0, 3001))
     table = np.frombuffer(records).reshape(-1, 7 * 6 + 2)
-    assert len(table) == steps > 0
+    steps = (nfev - 2) // 6 - rejected
+    assert len(table) == steps > 0 and rejected >= 0
     assert table[0, 0] == 0.0 and table[-1, 1] == 3.0
     assert np.all(table[1:, 0] == table[:-1, 1])
     assert (nfev - 2) % 6 == 0 and nfev >= 2 + 6 * steps
@@ -322,10 +323,11 @@ def test_pasted_rhs_matches_the_public_functions_bit_for_bit():
             lp = LorenzParams(*rng.uniform(0.5, 30.0, 3))
             arg = rng.uniform(-2.0, 2.0, 7).tolist() if system.name == "reduced" else lp
             # an output grid finer than every step keeps every step's record
-            _, _, steps, records = _dopri45(system, arg, rng.uniform(-5.0, 5.0, n).tolist(),
-                                            0.05, 1e-10, 1e-12, np.linspace(0.0, 0.05, 1001))
+            _, nfev, rejected, records = _dopri45(
+                system, arg, rng.uniform(-5.0, 5.0, n).tolist(), 0.05, 1e-10, 1e-12,
+                np.linspace(0.0, 0.05, 1001))
             rows = np.reshape(np.frombuffer(records), (-1, 7 * n + 2))
-            assert len(rows) == steps > 0
+            assert len(rows) == (nfev - 2) // 6 - rejected > 0
             table = [(t_new - t, *np.reshape(row, (7, n)).tolist())
                      for t, t_new, *row in rows.tolist()]
             for step, (h, y, k1, *later) in enumerate(table):
