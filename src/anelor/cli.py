@@ -63,8 +63,14 @@ class ConfigError(ValueError):
     """Bad configuration; reported as a usage error (exit code 2)."""
 
 
+def _as_float(value):
+    if isinstance(value, bool):  # a JSON true is no number, though float(True) is 1.0
+        raise ValueError(f"expected a number, got {value!r}")
+    return float(value)
+
+
 def _as_int(value):
-    number = float(value)
+    number = _as_float(value)
     if not number.is_integer():
         raise ValueError(f"expected an integer, got {value!r}")
     return int(number)
@@ -95,7 +101,7 @@ def _as_sweep(value):
     parts = _listify(value)
     if len(parts) != 3:
         raise ValueError(f"sweep needs start stop count, got {value!r}")
-    return (float(parts[0]), float(parts[1]), _as_int(parts[2]))
+    return (_as_float(parts[0]), _as_float(parts[1]), _as_int(parts[2]))
 
 
 def _as_int_list(value):
@@ -109,7 +115,7 @@ def _as_triple(value):
     parts = _listify(value)
     if len(parts) != 3:
         raise ValueError(f"expected three numbers, got {value!r}")
-    return tuple(float(piece) for piece in parts)
+    return tuple(_as_float(piece) for piece in parts)
 
 
 class _Setting(NamedTuple):
@@ -132,12 +138,12 @@ _ALL = {"coeffs", "critical", "simulate", "validate"}
 # field name -> setting; a subcommand's --help lists its flags in row order, and
 # the physical settings' defaults come from _PHYSICAL
 _SETTINGS = {
-    "beta": _row(float, None, _ALL, "--beta", help="background stratification rate"),
-    "prandtl": _row(float, None, _ALL, "--pr", help="Prandtl number"),
-    "rayleigh": _row(float, None, {"coeffs", "simulate"}, "--ra", help="Rayleigh number"),
-    "gamma": _row(float, None, _ALL, "--gamma",
+    "beta": _row(_as_float, None, _ALL, "--beta", help="background stratification rate"),
+    "prandtl": _row(_as_float, None, _ALL, "--pr", help="Prandtl number"),
+    "rayleigh": _row(_as_float, None, {"coeffs", "simulate"}, "--ra", help="Rayleigh number"),
+    "gamma": _row(_as_float, None, _ALL, "--gamma",
                   help="viscosity ratio (bulk over shear plus one third)"),
-    "length": _row(float, None, _ALL, "--l", "--length", help="domain width"),
+    "length": _row(_as_float, None, _ALL, "--l", "--length", help="domain width"),
     "source": _row(str, "oracle", _ALL - {"coeffs"}, "--source", choices=PROVENANCES,
                    help="coefficient route"),
     "format": _row(str, "csv", _ALL, "--format", choices=("csv", "json"), help="table format"),
@@ -154,11 +160,11 @@ _SETTINGS = {
                        const=True, help="minimize over the domain width"),
     "coords": _row(str, "both", {"simulate"}, "--coords", choices=("abc", "xyz", "both"),
                    help="coordinate system(s) to integrate"),
-    "t_end": _row(float, 20.0, {"simulate"}, "--t-end",
+    "t_end": _row(_as_float, 20.0, {"simulate"}, "--t-end",
                   help="integration span in the output coordinates"),
     "samples": _row(_as_int, 801, {"simulate"}, "--samples", help="number of output samples"),
-    "rtol": _row(float, 1e-10, {"simulate"}, "--rtol", help="relative tolerance"),
-    "atol": _row(float, 1e-12, {"simulate"}, "--atol", help="absolute tolerance"),
+    "rtol": _row(_as_float, 1e-10, {"simulate"}, "--rtol", help="relative tolerance"),
+    "atol": _row(_as_float, 1e-12, {"simulate"}, "--atol", help="absolute tolerance"),
     "initial": _row(_as_triple, (1e-3, 1e-3, 1e-3), {"simulate"}, "--initial", nargs=3,
                     metavar=("A", "B", "C"), help="initial reduced state"),
     "n_modes": _row(_as_int_list, (1, 2, 4, 8), {"validate"}, "--n-modes", nargs="+",
@@ -185,8 +191,8 @@ def _check(config) -> None:
         raise ConfigError("workers must be at least 1")
     if config.samples < 2:
         raise ConfigError("samples must be at least 2")
-    if not config.t_end > 0.0:
-        raise ConfigError("t_end must be positive")
+    if not 0.0 < config.t_end < math.inf:
+        raise ConfigError(f"t_end must be positive and finite, got {config.t_end}")
     for name in ("rtol", "atol"):
         if not 0.0 < getattr(config, name) < 1.0:
             raise ConfigError(f"{name} must lie in (0, 1)")
@@ -237,9 +243,7 @@ def _load_config_file(path: str) -> dict:
             data = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
-        if not isinstance(data, dict):
-            raise ConfigError(f"{path}: top level must be a JSON object")
-        return data
+        return data  # text that starts with "{" parses to an object or not at all
     data = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()

@@ -259,8 +259,8 @@ def _dense_output(t_eval, records, n) -> np.ndarray:
 
 
 def _integrate(system, arg, initial, t_end, rtol, atol, labels, t_eval):
-    if not t_end > 0.0:
-        raise ValueError(f"t_end must be positive, got {t_end}")
+    if not 0.0 < t_end < math.inf:
+        raise ValueError(f"t_end must be positive and finite, got {t_end}")
     for name, tol in (("rtol", rtol), ("atol", atol)):
         if not 0.0 < tol < 1.0:
             raise ValueError(f"{name} must lie in (0, 1), got {tol}")

@@ -14,13 +14,14 @@ then dividing by the time-derivative Gram factors, yields
 
 The coefficients are produced by three routes:
 
-  oracle        every projection integral is an instance of one of nine
-                operator rows (a weight exp(w*beta*z), a test field and a sum
-                of products of exact field derivatives) on the three modes,
+  oracle        every reported projection integral is an instance of one of
+                nine operator rows (a weight exp(w*beta*z), a test field and a
+                sum of products of exact field derivatives) on the three modes,
                 evaluated on the tensor-product Gauss-Legendre grid with no
                 reuse of the eigenvalue formula or of any hand integration,
                 once per (beta, l, order), with Ra, Pr and gamma applied at
-                assembly; this is the reference route
+                assembly; this is the reference route. The rows' other eight
+                instances vanish by x-orthogonality, which closes the system
   closed_form   analytic integrals re-derived from scratch; they agree with
                 the oracle to near machine precision and carry series branches
                 so beta -> 0 is smooth
@@ -38,7 +39,6 @@ all routes side by side.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -181,7 +181,9 @@ def _operators(beta: float) -> dict:
 
 
 # the reported projections as instances (operator, test mode, trial modes in the
-# order the row's fields appear); every other instance vanishes by orthogonality
+# order the row's fields appear); every other instance of the nine rows on the
+# three modes vanishes by x-orthogonality, which is what closes the truncation,
+# and a Tier-1 test checks that on the oracle's own evaluator
 _TERMS = {
     "diffusive-omega": ("vorticity diffusion", "A", "A"),
     "gamma-term": ("gamma", "A", "A"),
@@ -199,47 +201,33 @@ _TERMS = {
 TERM_NAMES = tuple(_TERMS)
 
 
-def _instances(beta: float):
-    """Each operator row on every (test, trial) pair of the truncation's modes, as
-    (key, w, test mode, terms, the trial mode of each field), keyed as in _TERMS."""
-    for name, (field, w, terms) in _operators(beta).items():
-        fields = list(dict.fromkeys([f for _, factors in terms for f, _, _ in factors]))
-        for test, *trial in itertools.product(_MODES[field], *map(_MODES.get, fields)):
-            yield (name, test, "".join(trial)), w, test, terms, dict(zip(fields, trial))
-
-
 @functools.lru_cache(maxsize=16)
 @np.errstate(over="ignore", invalid="ignore")
 def _oracle_integrals(beta: float, length: float, order: int) -> MappingProxyType:
     """`_oracle_terms` without its Ra and gamma factors, a function of (beta, l,
-    order) alone: each instance summed on the tensor grid against W * exp(w*beta*z)
-    * test, formed once per (w, test); read-only, since hits share it. Overflow
-    raises InadmissibleError, a nonzero orthogonality instance QuadratureConvergenceError."""
+    order) alone: each instance of _TERMS summed on the tensor grid against W *
+    exp(w*beta*z) * test, formed once per (w, test); read-only, since hits share
+    it. Overflow raises InadmissibleError."""
     rule = QuadratureRule(order, length)
     geometry = PhysicalParams(beta=beta, length=length)
     W = np.outer(rule.x_weights, rule.z_weights)
     grids = {k: ModeGrid(j, geometry, rule) for modes in _MODES.values() for k, j in modes.items()}
-    instances = list(_instances(beta))
-    weighted = {(w, test): W * np.exp(w * beta * rule.z_nodes) * grids[test].partial()
-                for w, test in {instance[1:3] for instance in instances}}
-    values = {}
-    for key, w, test, terms, mode in instances:
+    operators, weighted, values = _operators(beta), {}, {}
+    for name, (operator, test, trial) in _TERMS.items():
+        _, w, terms = operators[operator]
+        mode = dict(zip(dict.fromkeys(f for _, factors in terms for f, _, _ in factors), trial))
+        if (w, test) not in weighted:
+            weighted[w, test] = W * np.exp(w * beta * rule.z_nodes) * grids[test].partial()
         field = 0.0
         for c, ((f, dx, dz), *rest) in terms:
             term = grids[mode[f]].partial(dx, dz)
             for f, dx, dz in rest:
                 term = term * grids[mode[f]].partial(dx, dz)
             field = field + (term if c == 1.0 else c * term)
-        values[key] = float(np.sum(field * weighted[w, test]))
+        values[name] = float(np.sum(field * weighted[w, test]))
     if not all(map(math.isfinite, values.values())):
         raise InadmissibleError(f"oracle integrals are not finite at beta = {beta}, l = {length}")
-    named = {name: values.pop(key) for name, key in _TERMS.items()}
-    scale = max(abs(named["mass-omega"]), abs(named["diffusive-tau1"]), 1.0)
-    for key, value in values.items():  # the instances that vanish by orthogonality
-        if abs(value) > 1e-9 * scale:
-            raise QuadratureConvergenceError(f"{key} projection is {value}; it vanishes by "
-                                             "orthogonality, so the rule does not resolve it")
-    return MappingProxyType(named)
+    return MappingProxyType(values)
 
 
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")  # _assemble rejects inf and nan

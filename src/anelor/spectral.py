@@ -44,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import projection
-from .basis import fourier_factor
+from .basis import _check_label, fourier_factor
 from .params import InadmissibleError, PhysicalParams
 
 __all__ = [
@@ -75,11 +75,11 @@ def assemble_pencil(
     """Project the linearized equations onto n_modes vertical modes.
 
     The Rayleigh number of `params` is ignored; it enters only through the
-    sqrt(Ra) factor applied to b and c later. Overflowing entries raise
-    InadmissibleError.
+    sqrt(Ra) factor applied to b and c later. A ValueError names m or n_modes
+    unless psi[-1, m, n_modes] is a mode, that is both are integers >= 1;
+    overflowing entries raise InadmissibleError.
     """
-    if n_modes < 1 or m < 1:
-        raise ValueError("need n_modes >= 1 and m >= 1")
+    _check_label(-1, m, n_modes)
     blocks = _assemble_matrices(params, m, n_modes)
     if not all(np.isfinite(block).all() for block in blocks.values()):
         raise InadmissibleError(f"pencil entries are not finite at beta = {params.beta}, "
@@ -155,8 +155,8 @@ def _spectrum(pencil, rayleigh, head):
 def leading_growth_rate(pencil: LinearOperatorPencil, rayleigh: float) -> float:
     """Maximum real part over the 2N generalized eigenvalues at this Ra.
     Raises InadmissibleError, naming N, where G is singular."""
-    if rayleigh < 0.0:
-        raise ValueError("rayleigh must be nonnegative")
+    if not 0.0 <= rayleigh < math.inf:
+        raise ValueError(f"rayleigh must be finite and >= 0, got {rayleigh}")
     head = f"no growth rate at N = {len(pencil.g)}: "
     return float(np.max(_spectrum(pencil, rayleigh, head)[0].real))
 

@@ -134,8 +134,9 @@ def test_x_derivative_flips_parity(parity, m):
     (1.0, 1, 1, "parity must be +1 or -1, got 1.0"),
     (True, 1, 0, "parity must be +1 or -1, got True"),
     (1, True, 1, "horizontal index m must be an integer >= 0, got True"),
+    (1, 1, -1, "derivative order must be >= 0"),
 ], ids=["sine-at-m0", "parity-2-at-m0", "parity-2", "negative-m", "fractional-m",
-        "float-parity", "bool-parity", "bool-m"])
+        "float-parity", "bool-parity", "bool-m", "negative-order"])
 def test_fourier_partial_rejects_a_label_that_is_no_mode(parity, m, order, message):
     # at every order, naming the label the caller gave
     with pytest.raises(ValueError) as excinfo:

@@ -363,6 +363,12 @@ def test_environment_and_config_precedence(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("ANELOR_BETA", "0.2")
     assert sweep_beta() == 0.2
     assert sweep_beta("--beta", "0.4") == 0.4
+    # an environment "off" overrides a file's "yes", and the summary comes back
+    config.write_text("quiet = yes\nsource = closed_form\n")
+    assert run(capsys, "critical", "--config", str(config))[2] == ""
+    monkeypatch.setenv("ANELOR_QUIET", "off")
+    code, _, err = run(capsys, "critical", "--config", str(config))
+    assert code == 0 and err != ""
 
 
 def test_json_config_file(capsys, tmp_path):
@@ -398,6 +404,14 @@ def test_json_null_output_means_unset(capsys, tmp_path, monkeypatch):
     ('{"n_modes": 513}', "n_modes"),
     ('{"report": "report.csv"}', "report"),
     ('{"order": 64}', "order"),
+    ('{"beta": true}', "beta"),
+    ('{"samples": true}', "samples"),
+    ('{"beta": ', "invalid JSON"),
+    # config lines share the coercion of environment values
+    ("quiet = maybe\n", "quiet"),
+    ("beta_sweep = 0 1\n", "beta_sweep"),
+    ("n_modes =\n", "n_modes"),
+    ("initial = 1 2\n", "initial"),
 ])
 def test_malformed_config_is_a_usage_error(capsys, tmp_path, contents,
                                            fragment):
@@ -429,6 +443,12 @@ def test_missing_config_file(capsys, tmp_path):
     ("critical", "--l-sweep", "0", "2", "3"),
     ("critical", "--beta-sweep", "0", "inf", "3"),
     ("simulate", "--ra", "100", "--t-end", "0"),
+    ("simulate", "--ra", "1500", "--t-end", "inf"),
+    ("critical", "--beta-sweep", "0", "1", "0"),
+    ("simulate", "--ra", "100", "--initial", "nan", "0", "0"),
+    ("coeffs", "--pr", "0"),
+    ("coeffs", "--ra", "-1"),
+    ("coeffs", "--gamma", "0.3"),
 ])
 def test_invalid_settings_exit_two(capsys, argv):
     code, _, err = run(capsys, *argv)

@@ -187,6 +187,11 @@ def test_integration_rejects_bad_arguments():
         integrate_reduced(coeffs, [1.0, 1.0], 1.0)
     with pytest.raises(ValueError):
         integrate_reduced(coeffs, [1.0, 1.0, math.nan], 1.0)
+    # an infinite span never ends, whatever the output times
+    lp = LorenzParams(10.0, 8.0 / 3.0, 28.0)
+    for integrate, arg in ((integrate_reduced, coeffs), (integrate_lorenz, lp)):
+        with pytest.raises(ValueError, match="t_end must be positive and finite, got inf"):
+            integrate(arg, [1.0, 1.0, 1.0], math.inf, t_eval=[0.0, 1.0])
 
 
 @pytest.mark.parametrize("t_eval", [[50.0, 0.0], [0.0, 25.0, 25.0], [0.0, math.nan]])

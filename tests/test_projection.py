@@ -1,6 +1,6 @@
 import dataclasses
+import itertools
 import math
-import re
 
 import numpy as np
 import pytest
@@ -9,6 +9,7 @@ import anelor.projection
 from anelor.lorenz import critical_rayleigh
 from anelor.params import InadmissibleError, PhysicalParams
 from anelor.projection import (
+    ORDER,
     TERM_NAMES,
     GalerkinCoeffs,
     QuadratureConvergenceError,
@@ -20,7 +21,6 @@ from anelor.projection import (
     published_coefficients,
     _TERMS,
     _assemble,
-    _instances,
     _oracle_integrals,
     _oracle_terms,
 )
@@ -337,7 +337,8 @@ def test_convergence_check_rejects_coarse_rule(monkeypatch):
     params = PhysicalParams(beta=0.3, prandtl=10.0, rayleigh=100.0,
                             gamma=4.0 / 3.0, length=2.0 * ROOT2)
     monkeypatch.setattr(anelor.projection, "ORDER", 4)
-    with pytest.raises(QuadratureConvergenceError):
+    oracle_coefficients(params)  # a plain call does not double the order
+    with pytest.raises(QuadratureConvergenceError, match="when the order doubled"):
         oracle_coefficients(params, check_convergence=True)
 
 
@@ -347,16 +348,21 @@ def test_convergence_check_is_keyword_only():
         oracle_coefficients(PhysicalParams(rayleigh=100.0), True)
 
 
-def test_fixed_order_is_converged_across_the_oracle_domain():
-    # beta up to 354, just inside the edge where exp(2 beta z) overflows, and
-    # widths from 0.05 to 50: the order-doubling check passes, and the oracle
-    # meets the closed form to 1e-12 relative (2.3e-13 at worst on these draws)
+def _oracle_domain_draws():
+    """100 seeded parameter sets over the oracle's whole domain: beta up to 354,
+    just inside the edge where exp(2 beta z) overflows, and widths from 0.05 to 50."""
     rng = np.random.default_rng(20260)
     for _ in range(100):
-        params = PhysicalParams(
+        yield PhysicalParams(
             beta=rng.uniform(0.0, 354.0), length=float(np.exp(rng.uniform(-3.0, 3.9))),
             rayleigh=10.0 ** rng.uniform(0.0, 8.0), prandtl=10.0 ** rng.uniform(-2.0, 3.0),
             gamma=rng.uniform(1.0 / 3.0, 3.0))
+
+
+def test_fixed_order_is_converged_across_the_oracle_domain():
+    # the order-doubling check passes, and the oracle meets the closed form to
+    # 1e-12 relative (2.3e-13 at worst on these draws)
+    for params in _oracle_domain_draws():
         oracle = oracle_coefficients(params, check_convergence=True).as_array()
         closed = closed_form_coefficients(params).as_array()
         floor = 1e-8 * np.max(np.abs(closed))
@@ -423,13 +429,13 @@ def test_integral_cache_stays_within_its_bound():
         assert _oracle_integrals.cache_info().currsize <= bound
 
 
-def test_under_resolved_rule_raises_on_every_call(monkeypatch):
-    params = PhysicalParams(beta=0.3, prandtl=10.0, rayleigh=100.0,
-                            gamma=4.0 / 3.0, length=2.0 * ROOT2)
-    monkeypatch.setattr(anelor.projection, "ORDER", 4)
+def test_under_resolved_rule_raises_on_every_call():
+    # past beta = 354 the weight exp(2 beta z) overflows on the grid: the error
+    # is raised afresh on each call, never cached
+    params = PhysicalParams(beta=360.0, rayleigh=100.0, length=2.0 * ROOT2)
     misses = _oracle_integrals.cache_info().misses
     for _ in range(2):
-        with pytest.raises(QuadratureConvergenceError):
+        with pytest.raises(InadmissibleError, match="oracle integrals are not finite"):
             oracle_coefficients(params)
     assert _oracle_integrals.cache_info().misses == misses + 2
 
@@ -448,30 +454,29 @@ ORTHOGONAL_INSTANCES = {
 }
 
 
-def test_oracle_checks_exactly_the_unnamed_instances(monkeypatch):
-    keys = [key for key, *_ in _instances(0.4)]
-    assert len(keys) == len(set(keys)) == 20
-    assert set(keys) - set(_TERMS.values()) == ORTHOGONAL_INSTANCES
-    assert set(_TERMS.values()) <= set(keys) and len(_TERMS) == 12
-    # give one unnamed instance the integrand of mass-omega: the oracle must
-    # reject exactly that instance
-    instances = anelor.projection._instances
-    params = PhysicalParams(beta=0.4, rayleigh=100.0, length=2.5)
-    try:
-        for target in sorted(ORTHOGONAL_INSTANCES):
-            def swapped(beta, target=target):
-                rows = list(instances(beta))
-                mass = next(row[1:] for row in rows if row[0] == _TERMS["mass-omega"])
-                return [(key, *mass) if key == target else (key, *rest) for key, *rest in rows]
-
-            monkeypatch.setattr(anelor.projection, "_instances", swapped)
-            _oracle_integrals.cache_clear()
-            with pytest.raises(QuadratureConvergenceError, match=re.escape(f"{target} projection")):
-                oracle_coefficients(params)
-    finally:
-        monkeypatch.undo()
-        _oracle_integrals.cache_clear()
-    oracle_coefficients(params)
+def test_three_modes_close_across_the_oracle_domain(monkeypatch):
+    # every (test, trial) instance the nine rows admit on the three modes is
+    # either one of the twelve reported projections or one of the eight that
+    # vanish by x-orthogonality, so the three-mode system is closed
+    modes, admitted = anelor.projection._MODES, []
+    for name, (field, _, terms) in anelor.projection._operators(0.0).items():
+        fields = dict.fromkeys(f for _, factors in terms for f, _, _ in factors)
+        for test, *trial in itertools.product(modes[field], *map(modes.get, fields)):
+            admitted.append((name, test, "".join(trial)))
+    assert len(admitted) == len(set(admitted)) == 20
+    assert len(_TERMS) == 12 and not ORTHOGONAL_INSTANCES & set(_TERMS.values())
+    assert set(_TERMS.values()) | ORTHOGONAL_INSTANCES == set(admitted)
+    # the oracle's own evaluator, uncached, sums the eight in place of the twelve
+    evaluate = _oracle_integrals.__wrapped__
+    geometries = [(params.beta, params.length) for params in _oracle_domain_draws()]
+    scales = [max(abs(named["mass-omega"]), abs(named["diffusive-tau1"]), 1.0)
+              for named in (evaluate(beta, length, ORDER) for beta, length in geometries)]
+    monkeypatch.setattr(anelor.projection, "_TERMS", {key: key for key in ORTHOGONAL_INSTANCES})
+    for (beta, length), scale in zip(geometries, scales):
+        closure = evaluate(beta, length, ORDER)
+        assert set(closure) == ORTHOGONAL_INSTANCES
+        worst = max(closure, key=lambda key: abs(closure[key]))
+        assert abs(closure[worst]) <= 1e-9 * scale, (beta, length, worst, closure[worst])
 
 
 def test_mutating_returned_terms_leaves_the_cache_intact():

@@ -188,6 +188,11 @@ def test_assemble_pencil_validates_arguments():
         assemble_pencil(make_params(), n_modes=0)
     with pytest.raises(ValueError):
         assemble_pencil(make_params(), m=0)
+    # psi[-1, m, N] must be a mode: a wave of 1.5 periods, or a bool, is none
+    for m, n_modes, name in ((1.5, 2, "m"), (True, 2, "m"), (1, 2.5, "n"), (1, True, "n")):
+        with pytest.raises(ValueError, match=f"index {name} must be an integer >= ") as excinfo:
+            critical_rayleigh_spectral(make_params(beta=1.0), m, n_modes)
+        assert str(excinfo.value).endswith(f"got {m if name == 'm' else n_modes}")
 
 
 def test_onset_builds_no_quadrature_rule(monkeypatch):
@@ -251,8 +256,9 @@ def test_tiny_stratification_gives_a_finite_continuous_pencil(beta):
 
 def test_growth_rate_rejects_negative_rayleigh():
     pencil = assemble_pencil(make_params(), n_modes=1)
-    with pytest.raises(ValueError):
-        leading_growth_rate(pencil, -1.0)
+    for rayleigh in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match=f"got {rayleigh}"):
+            leading_growth_rate(pencil, rayleigh)
 
 
 def test_bracket_failures_raise(monkeypatch):
