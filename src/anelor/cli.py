@@ -1,30 +1,17 @@
-"""Command-line surface: coefficient reports, onset curves, trajectories,
-and truncation validation.
-
-Subcommands
-
-    coeffs      e1..e7 from the quadrature oracle and the closed forms, with
-                per-term deviations; nonzero exit if the two routes disagree
-                beyond 1e-6
-    critical    critical Rayleigh number tables over beta and domain-width
-                sweeps, optionally minimizing over the width
-    simulate    reduced and/or Lorenz trajectories, with the scaling
-                equivalence deviation when both are requested
-    validate    N-mode spectral onset versus the reduced route's onset, as
-                `critical` computes it
+"""Command-line surface: coefficient reports (`coeffs`), onset curves
+(`critical`), trajectories (`simulate`) and truncation validation
+(`validate`); `_COMMANDS` holds each subcommand's help line and handler.
 
 Each setting is one row of the `_SETTINGS` table: its coercion, default, the
-subcommands that take its flags, the flags and argparse keywords. Every
-subcommand takes --beta, --pr, --gamma, --l, --format, --output, --quiet and
---config; coeffs and simulate take --ra, all but coeffs take --source, only
-critical takes --workers, and each other flag belongs to one subcommand. The
-parsers, the defaults (the physical ones from `PhysicalParams()`), the
-`RunConfig` fields and the choice checks all derive from that table. Settings
-resolve with precedence: command line over ANELOR_<FIELD> environment
-variables over a config file (flat field = value lines or JSON) over
-defaults. Environment variables and config keys set any field, for every
-subcommand; they use the field names (`prandtl`, `t_end`, `n_modes`), not the
-flags (`--pr`, `--t-end`, `--n-modes`). All three sources go through the same
+subcommands that take its flags, the flags and argparse keywords. The parsers,
+the defaults (the physical ones from `PhysicalParams()`), the `RunConfig`
+fields and the choice checks all derive from that table; a rule the library
+owns, such as the integrator's on t_end, is checked by calling its owner.
+Settings resolve with precedence: command line over ANELOR_<FIELD> environment
+variables over a config file (flat field = value lines or JSON) over defaults.
+Environment variables and config keys set any field, for every subcommand;
+they use the field names (`prandtl`, `t_end`, `n_modes`), not the flags
+(`--pr`, `--t-end`, `--n-modes`). All three sources go through the same
 coercion, so they accept the same values and reject unknown names.
 
 Tables are CSV (header row, comma separator, LF endings, 17 significant
@@ -37,17 +24,16 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, astuple, fields, make_dataclass, replace
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .dynamics import integrate_lorenz, integrate_reduced, map_trajectory
-from .lorenz import critical_rayleigh, minimize_over_length, scale_to_lorenz
+from .basis import _check_label
+from .dynamics import _check_run, integrate_lorenz, integrate_reduced, map_trajectory
+from .lorenz import _check_width_source, critical_rayleigh, minimize_over_length, scale_to_lorenz
 from .params import InadmissibleError, PhysicalParams
 from .projection import PROVENANCES, ProjectionTermReport, coefficients, discrepancy_report
 from .spectral import critical_rayleigh_spectral
@@ -178,10 +164,6 @@ def _physical(config) -> PhysicalParams:
 
 
 def _check(config) -> None:
-    try:
-        params = config.physical()
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
     for name, setting in _SETTINGS.items():
         choices = setting.keywords.get("choices")
         if choices and getattr(config, name) not in choices:
@@ -191,11 +173,19 @@ def _check(config) -> None:
         raise ConfigError("workers must be at least 1")
     if config.samples < 2:
         raise ConfigError("samples must be at least 2")
-    if not 0.0 < config.t_end < math.inf:
-        raise ConfigError(f"t_end must be positive and finite, got {config.t_end}")
-    for name in ("rtol", "atol"):
-        if not 0.0 < getattr(config, name) < 1.0:
-            raise ConfigError(f"{name} must lie in (0, 1)")
+    if not config.n_modes or max(config.n_modes) > 512:
+        raise ConfigError("n_modes needs at least one entry, each at most 512")
+    try:
+        params = config.physical()
+        # only simulate builds the output grid: a large --samples costs the others nothing
+        _check_run(config.initial, config.t_end, config.rtol, config.atol,
+                   config.samples if config.subcommand == "simulate" else 0)
+        for n_modes in config.n_modes:  # validate's pencil family psi[-1, m, n]
+            _check_label(-1, config.m, n_modes)
+        if config.subcommand == "critical" and config.optimize_l:
+            _check_width_source(config.source)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     for name, field in (("beta_sweep", "beta"), ("l_sweep", "length")):
         sweep = getattr(config, name)
         if sweep is None:
@@ -210,15 +200,8 @@ def _check(config) -> None:
                 replace(params, **{field: point})
         except ValueError as exc:
             raise ConfigError(f"{name}: {exc}") from exc
-    if config.m < 1 or not config.n_modes or not all(1 <= n <= 512 for n in config.n_modes):
-        raise ConfigError("m must be at least 1 and every n_modes entry in [1, 512]")
-    if not all(math.isfinite(v) for v in config.initial):
-        raise ConfigError("initial state must be finite")
     if config.subcommand == "critical" and config.l_sweep and config.optimize_l:
         raise ConfigError("--l-sweep and --optimize-l are mutually exclusive")
-    if config.subcommand == "critical" and config.optimize_l and config.source == "published":
-        raise ConfigError("--optimize-l needs --source oracle or closed_form: the published "
-                          "gamma term, 4*pi^2/l, has no closed-form width minimum")
     if config.subcommand == "simulate" and config.coords != "abc" and config.rayleigh <= 0.0:
         raise ConfigError("simulate in xyz/both coordinates needs --ra > 0")
 
@@ -343,6 +326,7 @@ def _sweep_values(sweep, fallback) -> list[float]:
 def _pool_map(config: RunConfig, function, items) -> list:
     if config.workers == 1 or len(items) <= 1:
         return [function(item) for item in items]
+    from concurrent.futures import ThreadPoolExecutor  # pulls in logging, threading and queue
     with ThreadPoolExecutor(max_workers=config.workers) as pool:
         return list(pool.map(function, items))
 
@@ -396,11 +380,10 @@ def _cmd_critical(config: RunConfig) -> int:
 
 def _cmd_simulate(config: RunConfig) -> int:
     params = config.physical()
-    initial = np.asarray(config.initial, dtype=float)
     extra = {"params": asdict(params)}
     coeffs = coefficients(params, config.source)
-    grid = np.linspace(0.0, config.t_end, config.samples)
     tolerances = (config.rtol, config.atol)
+    initial, grid = _check_run(config.initial, config.t_end, *tolerances, config.samples)
 
     runs = []  # the requested runs on the output grid, the Lorenz one first
     if config.coords != "abc":

@@ -25,6 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .basis import _INTEGERS
 from .lorenz import LorenzParams, ScalingMap
 from .projection import GalerkinCoeffs
 
@@ -258,7 +259,9 @@ def _dense_output(t_eval, records, n) -> np.ndarray:
     return y_old + h[:, None] * np.einsum("mkn,mk->mn", stages, weights)
 
 
-def _integrate(system, arg, initial, t_end, rtol, atol, labels, t_eval):
+def _check_run(initial, t_end, rtol, atol, samples=0):
+    """The initial state as three floats and `samples` evenly spaced output times
+    on [0, t_end], or a ValueError naming the first argument that no run takes."""
     if not 0.0 < t_end < math.inf:
         raise ValueError(f"t_end must be positive and finite, got {t_end}")
     for name, tol in (("rtol", rtol), ("atol", atol)):
@@ -267,8 +270,15 @@ def _integrate(system, arg, initial, t_end, rtol, atol, labels, t_eval):
     initial = np.asarray(initial, dtype=float)
     if initial.shape != (3,) or not np.all(np.isfinite(initial)):
         raise ValueError("initial state must be three finite components")
-    t_end = float(t_end)
-    t_eval = np.linspace(0.0, t_end, 801) if t_eval is None else np.asarray(t_eval, float)
+    grid = np.linspace(0.0, t_end, samples)
+    if np.any(np.diff(grid) <= 0.0):
+        raise ValueError(f"t_end = {t_end} is too short for {samples} distinct output times")
+    return initial, grid
+
+
+def _integrate(system, arg, initial, t_end, rtol, atol, labels, t_eval):
+    initial, grid = _check_run(initial, t_end, rtol, atol, 801 if t_eval is None else 0)
+    t_end, t_eval = float(t_end), grid if t_eval is None else np.asarray(t_eval, float)
     if (t_eval.ndim != 1 or t_eval.size == 0 or np.any(np.diff(t_eval) <= 0.0)
             or not np.all((t_eval >= 0.0) & (t_eval <= t_end))):
         raise ValueError("t_eval must be a non-empty, strictly increasing 1-d "
@@ -336,8 +346,10 @@ def largest_lyapunov(lp: LorenzParams, seed: int = 0) -> float:
     tangent vector, which rides the trajectory through the linearized flow.
     It is renormalized after each of 500 unit time intervals (rtol 1e-9, atol
     1e-12), and the exponent is the mean log stretching over the last 450:
-    the first 10 % are the discarded transient.
+    the first 10 % are the discarded transient; seed must be an integer >= 0.
     """
+    if type(seed) is bool or not (isinstance(seed, _INTEGERS) and seed >= 0):
+        raise ValueError(f"seed must be an integer >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     initial = np.array([1.0, 1.0, 1.0]) + 0.1 * rng.standard_normal(3)
     tangent = rng.standard_normal(3)

@@ -198,6 +198,13 @@ def critical_rayleigh(params: PhysicalParams, source: str = "oracle") -> float:
     return 1.0 / slope
 
 
+def _check_width_source(source):
+    """ValueError unless `source` is a route with a closed-form width minimum."""
+    if source == "published":
+        raise ValueError("source must be oracle or closed_form: the published onset's gamma "
+                         "term, 4*pi^2/l, has no closed-form width minimum")
+
+
 def minimize_over_length(
     beta: float = 0.0,
     prandtl: float = PhysicalParams.prandtl,
@@ -218,9 +225,7 @@ def minimize_over_length(
     does once (1 + gamma)*beta^2 does, InadmissibleError names beta and gamma.
     """
     params = PhysicalParams(beta=beta, prandtl=prandtl, gamma=gamma)
-    if source == "published":
-        raise ValueError("the published onset has no closed-form width minimum: its "
-                         "gamma term, 4*pi^2/l, is not polynomial in (2*pi/l)^2")
+    _check_width_source(source)
     half = params.beta / 2.0
     a, b = (math.pi - half) * (math.pi + half), math.pi**2 + half * half
     if a <= 0.0:

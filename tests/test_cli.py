@@ -11,8 +11,11 @@ import pytest
 import anelor.projection
 from anelor import cli
 from anelor.cli import _SETTINGS, _build_parser, main, render_csv, resolve_config
+from anelor.dynamics import integrate_reduced
 from anelor.lorenz import critical_rayleigh, minimize_over_length
 from anelor.params import PhysicalParams
+from anelor.projection import closed_form_coefficients
+from anelor.spectral import assemble_pencil
 
 REPORT_HEADER = ("term,oracle,closed_form,published,"
                  "rel_dev,rel_dev_closed_form,rel_dev_published")
@@ -217,7 +220,48 @@ def test_critical_without_a_reduced_onset_fails_in_one_line(capsys):
 def test_critical_optimize_l_rejects_the_published_route(capsys):
     code, out, err = run(capsys, "critical", "--optimize-l", "--source", "published")
     assert (code, out) == (2, "")
-    assert err.startswith("anelor: --optimize-l needs --source oracle or closed_form")
+    assert err.startswith("anelor: source must be oracle or closed_form")
+
+
+def _simulate_defaults(t_end=20.0, rtol=1e-10, atol=1e-12, initial=(1e-3, 1e-3, 1e-3)):
+    """integrate_reduced with simulate's default settings but those given."""
+    coeffs = closed_form_coefficients(PhysicalParams(rayleigh=1500.0))
+    return integrate_reduced(coeffs, initial, t_end, rtol, atol)
+
+
+# a command line that breaks one library rule -> the call of its owner on the same value
+DELEGATED = {
+    "simulate --t-end inf": lambda: _simulate_defaults(t_end=math.inf),
+    "simulate --t-end 0": lambda: _simulate_defaults(t_end=0.0),
+    "simulate --t-end -1": lambda: _simulate_defaults(t_end=-1.0),
+    "simulate --t-end 5e-324": lambda: _simulate_defaults(t_end=5e-324),
+    "simulate --rtol 1": lambda: _simulate_defaults(rtol=1.0),
+    "simulate --atol 0": lambda: _simulate_defaults(atol=0.0),
+    "simulate --initial nan 0 0": lambda: _simulate_defaults(initial=(math.nan, 0.0, 0.0)),
+    "validate --m 0": lambda: assemble_pencil(PhysicalParams(), m=0),
+    "validate --n-modes 0": lambda: assemble_pencil(PhysicalParams(), n_modes=0),
+    "critical --optimize-l --source published": lambda: minimize_over_length(source="published"),
+}
+
+
+@pytest.mark.parametrize("command", list(DELEGATED))
+def test_usage_errors_quote_the_library_rule_they_delegate_to(capsys, command):
+    # the command line restates none of these rules: it prints the owner's message
+    argv = command.split() + (["--ra", "1500"] if command.startswith("simulate") else [])
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    with pytest.raises(ValueError) as info:
+        DELEGATED[command]()
+    assert err == f"anelor: {info.value}\n"
+
+
+def test_only_simulate_builds_the_output_grid(capsys, monkeypatch):
+    # a grid of 1e8 samples would take 800 MB; coeffs checks the run rules on no grid
+    samples = []
+    monkeypatch.setattr(cli, "_check_run", lambda *args: samples.append(args[4:]))
+    monkeypatch.setenv("ANELOR_SAMPLES", "100000000")
+    code, _, _ = run(capsys, "coeffs", "--quiet")
+    assert (code, samples) == (0, [(0,)])
 
 
 def test_critical_optimize_l(capsys):

@@ -1,6 +1,7 @@
 import inspect
 import math
 import os
+import re
 import subprocess
 import sys
 import traceback
@@ -192,6 +193,26 @@ def test_integration_rejects_bad_arguments():
     for integrate, arg in ((integrate_reduced, coeffs), (integrate_lorenz, lp)):
         with pytest.raises(ValueError, match="t_end must be positive and finite, got inf"):
             integrate(arg, [1.0, 1.0, 1.0], math.inf, t_eval=[0.0, 1.0])
+
+
+def test_a_span_too_short_for_the_default_grid_names_t_end():
+    # 801 evenly spaced times on [0, 5e-324] collapse onto two floats
+    coeffs = closed_form_coefficients(make_params(rayleigh=1000.0))
+    with pytest.raises(ValueError, match="t_end = 5e-324 is too short for 801 distinct"):
+        integrate_reduced(coeffs, [1.0, 1.0, 1.0], 5e-324)
+
+
+@pytest.mark.parametrize("seed", [1.5, -1, True, np.float64(2.0), "0"])
+def test_largest_lyapunov_rejects_a_seed_that_is_no_integer_from_zero(seed):
+    with pytest.raises(ValueError, match=re.escape(f"seed must be an integer >= 0, got {seed}")):
+        largest_lyapunov(LorenzParams(10.0, 8.0 / 3.0, 28.0), seed=seed)
+
+
+def test_largest_lyapunov_takes_numpy_integer_seeds(monkeypatch):
+    # a stub step loop that never stretches the tangent: the check alone is under test
+    monkeypatch.setattr("anelor.dynamics._dopri45", lambda system, lp, y, *rest: (tuple(y),))
+    lp = LorenzParams(10.0, 8.0 / 3.0, 28.0)
+    assert largest_lyapunov(lp, seed=np.int64(3)) == largest_lyapunov(lp, seed=3) == 0.0
 
 
 @pytest.mark.parametrize("t_eval", [[50.0, 0.0], [0.0, 25.0, 25.0], [0.0, math.nan]])
