@@ -17,7 +17,7 @@ The projected equations are not written here but as projection's operator
 rows. The quadrature oracle evaluates their instances on three of these modes
 from the exact partial derivatives with tensor-product Gauss-Legendre
 quadrature; the stability pencil (spectral) integrates the linear rows on
-whole parity families in closed form, using only fourier_factor and the
+whole parity families in closed form, using only _fourier_factor and the
 exponential form of the vertical factor.
 """
 
@@ -28,13 +28,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import PhysicalParams
+from .params import PhysicalParams, _check_integer, _is_integer
 
 __all__ = [
     "ModeIndex",
     "QuadratureRule",
     "ModeGrid",
-    "fourier_factor",
     "fourier_partial",
     "vertical_partial",
     "mode_eval",
@@ -57,23 +56,16 @@ class ModeIndex:
         _check_label(self.parity, self.horizontal, self.vertical)
 
 
-_INTEGERS = (int, np.integer)  # bool is an int as well, so the checks exclude it by type
-
-
 def _check_label(parity, m, n):
-    """ValueError naming the label unless (parity, m, n) labels a mode; numpy's integers
-    pass, bools do not. The factors call it directly, since a ModeIndex per call costs
-    a dataclass, and inline the integer test, since a call per value costs as much."""
-    if type(parity) is bool or not (isinstance(parity, _INTEGERS) and parity in (1, -1)):
+    """ValueError naming the label unless (parity, m, n) labels a mode, the sines from
+    m = 1 on; the factors call it directly, as a ModeIndex per call costs a dataclass."""
+    if not (_is_integer(parity) and parity in (1, -1)):
         raise ValueError(f"parity must be +1 or -1, got {parity}")
-    for name, value, low in (("horizontal index m", m, 0), ("vertical index n", n, 1)):
-        if type(value) is bool or not (isinstance(value, _INTEGERS) and value >= low):
-            raise ValueError(f"{name} must be an integer >= {low}, got {value}")
-    if m == 0 and parity == -1:  # the sine branch is identically zero at m = 0
-        raise ValueError("parity -1 with m = 0 is not a mode")
+    _check_integer("horizontal index m", m, 0 if parity == 1 else 1)
+    _check_integer("vertical index n", n, 1)
 
 
-def fourier_factor(parity, m, length, order=0):
+def _fourier_factor(parity, m, length, order=0):
     """(factor, parity') with d^order/dx^order phi[parity, m] = factor * phi[parity', m];
     each derivative flips the parity and multiplies by -parity * 2*pi*m/l."""
     factor, cur, wave = 1.0, parity, 2.0 * np.pi * m / length
@@ -86,10 +78,9 @@ def fourier_factor(parity, m, length, order=0):
 def fourier_partial(parity, m, x, length, order=0):
     """d^order/dx^order of phi[parity, m] at x, a scaled copy of one of the two branches."""
     _check_label(parity, m, 1)
-    if order < 0:
-        raise ValueError("derivative order must be >= 0")
+    _check_integer("derivative order", order, 0)
     x = np.asarray(x, dtype=float)
-    factor, cur = fourier_factor(parity, m, length, order)
+    factor, cur = _fourier_factor(parity, m, length, order)
     if m == 0:  # the constant sqrt(1/l), whose derivatives vanish
         return np.zeros_like(x) if order else factor * np.full_like(x, np.sqrt(1.0 / length))
     arg = (2.0 * np.pi * m / length) * x
@@ -101,8 +92,7 @@ def vertical_partial(n, z, beta, order=0):
     sqrt(2) * Im(exp(c*z)) with c = -beta/2 + i*n*pi, so the derivative is
     sqrt(2) * Im(c^order * exp(c*z)), exact at every order."""
     _check_label(1, 0, n)
-    if order < 0:
-        raise ValueError("derivative order must be >= 0")
+    _check_integer("derivative order", order, 0)
     c = complex(-0.5 * beta, n * np.pi)
     power = np.complex128(c) ** order  # inf on overflow, where complex ** would raise
     return np.sqrt(2.0) * np.imag(power * np.exp(c * np.asarray(z, dtype=float)))
@@ -149,8 +139,7 @@ class QuadratureRule:
     """
 
     def __init__(self, order: int, length: float = 1.0):
-        if type(order) is bool or not (isinstance(order, _INTEGERS) and order >= 1):
-            raise ValueError(f"order must be an integer >= 1, got {order}")
+        _check_integer("order", order, 1)
         if not 0.0 < length < np.inf:
             raise ValueError(f"length must be finite and > 0, got {length}")
         self.order = int(order)
@@ -229,6 +218,8 @@ class ModeGrid:
         return self._z_cache[dz]
 
     def partial(self, dx: int = 0, dz: int = 0) -> np.ndarray:
+        _check_integer("derivative order", dx, 0)  # before the lookup, where 2.0
+        _check_integer("derivative order", dz, 0)  # and True find the orders 2 and 1
         key = (dx, dz)
         if key not in self._cache:
             self._cache[key] = np.outer(self._x_line(dx), self._z_line(dz))

@@ -32,7 +32,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .basis import _check_label
-from .dynamics import _check_run, integrate_lorenz, integrate_reduced, map_trajectory
+from .dynamics import (_ATOL, _RTOL, _SAMPLES, _check_run, integrate_lorenz, integrate_reduced,
+                       map_trajectory)
 from .lorenz import _check_width_source, critical_rayleigh, minimize_over_length, scale_to_lorenz
 from .params import InadmissibleError, PhysicalParams
 from .projection import PROVENANCES, ProjectionTermReport, coefficients, discrepancy_report
@@ -148,9 +149,9 @@ _SETTINGS = {
                    help="coordinate system(s) to integrate"),
     "t_end": _row(_as_float, 20.0, {"simulate"}, "--t-end",
                   help="integration span in the output coordinates"),
-    "samples": _row(_as_int, 801, {"simulate"}, "--samples", help="number of output samples"),
-    "rtol": _row(_as_float, 1e-10, {"simulate"}, "--rtol", help="relative tolerance"),
-    "atol": _row(_as_float, 1e-12, {"simulate"}, "--atol", help="absolute tolerance"),
+    "samples": _row(_as_int, _SAMPLES, {"simulate"}, "--samples", help="number of output samples"),
+    "rtol": _row(_as_float, _RTOL, {"simulate"}, "--rtol", help="relative tolerance"),
+    "atol": _row(_as_float, _ATOL, {"simulate"}, "--atol", help="absolute tolerance"),
     "initial": _row(_as_triple, (1e-3, 1e-3, 1e-3), {"simulate"}, "--initial", nargs=3,
                     metavar=("A", "B", "C"), help="initial reduced state"),
     "n_modes": _row(_as_int_list, (1, 2, 4, 8), {"validate"}, "--n-modes", nargs="+",

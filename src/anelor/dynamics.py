@@ -25,8 +25,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .basis import _INTEGERS
 from .lorenz import LorenzParams, ScalingMap
+from .params import _check_integer
 from .projection import GalerkinCoeffs
 
 __all__ = [
@@ -134,6 +134,7 @@ _P = np.array([
     [0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423],
 ])
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
+_RTOL, _ATOL, _SAMPLES = 1e-10, 1e-12, 801  # run defaults, the command line's too
 
 
 def _initial_step(fun, arg, y, t_end, rtol, atol):
@@ -277,7 +278,7 @@ def _check_run(initial, t_end, rtol, atol, samples=0):
 
 
 def _integrate(system, arg, initial, t_end, rtol, atol, labels, t_eval):
-    initial, grid = _check_run(initial, t_end, rtol, atol, 801 if t_eval is None else 0)
+    initial, grid = _check_run(initial, t_end, rtol, atol, _SAMPLES if t_eval is None else 0)
     t_end, t_eval = float(t_end), grid if t_eval is None else np.asarray(t_eval, float)
     if (t_eval.ndim != 1 or t_eval.size == 0 or np.any(np.diff(t_eval) <= 0.0)
             or not np.all((t_eval >= 0.0) & (t_eval <= t_end))):
@@ -292,7 +293,7 @@ def _integrate(system, arg, initial, t_end, rtol, atol, labels, t_eval):
                       nfev=nfev, steps=(nfev - 2) // 6 - rejected, rejected=rejected)
 
 
-def integrate_reduced(coeffs: GalerkinCoeffs, initial, t_end, rtol=1e-10, atol=1e-12,
+def integrate_reduced(coeffs: GalerkinCoeffs, initial, t_end, rtol=_RTOL, atol=_ATOL,
                       t_eval=None) -> Trajectory:
     """Integrate dA/dt = e1 A + e2 B, dB/dt = e3 A C + e4 B + e5 A,
     dC/dt = e6 A B + e7 C from t = 0 to t_end."""
@@ -300,7 +301,7 @@ def integrate_reduced(coeffs: GalerkinCoeffs, initial, t_end, rtol=1e-10, atol=1
                       rtol, atol, REDUCED_LABELS, t_eval)
 
 
-def integrate_lorenz(lp: LorenzParams, initial, s_end, rtol=1e-10, atol=1e-12,
+def integrate_lorenz(lp: LorenzParams, initial, s_end, rtol=_RTOL, atol=_ATOL,
                      t_eval=None) -> Trajectory:
     return _integrate(_LORENZ, lp, initial, s_end, rtol, atol, LORENZ_LABELS, t_eval)
 
@@ -348,8 +349,7 @@ def largest_lyapunov(lp: LorenzParams, seed: int = 0) -> float:
     1e-12), and the exponent is the mean log stretching over the last 450:
     the first 10 % are the discarded transient; seed must be an integer >= 0.
     """
-    if type(seed) is bool or not (isinstance(seed, _INTEGERS) and seed >= 0):
-        raise ValueError(f"seed must be an integer >= 0, got {seed}")
+    _check_integer("seed", seed, 0)
     rng = np.random.default_rng(seed)
     initial = np.array([1.0, 1.0, 1.0]) + 0.1 * rng.standard_normal(3)
     tangent = rng.standard_normal(3)

@@ -59,7 +59,7 @@ class LorenzParams:
     def __post_init__(self):
         for name in ("sigma", "delta", "r"):
             value = getattr(self, name)
-            if not math.isfinite(value):
+            if type(value) is bool or not math.isfinite(value):  # float(True) is 1.0
                 raise ValueError(f"{name} must be finite")
             # plain floats keep the scalar integrator off numpy scalars
             object.__setattr__(self, name, float(value))

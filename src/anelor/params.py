@@ -1,9 +1,11 @@
-"""Physical parameter bundle and the domain error shared by every module."""
+"""Physical parameter bundle, and the domain error and integer rule shared by every module."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+
+import numpy as np
 
 __all__ = ["InadmissibleError", "PhysicalParams"]
 
@@ -11,6 +13,17 @@ __all__ = ["InadmissibleError", "PhysicalParams"]
 class InadmissibleError(ValueError):
     """No answer at these parameters: they lie outside the domain of the route
     asked, such as no onset, no Lorenz map or non-finite projections."""
+
+
+def _is_integer(value) -> bool:
+    """An int or a numpy integer, but no bool (an int by type) and no integral float."""
+    return isinstance(value, (int, np.integer)) and type(value) is not bool
+
+
+def _check_integer(name, value, low):
+    """ValueError naming `name` unless `value` is an integer (`_is_integer`) >= low."""
+    if not (_is_integer(value) and value >= low):
+        raise ValueError(f"{name} must be an integer >= {low}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -34,7 +47,7 @@ class PhysicalParams:
     def __post_init__(self):
         for name in ("beta", "prandtl", "rayleigh", "gamma", "length"):
             value = getattr(self, name)
-            if not math.isfinite(value):
+            if type(value) is bool or not math.isfinite(value):  # float(True) is 1.0
                 raise ValueError(f"{name} must be finite, got {value!r}")
             object.__setattr__(self, name, float(value) + 0.0)  # -0.0 becomes 0.0
         if self.beta < 0.0:

@@ -44,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import projection
-from .basis import _check_label, fourier_factor
+from .basis import _check_label, _fourier_factor
 from .params import InadmissibleError, PhysicalParams
 
 __all__ = [
@@ -121,7 +121,7 @@ def _assemble_matrices(params, m, n):
         for name in names:
             test, weight, terms = operators[name]
             for c, ((field, dx, dz),) in terms:
-                factor, flipped = fourier_factor(parity[field], m, length, dx)
+                factor, flipped = _fourier_factor(parity[field], m, length, dx)
                 if flipped == parity[test]:
                     by_dz[dz] += scale.get(name, 1.0) * c * factor
         return (np.dot(by_dz, powers) * kernels[weight]).real

@@ -47,6 +47,15 @@ def test_labels_accept_numpy_integers():
     x, z = np.linspace(0.0, 2.5, 5), np.linspace(0.0, 1.0, 5)
     assert np.array_equal(fourier_partial(-1, m, x, 2.5, 1), fourier_partial(-1, 2, x, 2.5, 1))
     assert np.array_equal(vertical_partial(n, z, 1.3, 2), vertical_partial(3, z, 1.3, 2))
+    # and numpy integers are derivative orders like any other
+    order, params = np.int64(2), make_params(1.3, length=2.5)
+    assert np.array_equal(fourier_partial(-1, 2, x, 2.5, order), fourier_partial(-1, 2, x, 2.5, 2))
+    assert np.array_equal(vertical_partial(3, z, 1.3, order), vertical_partial(3, z, 1.3, 2))
+    j = ModeIndex(-1, 2, 3)
+    assert np.array_equal(mode_partial(j, x, z, params, order, order),
+                          mode_partial(j, x, z, params, 2, 2))
+    grid = ModeGrid(j, params, QuadratureRule(8, params.length))
+    assert np.array_equal(grid.partial(order, order), grid.partial(2, 2))
 
 
 @pytest.mark.parametrize("beta", [0.0, 0.1, 1.0])
@@ -126,7 +135,7 @@ def test_x_derivative_flips_parity(parity, m):
 
 
 @pytest.mark.parametrize("parity, m, order, message", [
-    (-1, 0, 1, "parity -1 with m = 0 is not a mode"),
+    (-1, 0, 1, "horizontal index m must be an integer >= 1, got 0"),
     (2, 0, 2, "parity must be +1 or -1, got 2"),
     (2, 1, 1, "parity must be +1 or -1, got 2"),
     (1, -1, 1, "horizontal index m must be an integer >= 0, got -1"),
@@ -134,14 +143,48 @@ def test_x_derivative_flips_parity(parity, m):
     (1.0, 1, 1, "parity must be +1 or -1, got 1.0"),
     (True, 1, 0, "parity must be +1 or -1, got True"),
     (1, True, 1, "horizontal index m must be an integer >= 0, got True"),
-    (1, 1, -1, "derivative order must be >= 0"),
+    (1, 1, -1, "derivative order must be an integer >= 0, got -1"),
+    (1, 1, 1.5, "derivative order must be an integer >= 0, got 1.5"),
+    (1, 1, 2.0, "derivative order must be an integer >= 0, got 2.0"),
+    (1, 1, True, "derivative order must be an integer >= 0, got True"),
 ], ids=["sine-at-m0", "parity-2-at-m0", "parity-2", "negative-m", "fractional-m",
-        "float-parity", "bool-parity", "bool-m", "negative-order"])
+        "float-parity", "bool-parity", "bool-m", "negative-order", "fractional-order",
+        "float-order", "bool-order"])
 def test_fourier_partial_rejects_a_label_that_is_no_mode(parity, m, order, message):
     # at every order, naming the label the caller gave
     with pytest.raises(ValueError) as excinfo:
         fourier_partial(parity, m, np.linspace(0.0, 2.5, 5), 2.5, order)
     assert str(excinfo.value) == message
+
+
+def warm_grid():
+    # a grid whose cache holds every order that 2.0 or True would equal
+    params = make_params(0.5)
+    grid = ModeGrid(ModeIndex(-1, 1, 1), params, QuadratureRule(8, params.length))
+    for dx, dz in ((1, 0), (2, 0), (0, 1), (0, 2)):
+        grid.partial(dx, dz)
+    return grid
+
+
+# each partial that takes a derivative order, as a function of that order alone
+PARTIALS = {
+    "vertical": lambda order: vertical_partial(2, np.linspace(0.0, 1.0, 5), 0.5, order),
+    "mode-dx": lambda order: mode_partial(ModeIndex(-1, 1, 1), 0.3, 0.4, make_params(0.5),
+                                          dx=order),
+    "mode-dz": lambda order: mode_partial(ModeIndex(-1, 1, 1), 0.3, 0.4, make_params(0.5),
+                                          dz=order),
+    "grid-dx": lambda order: warm_grid().partial(order, 0),
+    "grid-dz": lambda order: warm_grid().partial(0, order),
+}
+
+
+@pytest.mark.parametrize("order", [-1, 1.5, 2.0, True],
+                         ids=["negative", "fractional", "float", "bool"])
+@pytest.mark.parametrize("partial", list(PARTIALS))
+def test_every_partial_rejects_an_order_that_is_no_integer(partial, order):
+    with pytest.raises(ValueError) as excinfo:
+        PARTIALS[partial](order)
+    assert str(excinfo.value) == f"derivative order must be an integer >= 0, got {order}"
 
 
 @pytest.mark.parametrize("order,h", [(1, 1e-6), (2, 1e-5), (3, 4e-4), (4, 3e-3)])

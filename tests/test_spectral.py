@@ -188,8 +188,9 @@ def test_assemble_pencil_validates_arguments():
         assemble_pencil(make_params(), n_modes=0)
     with pytest.raises(ValueError):
         assemble_pencil(make_params(), m=0)
-    # psi[-1, m, N] must be a mode: a wave of 1.5 periods, or a bool, is none
-    for m, n_modes, name in ((1.5, 2, "m"), (True, 2, "m"), (1, 2.5, "n"), (1, True, "n")):
+    # psi[-1, m, N] must be a mode: a wave of 1.5 periods, a float, a bool or 0 is none
+    for m, n_modes, name in ((1.5, 2, "m"), (2.0, 2, "m"), (True, 2, "m"), (0, 2, "m"),
+                             (1, 2.5, "n"), (1, 2.0, "n"), (1, True, "n"), (1, 0, "n")):
         with pytest.raises(ValueError, match=f"index {name} must be an integer >= ") as excinfo:
             critical_rayleigh_spectral(make_params(beta=1.0), m, n_modes)
         assert str(excinfo.value).endswith(f"got {m if name == 'm' else n_modes}")
