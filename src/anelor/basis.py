@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import PhysicalParams, _check_integer, _is_integer
+from .params import PhysicalParams, _check_integer, _check_real, _is_integer
 
 __all__ = [
     "ModeIndex",
@@ -140,10 +140,8 @@ class QuadratureRule:
 
     def __init__(self, order: int, length: float = 1.0):
         _check_integer("order", order, 1)
-        if not 0.0 < length < np.inf:
-            raise ValueError(f"length must be finite and > 0, got {length}")
         self.order = int(order)
-        self.length = float(length)
+        self.length = _check_real("length", length, "> 0")
         nodes, weights = _gauss_legendre(self.order)
         # map [-1, 1] onto each axis
         self.x_nodes = 0.5 * self.length * (nodes + 1.0)

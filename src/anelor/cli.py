@@ -35,7 +35,7 @@ from .basis import _check_label
 from .dynamics import (_ATOL, _RTOL, _SAMPLES, _check_run, integrate_lorenz, integrate_reduced,
                        map_trajectory)
 from .lorenz import _check_width_source, critical_rayleigh, minimize_over_length, scale_to_lorenz
-from .params import InadmissibleError, PhysicalParams
+from .params import InadmissibleError, PhysicalParams, _check_integer, _is_integer
 from .projection import PROVENANCES, ProjectionTermReport, coefficients, discrepancy_report
 from .spectral import critical_rayleigh_spectral
 
@@ -57,9 +57,12 @@ def _as_float(value):
 
 
 def _as_int(value):
-    number = _as_float(value)
-    if not number.is_integer():
+    """Text by int(); any other value must be an integer (`_is_integer`) that, like every
+    number setting, a float can hold."""
+    number = int(value) if isinstance(value, str) else value
+    if not _is_integer(number):
         raise ValueError(f"expected an integer, got {value!r}")
+    float(number)  # OverflowError past the float range
     return int(number)
 
 
@@ -170,13 +173,11 @@ def _check(config) -> None:
         if choices and getattr(config, name) not in choices:
             raise ConfigError(f"{name} must be one of {', '.join(choices)}, "
                               f"got {getattr(config, name)!r}")
-    if config.workers < 1:
-        raise ConfigError("workers must be at least 1")
-    if config.samples < 2:
-        raise ConfigError("samples must be at least 2")
-    if not config.n_modes or max(config.n_modes) > 512:
-        raise ConfigError("n_modes needs at least one entry, each at most 512")
     try:
+        _check_integer("workers", config.workers, 1)
+        _check_integer("samples", config.samples, 2)
+        if not config.n_modes or max(config.n_modes) > 512:
+            raise ValueError("n_modes needs at least one entry, each at most 512")
         params = config.physical()
         # only simulate builds the output grid: a large --samples costs the others nothing
         _check_run(config.initial, config.t_end, config.rtol, config.atol,
@@ -192,11 +193,10 @@ def _check(config) -> None:
         if sweep is None:
             continue
         start, stop, count = sweep
-        if count < 1:
-            raise ConfigError(f"{name} count must be at least 1")
         if count > 1 and not stop > start:
             raise ConfigError(f"{name} must be increasing, got {sweep}")
         try:
+            _check_integer("count", count, 1)
             for point in (start, stop) if count > 1 else (start,):
                 replace(params, **{field: point})
         except ValueError as exc:

@@ -26,7 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .lorenz import LorenzParams, ScalingMap
-from .params import _check_integer
+from .params import _check_integer, _check_real
 from .projection import GalerkinCoeffs
 
 __all__ = [
@@ -263,14 +263,13 @@ def _dense_output(t_eval, records, n) -> np.ndarray:
 def _check_run(initial, t_end, rtol, atol, samples=0):
     """The initial state as three floats and `samples` evenly spaced output times
     on [0, t_end], or a ValueError naming the first argument that no run takes."""
-    if not 0.0 < t_end < math.inf:
-        raise ValueError(f"t_end must be positive and finite, got {t_end}")
-    for name, tol in (("rtol", rtol), ("atol", atol)):
-        if not 0.0 < tol < 1.0:
-            raise ValueError(f"{name} must lie in (0, 1), got {tol}")
-    initial = np.asarray(initial, dtype=float)
-    if initial.shape != (3,) or not np.all(np.isfinite(initial)):
+    _check_real("t_end", t_end, "> 0")
+    _check_real("rtol", rtol, "in (0, 1)")
+    _check_real("atol", atol, "in (0, 1)")
+    components = np.asarray(initial, dtype=object)
+    if components.shape != (3,):
         raise ValueError("initial state must be three finite components")
+    initial = np.array([_check_real(f"initial[{i}]", x) for i, x in enumerate(components)])
     grid = np.linspace(0.0, t_end, samples)
     if np.any(np.diff(grid) <= 0.0):
         raise ValueError(f"t_end = {t_end} is too short for {samples} distinct output times")

@@ -31,7 +31,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .params import InadmissibleError, PhysicalParams
+from .params import InadmissibleError, PhysicalParams, _check_real
 from .projection import GalerkinCoeffs, coefficients
 
 __all__ = [
@@ -57,18 +57,9 @@ class LorenzParams:
     r: float
 
     def __post_init__(self):
-        for name in ("sigma", "delta", "r"):
-            value = getattr(self, name)
-            if type(value) is bool or not math.isfinite(value):  # float(True) is 1.0
-                raise ValueError(f"{name} must be finite")
+        for name, bound in (("sigma", "> 0"), ("delta", "> 0"), ("r", ">= 0")):
             # plain floats keep the scalar integrator off numpy scalars
-            object.__setattr__(self, name, float(value))
-        if self.sigma <= 0.0:
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
-        if self.delta <= 0.0:
-            raise ValueError(f"delta must be positive, got {self.delta}")
-        if self.r < 0.0:
-            raise ValueError(f"r must be nonnegative, got {self.r}")
+            object.__setattr__(self, name, _check_real(name, getattr(self, name), bound))
 
 
 @dataclass(frozen=True)

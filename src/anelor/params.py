@@ -1,4 +1,5 @@
-"""Physical parameter bundle, and the domain error and integer rule shared by every module."""
+"""Physical parameter bundle, and the domain error and the integer and real rules
+shared by every module."""
 
 from __future__ import annotations
 
@@ -26,6 +27,25 @@ def _check_integer(name, value, low):
         raise ValueError(f"{name} must be an integer >= {low}, got {value}")
 
 
+# a real argument's bound, as its message states it -> its test of the float
+_BOUNDS = {"": lambda x: True, ">= 0": lambda x: x >= 0.0, "> 0": lambda x: x > 0.0,
+           ">= 1/3": lambda x: x >= 1.0 / 3.0, "in (0, 1)": lambda x: 0.0 < x < 1.0}
+
+
+def _check_real(name, value, bound=""):
+    """`value` as a float, or a ValueError naming `name` unless it is an int, a float or
+    a numpy number, no bool (float(True) is 1.0), finite and within `bound`, a key of
+    `_BOUNDS`."""
+    real = isinstance(value, (int, float, np.integer, np.floating)) and type(value) is not bool
+    try:
+        number = float(value) if real else math.nan
+    except OverflowError:  # an int past the float range
+        number = math.inf
+    if math.isfinite(number) and _BOUNDS[bound](number):
+        return number
+    raise ValueError(f"{name} must be a finite number{bound and ' ' + bound}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class PhysicalParams:
     """Parameters of the stratified convection layer.
@@ -45,21 +65,10 @@ class PhysicalParams:
     length: float = 2.0 * math.sqrt(2.0)
 
     def __post_init__(self):
-        for name in ("beta", "prandtl", "rayleigh", "gamma", "length"):
-            value = getattr(self, name)
-            if type(value) is bool or not math.isfinite(value):  # float(True) is 1.0
-                raise ValueError(f"{name} must be finite, got {value!r}")
-            object.__setattr__(self, name, float(value) + 0.0)  # -0.0 becomes 0.0
-        if self.beta < 0.0:
-            raise ValueError(f"beta must be >= 0, got {self.beta}")
-        if self.prandtl <= 0.0:
-            raise ValueError(f"prandtl must be > 0, got {self.prandtl}")
-        if self.rayleigh < 0.0:
-            raise ValueError(f"rayleigh must be >= 0, got {self.rayleigh}")
-        if self.gamma < 1.0 / 3.0:
-            raise ValueError(f"gamma must be >= 1/3, got {self.gamma}")
-        if self.length <= 0.0:
-            raise ValueError(f"length must be > 0, got {self.length}")
+        for name, bound in (("beta", ">= 0"), ("prandtl", "> 0"), ("rayleigh", ">= 0"),
+                            ("gamma", ">= 1/3"), ("length", "> 0")):
+            number = _check_real(name, getattr(self, name), bound)
+            object.__setattr__(self, name, number + 0.0)  # -0.0 becomes 0.0
 
     def with_rayleigh(self, rayleigh: float) -> "PhysicalParams":
         return replace(self, rayleigh=rayleigh)

@@ -46,7 +46,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .basis import ModeGrid, ModeIndex, QuadratureRule
-from .params import InadmissibleError, PhysicalParams
+from .params import InadmissibleError, PhysicalParams, _check_real
 
 __all__ = [
     "ORDER",
@@ -104,8 +104,8 @@ class GalerkinCoeffs:
     def __post_init__(self):
         if self.provenance not in PROVENANCES:
             raise ValueError(f"unknown provenance {self.provenance!r}")
-        if not all(math.isfinite(v) for v in self.as_array()):
-            raise ValueError("coefficients must be finite")
+        for name in ("e1", "e2", "e3", "e4", "e5", "e6", "e7"):
+            _check_real(name, getattr(self, name))
 
     def as_array(self) -> np.ndarray:
         return np.array([self.e1, self.e2, self.e3, self.e4, self.e5, self.e6, self.e7])

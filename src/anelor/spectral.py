@@ -45,7 +45,7 @@ import numpy as np
 
 from . import projection
 from .basis import _check_label, _fourier_factor
-from .params import InadmissibleError, PhysicalParams
+from .params import InadmissibleError, PhysicalParams, _check_real
 
 __all__ = [
     "LinearOperatorPencil",
@@ -155,8 +155,7 @@ def _spectrum(pencil, rayleigh, head):
 def leading_growth_rate(pencil: LinearOperatorPencil, rayleigh: float) -> float:
     """Maximum real part over the 2N generalized eigenvalues at this Ra.
     Raises InadmissibleError, naming N, where G is singular."""
-    if not 0.0 <= rayleigh < math.inf:
-        raise ValueError(f"rayleigh must be finite and >= 0, got {rayleigh}")
+    rayleigh = _check_real("rayleigh", rayleigh, ">= 0")
     head = f"no growth rate at N = {len(pencil.g)}: "
     return float(np.max(_spectrum(pencil, rayleigh, head)[0].real))
 

@@ -314,16 +314,19 @@ def test_quadrature_stable_under_order_doubling():
     (2.7, 1.0, "order must be an integer >= 1, got 2.7"),
     (4.0, 1.0, "order must be an integer >= 1, got 4.0"),
     (True, 1.0, "order must be an integer >= 1, got True"),
-    (4, 0.0, "length must be finite and > 0, got 0.0"),
-    (4, math.nan, "length must be finite and > 0, got nan"),
-    (4, math.inf, "length must be finite and > 0, got inf"),
+    (4, 0.0, "length must be a finite number > 0, got 0.0"),
+    (4, math.nan, "length must be a finite number > 0, got nan"),
+    (4, math.inf, "length must be a finite number > 0, got inf"),
+    (4, "1", "length must be a finite number > 0, got '1'"),
 ])
 def test_quadrature_rule_rejects_what_it_cannot_honour(order, length, message):
     with pytest.raises(ValueError) as excinfo:
         QuadratureRule(order, length)
     assert str(excinfo.value) == message
-    # numpy's integers are orders like any other
+    # numpy's integers are orders like any other, and its numbers lengths
     assert QuadratureRule(np.int64(4), 2.0).order == 4
+    assert QuadratureRule(4, np.float32(2.0)).length == 2.0
+    assert QuadratureRule(4, np.int64(2)).length == 2.0
 
 
 def test_weighted_inner_product_rejects_non_finite():

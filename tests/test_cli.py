@@ -450,6 +450,9 @@ def test_json_null_output_means_unset(capsys, tmp_path, monkeypatch):
     ('{"order": 64}', "order"),
     ('{"beta": true}', "beta"),
     ('{"samples": true}', "samples"),
+    # an integer setting takes no float, not even an integral one
+    ('{"m": 2.0}', "field 'm'"),
+    ("samples = 11.0\n", "field 'samples'"),
     ('{"beta": ', "invalid JSON"),
     # config lines share the coercion of environment values
     ("quiet = maybe\n", "quiet"),
@@ -493,6 +496,11 @@ def test_missing_config_file(capsys, tmp_path):
     ("coeffs", "--pr", "0"),
     ("coeffs", "--ra", "-1"),
     ("coeffs", "--gamma", "0.3"),
+    ("simulate", "--ra", "1500", "--samples", "11.0"),
+    ("validate", "--m", "1e0"),
+    ("validate", "--n-modes", "1.0"),
+    ("critical", "--workers", "2.0"),
+    ("critical", "--beta-sweep", "0", "1", "3.0"),
 ])
 def test_invalid_settings_exit_two(capsys, argv):
     code, _, err = run(capsys, *argv)
@@ -545,9 +553,10 @@ def test_n_modes_above_512_is_a_usage_error_from_every_source(capsys, monkeypatc
 
 
 def test_huge_environment_integer_is_a_usage_error(capsys, monkeypatch):
-    monkeypatch.setenv("ANELOR_SAMPLES", "1e400")
-    code, _, err = run(capsys, "coeffs")
-    assert code == 2 and err.startswith("anelor:") and "samples" in err
+    for value in ("1e400", "11.0"):  # neither is an integer's text
+        monkeypatch.setenv("ANELOR_SAMPLES", value)
+        code, _, err = run(capsys, "coeffs")
+        assert code == 2 and err.startswith("anelor:") and "samples" in err
 
 
 # one value per setting, each unlike its default, in the form a flag takes
@@ -556,7 +565,7 @@ SAMPLES = {
     "length": "3", "source": "closed_form", "format": "json",
     "output": "table.csv", "quiet": "true", "workers": "2",
     "beta_sweep": "0 1 3", "l_sweep": "2 3 2", "optimize_l": "true",
-    "coords": "abc", "t_end": "5", "samples": "11.0", "rtol": "1e-8",
+    "coords": "abc", "t_end": "5", "samples": "11", "rtol": "1e-8",
     "atol": "1e-9", "initial": "1 2 3", "n_modes": "1 2", "m": "2",
 }
 

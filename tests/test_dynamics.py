@@ -191,8 +191,22 @@ def test_integration_rejects_bad_arguments():
     # an infinite span never ends, whatever the output times
     lp = LorenzParams(10.0, 8.0 / 3.0, 28.0)
     for integrate, arg in ((integrate_reduced, coeffs), (integrate_lorenz, lp)):
-        with pytest.raises(ValueError, match="t_end must be positive and finite, got inf"):
+        with pytest.raises(ValueError, match="t_end must be a finite number > 0, got inf"):
             integrate(arg, [1.0, 1.0, 1.0], math.inf, t_eval=[0.0, 1.0])
+    # each real argument is a number, never a bool (float(True) is 1.0) or a text
+    run = {"initial": [1.0, 1.0, 1.0], "t_end": 1.0, "rtol": 1e-6, "atol": 1e-8}
+    for name, bound in (("t_end", "> 0"), ("rtol", "in (0, 1)"), ("atol", "in (0, 1)"),
+                        ("initial[1]", "")):
+        for value in (True, "1", None, 10**400, math.nan, math.inf):
+            bad = {**run, "initial": [1.0, value, 1.0]} if name == "initial[1]" \
+                else {**run, name: value}
+            message = f"{name} must be a finite number{bound and ' ' + bound}, got {value!r}"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                integrate_reduced(coeffs, **bad)
+    # numpy's numbers pass; a numpy state and span give the run of the same Python numbers
+    numpy_run = integrate_lorenz(lp, [np.float32(1.0), np.int64(1), 1.0], np.int64(1))
+    assert np.array_equal(numpy_run.states, integrate_lorenz(lp, [1.0, 1.0, 1.0], 1.0).states)
+    assert integrate_lorenz(lp, [1.0, 1.0, 1.0], 1.0, np.float32(1e-6), np.float32(1e-8)).nfev
 
 
 def test_a_span_too_short_for_the_default_grid_names_t_end():

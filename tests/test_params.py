@@ -1,9 +1,11 @@
 import math
 
+import numpy as np
 import pytest
 
 from anelor.lorenz import LorenzParams
 from anelor.params import PhysicalParams
+from anelor.projection import GalerkinCoeffs
 
 
 def test_negative_zero_is_stored_as_zero():
@@ -14,14 +16,32 @@ def test_negative_zero_is_stored_as_zero():
 
 
 LORENZ = {"sigma": 10.0, "delta": 8.0 / 3.0, "r": 28.0}
+COEFFS = {f"e{i}": 1.0 for i in range(1, 8)} | {"provenance": "closed_form",
+                                               "params": PhysicalParams()}
+# field -> (its bound as the message states it, a finite value past it)
+BOUNDS = {
+    PhysicalParams: {"beta": (">= 0", -1.0), "prandtl": ("> 0", 0.0),
+                     "rayleigh": (">= 0", -1.0), "gamma": (">= 1/3", 0.3),
+                     "length": ("> 0", 0.0)},
+    LorenzParams: {"sigma": ("> 0", 0.0), "delta": ("> 0", 0.0), "r": (">= 0", -1.0)},
+    GalerkinCoeffs: {f"e{i}": ("", math.nan) for i in range(1, 8)},  # no bound
+}
 
 
 @pytest.mark.parametrize("record, name", [
     *[(PhysicalParams, name) for name in ("beta", "prandtl", "rayleigh", "gamma", "length")],
     *[(LorenzParams, name) for name in LORENZ],
+    *[(GalerkinCoeffs, name) for name in BOUNDS[GalerkinCoeffs]],
 ])
 def test_records_reject_a_bool_for_a_number(record, name):
-    # float(True) is 1.0, so without the check beta = True would be stored as 1.0
-    base = LORENZ if record is LorenzParams else {}
-    with pytest.raises(ValueError, match=f"^{name} must be finite"):
-        record(**{**base, name: True})
+    # float(True) is 1.0, so without the check beta = True would be stored as 1.0; a text,
+    # None or an int past the float range is no finite number either
+    base = {LorenzParams: LORENZ, GalerkinCoeffs: COEFFS}.get(record, {})
+    bound, past = BOUNDS[record][name]
+    for value in (True, "0.5", None, 10**400, math.nan, math.inf, past):
+        with pytest.raises(ValueError) as info:
+            record(**{**base, name: value})
+        assert str(info.value) == f"{name} must be a finite number{bound and ' ' + bound}, " \
+                                  f"got {value!r}"
+    for value in (np.float32(0.5), np.int64(2)):  # numpy's numbers are numbers
+        assert getattr(record(**{**base, name: value}), name) == value

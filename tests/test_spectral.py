@@ -257,9 +257,12 @@ def test_tiny_stratification_gives_a_finite_continuous_pencil(beta):
 
 def test_growth_rate_rejects_negative_rayleigh():
     pencil = assemble_pencil(make_params(), n_modes=1)
-    for rayleigh in (-1.0, math.nan, math.inf):
-        with pytest.raises(ValueError, match=f"got {rayleigh}"):
+    for rayleigh in (-1.0, math.nan, math.inf, True, "1", None, 10**400):
+        message = f"rayleigh must be a finite number >= 0, got {rayleigh!r}"
+        with pytest.raises(ValueError) as info:
             leading_growth_rate(pencil, rayleigh)
+        assert str(info.value) == message
+    assert leading_growth_rate(pencil, np.float32(2.0)) == leading_growth_rate(pencil, 2.0)
 
 
 def test_bracket_failures_raise(monkeypatch):
