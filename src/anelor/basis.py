@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import PhysicalParams, _check_integer, _check_real, _is_integer
+from .params import ArgumentError, PhysicalParams, _check_integer, _check_real, _is_integer
 
 __all__ = [
     "ModeIndex",
@@ -57,10 +57,10 @@ class ModeIndex:
 
 
 def _check_label(parity, m, n):
-    """ValueError naming the label unless (parity, m, n) labels a mode, the sines from
+    """ArgumentError naming the label unless (parity, m, n) labels a mode, the sines from
     m = 1 on; the factors call it directly, as a ModeIndex per call costs a dataclass."""
     if not (_is_integer(parity) and parity in (1, -1)):
-        raise ValueError(f"parity must be +1 or -1, got {parity}")
+        raise ArgumentError(f"parity must be +1 or -1, got {parity}")
     _check_integer("horizontal index m", m, 0 if parity == 1 else 1)
     _check_integer("vertical index n", n, 1)
 
@@ -166,7 +166,7 @@ def weighted_inner_product(f, g, beta, rule: QuadratureRule) -> float:
         g(X, Z), dtype=float
     )
     if not np.all(np.isfinite(integrand)):
-        raise ValueError("non-finite integrand samples in weighted inner product")
+        raise ArgumentError("non-finite integrand samples in weighted inner product")
     return float(np.sum(W * integrand))
 
 

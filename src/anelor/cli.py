@@ -3,10 +3,12 @@
 (`validate`); `_COMMANDS` holds each subcommand's help line and handler.
 
 Each setting is one row of the `_SETTINGS` table: its coercion, default, the
-subcommands that take its flags, the flags and argparse keywords. The parsers,
-the defaults (the physical ones from `PhysicalParams()`), the `RunConfig`
-fields and the choice checks all derive from that table; a rule the library
-owns, such as the integrator's on t_end, is checked by calling its owner.
+subcommands that read it and take its flags, the flags and argparse keywords.
+The parsers, the defaults (the physical ones from `PhysicalParams()`), the
+`RunConfig` fields and the choice checks all derive from that table. Each
+subcommand checks the settings it reads, and no others, before any computation:
+its handler states the command line's policies, and a rule the library owns,
+such as the integrator's on t_end, fires when the handler calls its owner.
 Settings resolve with precedence: command line over ANELOR_<FIELD> environment
 variables over a config file (flat field = value lines or JSON) over defaults.
 Environment variables and config keys set any field, for every subcommand;
@@ -17,7 +19,8 @@ coercion, so they accept the same values and reject unknown names.
 Tables are CSV (header row, comma separator, LF endings, 17 significant
 digits) or JSON; either stream to stdout or to --output. Summary lines go to
 stderr so payloads stay clean, and --quiet drops them. Exit codes: 0 success,
-1 numeric failure or no answer at these parameters, 2 usage or config error.
+1 numeric failure or no answer at these parameters, 2 a usage or config error
+(an `ArgumentError`).
 """
 
 from __future__ import annotations
@@ -31,23 +34,19 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .basis import _check_label
+from .basis import ModeIndex
 from .dynamics import (_ATOL, _RTOL, _SAMPLES, _check_run, integrate_lorenz, integrate_reduced,
                        map_trajectory)
-from .lorenz import _check_width_source, critical_rayleigh, minimize_over_length, scale_to_lorenz
-from .params import InadmissibleError, PhysicalParams, _check_integer, _is_integer
+from .lorenz import critical_rayleigh, minimize_over_length, scale_to_lorenz
+from .params import ArgumentError, InadmissibleError, PhysicalParams, _check_integer, _is_integer
 from .projection import PROVENANCES, ProjectionTermReport, coefficients, discrepancy_report
 from .spectral import critical_rayleigh_spectral
 
-__all__ = ["ConfigError", "RunConfig", "main", "entry", "render_csv"]
+__all__ = ["RunConfig", "main", "entry", "render_csv"]
 
 COEFF_GATE = 1e-6
 ROUTE_GATE = 1e-8
 ENV_PREFIX = "ANELOR_"
-
-
-class ConfigError(ValueError):
-    """Bad configuration; reported as a usage error (exit code 2)."""
 
 
 def _as_float(value):
@@ -111,7 +110,7 @@ def _as_triple(value):
 class _Setting(NamedTuple):
     coerce: Callable
     default: object
-    commands: frozenset  # the subcommands that take the flags
+    commands: frozenset  # the subcommands that read the setting and take its flags
     flags: tuple
     keywords: dict  # passed to add_argument, which never converts the value
 
@@ -164,54 +163,24 @@ _SETTINGS = {
 
 
 def _physical(config) -> PhysicalParams:
-    return PhysicalParams(**{name: getattr(config, name) for name in _PHYSICAL})
+    """The physical settings the subcommand reads; the others keep PhysicalParams' defaults."""
+    return PhysicalParams(**{name: getattr(config, name) for name in _PHYSICAL
+                             if config.subcommand in _SETTINGS[name].commands})
 
 
-def _check(config) -> None:
+def _check_choices(config) -> None:
     for name, setting in _SETTINGS.items():
         choices = setting.keywords.get("choices")
-        if choices and getattr(config, name) not in choices:
-            raise ConfigError(f"{name} must be one of {', '.join(choices)}, "
-                              f"got {getattr(config, name)!r}")
-    try:
-        _check_integer("workers", config.workers, 1)
-        _check_integer("samples", config.samples, 2)
-        if not config.n_modes or max(config.n_modes) > 512:
-            raise ValueError("n_modes needs at least one entry, each at most 512")
-        params = config.physical()
-        # only simulate builds the output grid: a large --samples costs the others nothing
-        _check_run(config.initial, config.t_end, config.rtol, config.atol,
-                   config.samples if config.subcommand == "simulate" else 0)
-        for n_modes in config.n_modes:  # validate's pencil family psi[-1, m, n]
-            _check_label(-1, config.m, n_modes)
-        if config.subcommand == "critical" and config.optimize_l:
-            _check_width_source(config.source)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    for name, field in (("beta_sweep", "beta"), ("l_sweep", "length")):
-        sweep = getattr(config, name)
-        if sweep is None:
-            continue
-        start, stop, count = sweep
-        if count > 1 and not stop > start:
-            raise ConfigError(f"{name} must be increasing, got {sweep}")
-        try:
-            _check_integer("count", count, 1)
-            for point in (start, stop) if count > 1 else (start,):
-                replace(params, **{field: point})
-        except ValueError as exc:
-            raise ConfigError(f"{name}: {exc}") from exc
-    if config.subcommand == "critical" and config.l_sweep and config.optimize_l:
-        raise ConfigError("--l-sweep and --optimize-l are mutually exclusive")
-    if config.subcommand == "simulate" and config.coords != "abc" and config.rayleigh <= 0.0:
-        raise ConfigError("simulate in xyz/both coordinates needs --ra > 0")
+        value = getattr(config, name)
+        if choices and config.subcommand in setting.commands and value not in choices:
+            raise ArgumentError(f"{name} must be one of {', '.join(choices)}, got {value!r}")
 
 
 RunConfig = make_dataclass(
     "RunConfig", [("subcommand", str)] + [(name, object) for name in _SETTINGS],
     frozen=True, namespace={
         "__doc__": "Fully resolved settings for one invocation, one field per setting.",
-        "__module__": __name__, "__post_init__": _check, "physical": _physical,
+        "__module__": __name__, "__post_init__": _check_choices, "physical": _physical,
     },
 )
 
@@ -221,12 +190,12 @@ def _load_config_file(path: str) -> dict:
         with open(path) as handle:
             text = handle.read()
     except OSError as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+        raise ArgumentError(f"cannot read config file {path}: {exc}") from exc
     if text.lstrip().startswith("{"):
         try:
             data = json.loads(text)
         except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
+            raise ArgumentError(f"{path}: invalid JSON: {exc}") from exc
         return data  # text that starts with "{" parses to an object or not at all
     data = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -234,7 +203,7 @@ def _load_config_file(path: str) -> dict:
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
-            raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw!r}")
+            raise ArgumentError(f"{path}:{lineno}: expected key=value, got {raw!r}")
         key, _, value = line.partition("=")
         data[key.strip()] = value.strip()
     return data
@@ -244,11 +213,11 @@ def _coerce_known(source: str, data: dict) -> dict:
     out = {}
     for key, value in data.items():
         if key not in _SETTINGS:
-            raise ConfigError(f"{source}: unknown field {key!r}")
+            raise ArgumentError(f"{source}: unknown field {key!r}")
         try:
             out[key] = _SETTINGS[key].coerce(value)
         except (TypeError, ValueError, ArithmeticError) as exc:
-            raise ConfigError(f"{source}: field {key!r}: {exc}") from exc
+            raise ArgumentError(f"{source}: field {key!r}: {exc}") from exc
     return out
 
 
@@ -309,7 +278,7 @@ def _emit(config: RunConfig, columns, rows, extra: dict) -> None:
         with open(config.output, "w", newline="") as handle:
             handle.write(text)
     except OSError as exc:
-        raise ConfigError(f"cannot write {config.output}: {exc.strerror or exc}") from exc
+        raise ArgumentError(f"cannot write {config.output}: {exc.strerror or exc}") from exc
 
 
 def _note(config: RunConfig, message: str) -> None:
@@ -317,10 +286,21 @@ def _note(config: RunConfig, message: str) -> None:
         print(message, file=sys.stderr)
 
 
-def _sweep_values(sweep, fallback) -> list[float]:
+def _sweep_values(config, base, name, field) -> list[float]:
+    """The values of the sweep setting `name` over `field`, else base's one value; an
+    ArgumentError names the sweep unless it is increasing and base takes its ends."""
+    sweep = getattr(config, name)
     if sweep is None:
-        return [fallback]
+        return [getattr(base, field)]
     start, stop, count = sweep
+    if count > 1 and not stop > start:
+        raise ArgumentError(f"{name} must be increasing, got {sweep}")
+    try:
+        _check_integer("count", count, 1)
+        for point in (start, stop) if count > 1 else (start,):
+            replace(base, **{field: point})
+    except ArgumentError as exc:
+        raise ArgumentError(f"{name}: {exc}") from exc
     return [float(v) for v in np.linspace(start, stop, count)]
 
 
@@ -349,11 +329,14 @@ def _cmd_coeffs(config: RunConfig) -> int:
 
 
 def _cmd_critical(config: RunConfig) -> int:
-    base = config.physical().with_rayleigh(0.0)
-    lengths = _sweep_values(config.l_sweep, config.length)
+    _check_integer("workers", config.workers, 1)
+    base = config.physical()  # at Ra = 0: critical reads no Ra
+    betas = _sweep_values(config, base, "beta_sweep", "beta")
+    lengths = _sweep_values(config, base, "l_sweep", "length")
+    if config.l_sweep and config.optimize_l:
+        raise ArgumentError("--l-sweep and --optimize-l are mutually exclusive")
     # each point as PhysicalParams, so a row reports beta as the params hold it
-    points = [replace(base, beta=beta, length=length)
-              for beta in _sweep_values(config.beta_sweep, config.beta) for length in lengths]
+    points = [replace(base, beta=beta, length=length) for beta in betas for length in lengths]
 
     def onset(point):
         """(width, Ra*) at the point's width, or at the optimal one under --optimize-l."""
@@ -380,18 +363,21 @@ def _cmd_critical(config: RunConfig) -> int:
 
 
 def _cmd_simulate(config: RunConfig) -> int:
+    _check_integer("samples", config.samples, 2)
     params = config.physical()
+    initial, t_end, *tolerances, grid = _check_run(config.initial, config.t_end, config.rtol,
+                                                   config.atol, samples=config.samples)
+    if config.coords != "abc" and params.rayleigh <= 0.0:
+        raise ArgumentError("simulate in xyz/both coordinates needs --ra > 0")
     extra = {"params": asdict(params)}
     coeffs = coefficients(params, config.source)
-    tolerances = (config.rtol, config.atol)
-    initial, grid = _check_run(config.initial, config.t_end, *tolerances, config.samples)
 
     runs = []  # the requested runs on the output grid, the Lorenz one first
     if config.coords != "abc":
         lorenz, scaling = scale_to_lorenz(coeffs)
         extra |= {"lorenz": asdict(lorenz), "scaling": asdict(scaling)}
-        runs.append(integrate_lorenz(lorenz, scaling.apply(initial), config.t_end,
-                                     *tolerances, t_eval=grid))
+        runs.append(integrate_lorenz(lorenz, scaling.apply(initial), t_end, *tolerances,
+                                     t_eval=grid))
     if config.coords != "xyz":
         # beside a Lorenz run the grid is in s = d*t, and the reduced run maps onto it
         times = grid / scaling.d if runs else grid
@@ -415,7 +401,11 @@ def _cmd_simulate(config: RunConfig) -> int:
 
 
 def _cmd_validate(config: RunConfig) -> int:
-    params = config.physical().with_rayleigh(0.0)
+    if not config.n_modes or max(config.n_modes) > 512:
+        raise ArgumentError("n_modes needs at least one entry, each at most 512")
+    params = config.physical()  # at Ra = 0: validate reads no Ra
+    for n_modes in config.n_modes:  # the pencil family psi[-1, m, n]
+        ModeIndex(-1, config.m, n_modes)
     # the m-th harmonic pencil at width l is the first harmonic's at l/m, so the
     # reduced onset is `critical`'s at l/m; past its domain edge the table holds
     # the pencil's onsets alone
@@ -461,7 +451,7 @@ def main(argv=None) -> int:
     try:
         config = resolve_config(args)
         return _COMMANDS[config.subcommand][1](config)
-    except ConfigError as exc:
+    except ArgumentError as exc:
         print(f"anelor: {exc}", file=sys.stderr)
         return 2
     except (ValueError, ArithmeticError, RuntimeError) as exc:

@@ -26,7 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .lorenz import LorenzParams, ScalingMap
-from .params import _check_integer, _check_real
+from .params import ArgumentError, _check_integer, _check_real
 from .projection import GalerkinCoeffs
 
 __all__ = [
@@ -57,11 +57,11 @@ class Trajectory:
         times = np.asarray(self.times, dtype=float)
         states = np.asarray(self.states, dtype=float)
         if times.ndim != 1 or states.ndim != 2 or states.shape[0] != times.size:
-            raise ValueError("need times (n,) and states (n, k)")
+            raise ArgumentError("need times (n,) and states (n, k)")
         if np.any(np.diff(times) <= 0.0):
-            raise ValueError("times must be strictly increasing")
+            raise ArgumentError("times must be strictly increasing")
         if len(self.labels) != 1 + states.shape[1]:
-            raise ValueError("labels must cover the time column and every state")
+            raise ArgumentError("labels must cover the time column and every state")
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "states", states)
 
@@ -260,29 +260,28 @@ def _dense_output(t_eval, records, n) -> np.ndarray:
     return y_old + h[:, None] * np.einsum("mkn,mk->mn", stages, weights)
 
 
-def _check_run(initial, t_end, rtol, atol, samples=0):
-    """The initial state as three floats and `samples` evenly spaced output times
-    on [0, t_end], or a ValueError naming the first argument that no run takes."""
-    _check_real("t_end", t_end, "> 0")
-    _check_real("rtol", rtol, "in (0, 1)")
-    _check_real("atol", atol, "in (0, 1)")
+def _check_run(initial, t_end, rtol, atol, t_eval=None, samples=_SAMPLES):
+    """The run's arguments as floats, (initial state (3,), t_end, rtol, atol, output
+    times), the times t_eval or else `samples` evenly spaced ones on [0, t_end], or an
+    ArgumentError naming the first argument that no run takes."""
+    end = _check_real("t_end", t_end, "> 0")
+    rtol = _check_real("rtol", rtol, "in (0, 1)")
+    atol = _check_real("atol", atol, "in (0, 1)")
     components = np.asarray(initial, dtype=object)
     if components.shape != (3,):
-        raise ValueError("initial state must be three finite components")
+        raise ArgumentError("initial state must be three finite components")
     initial = np.array([_check_real(f"initial[{i}]", x) for i, x in enumerate(components)])
-    grid = np.linspace(0.0, t_end, samples)
-    if np.any(np.diff(grid) <= 0.0):
-        raise ValueError(f"t_end = {t_end} is too short for {samples} distinct output times")
-    return initial, grid
+    times = np.linspace(0.0, end, samples) if t_eval is None else np.asarray(t_eval, float)
+    if (times.ndim != 1 or times.size == 0 or np.any(np.diff(times) <= 0.0)
+            or not np.all((times >= 0.0) & (times <= end))):
+        raise ArgumentError("t_eval must be a non-empty, strictly increasing 1-d array of "
+                            "times in [0, t_end]" if t_eval is not None else
+                            f"t_end = {t_end} is too short for {samples} distinct output times")
+    return initial, end, rtol, atol, times
 
 
 def _integrate(system, arg, initial, t_end, rtol, atol, labels, t_eval):
-    initial, grid = _check_run(initial, t_end, rtol, atol, _SAMPLES if t_eval is None else 0)
-    t_end, t_eval = float(t_end), grid if t_eval is None else np.asarray(t_eval, float)
-    if (t_eval.ndim != 1 or t_eval.size == 0 or np.any(np.diff(t_eval) <= 0.0)
-            or not np.all((t_eval >= 0.0) & (t_eval <= t_end))):
-        raise ValueError("t_eval must be a non-empty, strictly increasing 1-d "
-                         "array of times in [0, t_end]")
+    initial, t_end, rtol, atol, t_eval = _check_run(initial, t_end, rtol, atol, t_eval)
     _, nfev, rejected, records = _dopri45(system, arg, initial.tolist(), t_end, rtol, atol,
                                           t_eval.tolist())
     states = _dense_output(t_eval, records, initial.size)
@@ -312,7 +311,7 @@ def map_trajectory(traj: Trajectory, scaling: ScalingMap) -> Trajectory:
     metadata is carried over unchanged.
     """
     if tuple(traj.labels) != REDUCED_LABELS:
-        raise ValueError("expected a reduced (t, A, B, C) trajectory")
+        raise ArgumentError("expected a reduced (t, A, B, C) trajectory")
     return replace(traj, times=traj.times * scaling.d,
                    states=scaling.apply(traj.states), labels=LORENZ_LABELS)
 
@@ -324,7 +323,7 @@ def log_norm_slope(traj: Trajectory) -> float:
     norms = np.linalg.norm(traj.states[start:], axis=1)
     keep = norms > 0.0
     if np.count_nonzero(keep) < 2:
-        raise ValueError("not enough nonzero samples in the tail to fit a slope")
+        raise ArgumentError("not enough nonzero samples in the tail to fit a slope")
     slope, _ = np.polyfit(times[keep], np.log(norms[keep]), 1)
     return float(slope)
 

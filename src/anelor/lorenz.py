@@ -31,7 +31,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .params import InadmissibleError, PhysicalParams, _check_real
+from .params import ArgumentError, InadmissibleError, PhysicalParams, _check_real
 from .projection import GalerkinCoeffs, coefficients
 
 __all__ = [
@@ -190,9 +190,9 @@ def critical_rayleigh(params: PhysicalParams, source: str = "oracle") -> float:
 
 
 def _check_width_source(source):
-    """ValueError unless `source` is a route with a closed-form width minimum."""
+    """ArgumentError unless `source` is a route with a closed-form width minimum."""
     if source == "published":
-        raise ValueError("source must be oracle or closed_form: the published onset's gamma "
+        raise ArgumentError("source must be oracle or closed_form: the published onset's gamma "
                          "term, 4*pi^2/l, has no closed-form width minimum")
 
 
@@ -210,7 +210,7 @@ def minimize_over_length(
     has one positive root (Descartes' rule), the minimum over every width;
     the onset is evaluated there once, on the route asked. The oracle is the
     same function of l to quadrature accuracy; the published route's gamma
-    term, 4*pi^2/l, is not polynomial in q, and it raises ValueError. For
+    term, 4*pi^2/l, is not polynomial in q, and it raises ArgumentError. For
     beta >= 2*pi no root exists: Ra* falls toward the width where e4 = 0, and
     InadmissibleError names it. Where the minimizing width overflows, as it
     does once (1 + gamma)*beta^2 does, InadmissibleError names beta and gamma.

@@ -1,5 +1,5 @@
-"""Physical parameter bundle, and the domain error and the integer and real rules
-shared by every module."""
+"""Physical parameter bundle, the argument and domain errors, and the integer and
+real rules shared by every module."""
 
 from __future__ import annotations
 
@@ -8,7 +8,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-__all__ = ["InadmissibleError", "PhysicalParams"]
+__all__ = ["ArgumentError", "InadmissibleError", "PhysicalParams"]
+
+
+class ArgumentError(ValueError):
+    """A malformed argument: one that no call takes, such as a negative Prandtl
+    number, a label that is no mode's or an unknown route. The message names it."""
 
 
 class InadmissibleError(ValueError):
@@ -22,9 +27,9 @@ def _is_integer(value) -> bool:
 
 
 def _check_integer(name, value, low):
-    """ValueError naming `name` unless `value` is an integer (`_is_integer`) >= low."""
+    """ArgumentError naming `name` unless `value` is an integer (`_is_integer`) >= low."""
     if not (_is_integer(value) and value >= low):
-        raise ValueError(f"{name} must be an integer >= {low}, got {value}")
+        raise ArgumentError(f"{name} must be an integer >= {low}, got {value}")
 
 
 # a real argument's bound, as its message states it -> its test of the float
@@ -33,7 +38,7 @@ _BOUNDS = {"": lambda x: True, ">= 0": lambda x: x >= 0.0, "> 0": lambda x: x > 
 
 
 def _check_real(name, value, bound=""):
-    """`value` as a float, or a ValueError naming `name` unless it is an int, a float or
+    """`value` as a float, or an ArgumentError naming `name` unless it is an int, a float or
     a numpy number, no bool (float(True) is 1.0), finite and within `bound`, a key of
     `_BOUNDS`."""
     real = isinstance(value, (int, float, np.integer, np.floating)) and type(value) is not bool
@@ -43,7 +48,7 @@ def _check_real(name, value, bound=""):
         number = math.inf
     if math.isfinite(number) and _BOUNDS[bound](number):
         return number
-    raise ValueError(f"{name} must be a finite number{bound and ' ' + bound}, got {value!r}")
+    raise ArgumentError(f"{name} must be a finite number{bound and ' ' + bound}, got {value!r}")
 
 
 @dataclass(frozen=True)

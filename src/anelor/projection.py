@@ -46,7 +46,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .basis import ModeGrid, ModeIndex, QuadratureRule
-from .params import InadmissibleError, PhysicalParams, _check_real
+from .params import ArgumentError, InadmissibleError, PhysicalParams, _check_real
 
 __all__ = [
     "ORDER",
@@ -103,7 +103,7 @@ class GalerkinCoeffs:
 
     def __post_init__(self):
         if self.provenance not in PROVENANCES:
-            raise ValueError(f"unknown provenance {self.provenance!r}")
+            raise ArgumentError(f"unknown provenance {self.provenance!r}")
         for name in ("e1", "e2", "e3", "e4", "e5", "e6", "e7"):
             _check_real(name, getattr(self, name))
 
@@ -349,7 +349,7 @@ def coefficients(params: PhysicalParams, source: str = "oracle") -> GalerkinCoef
         return closed_form_coefficients(params)
     if source == "published":
         return published_coefficients(params)
-    raise ValueError(f"unknown coefficient source {source!r}")
+    raise ArgumentError(f"unknown coefficient source {source!r}")
 
 
 def _rel_dev(value: float, reference: float, floor: float) -> float:

@@ -75,7 +75,7 @@ def assemble_pencil(
     """Project the linearized equations onto n_modes vertical modes.
 
     The Rayleigh number of `params` is ignored; it enters only through the
-    sqrt(Ra) factor applied to b and c later. A ValueError names m or n_modes
+    sqrt(Ra) factor applied to b and c later. An ArgumentError names m or n_modes
     unless psi[-1, m, n_modes] is a mode, that is both are integers >= 1;
     overflowing entries raise InadmissibleError.
     """

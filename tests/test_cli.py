@@ -256,12 +256,13 @@ def test_usage_errors_quote_the_library_rule_they_delegate_to(capsys, command):
 
 
 def test_only_simulate_builds_the_output_grid(capsys, monkeypatch):
-    # a grid of 1e8 samples would take 800 MB; coeffs checks the run rules on no grid
-    samples = []
-    monkeypatch.setattr(cli, "_check_run", lambda *args: samples.append(args[4:]))
+    # a grid of 1e8 samples would take 800 MB; coeffs reads no run setting, so it
+    # never checks the run rules
+    calls = []
+    monkeypatch.setattr(cli, "_check_run", lambda *args, **keywords: calls.append(args))
     monkeypatch.setenv("ANELOR_SAMPLES", "100000000")
     code, _, _ = run(capsys, "coeffs", "--quiet")
-    assert (code, samples) == (0, [(0,)])
+    assert (code, calls) == (0, [])
 
 
 def test_critical_optimize_l(capsys):
@@ -464,7 +465,10 @@ def test_malformed_config_is_a_usage_error(capsys, tmp_path, contents,
                                            fragment):
     config = tmp_path / "bad.cfg"
     config.write_text(contents)
-    code, _, err = run(capsys, "critical", "--config", str(config))
+    # the n_modes rows run validate, the one subcommand that reads n_modes: the others
+    # coerce it, so a malformed text fails them too, but they ignore a value above 512
+    command = "validate" if fragment == "n_modes" else "critical"
+    code, _, err = run(capsys, command, "--config", str(config))
     assert code == 2
     assert fragment in err
 
@@ -628,6 +632,50 @@ def test_each_subcommand_takes_only_the_flags_it_reads(name, command, capsys, mo
     from_environment = resolve_config(_build_parser().parse_args([command, *base]))
     assert getattr(from_config, name) == getattr(from_environment, name) == \
         setting.coerce(value)
+
+
+# settings that break a rule of a subcommand reading the row's setting, each in the
+# form a flag takes; optimize_l breaks one only beside an l_sweep. The rows that every
+# subcommand reads (beta, format, ...) have no subcommand outside theirs.
+INVALID = {
+    "rayleigh": {"rayleigh": "-1"}, "source": {"source": "xml"}, "workers": {"workers": "0"},
+    "beta_sweep": {"beta_sweep": "1 0 5"}, "l_sweep": {"l_sweep": "0 2 3"},
+    "optimize_l": {"optimize_l": "true", "l_sweep": "2 3 2"}, "coords": {"coords": "xyzw"},
+    "t_end": {"t_end": "0"}, "samples": {"samples": "1"}, "rtol": {"rtol": "2"},
+    "atol": {"atol": "0"}, "initial": {"initial": "nan 0 0"}, "n_modes": {"n_modes": "513"},
+    "m": {"m": "0"},
+}
+QUICK = {"coeffs": ("coeffs", "--quiet"), "critical": ("critical", "--quiet"),
+         "simulate": ("simulate", "--ra", "1500", "--quiet"), "validate": ("validate", "--quiet")}
+
+
+def test_the_invalid_values_cover_every_row_some_subcommand_does_not_read():
+    assert list(INVALID) == [name for name, setting in _SETTINGS.items()
+                             if setting.commands != set(FLAGS)]
+
+
+@pytest.mark.parametrize("name", list(INVALID))
+def test_an_invalid_value_fails_a_subcommand_that_reads_it(name, capsys, monkeypatch):
+    for field, value in INVALID[name].items():
+        monkeypatch.setenv("ANELOR_" + field.upper(), value)
+    code, out, err = run(capsys, *QUICK[min(_SETTINGS[name].commands)])
+    assert (code, out) == (2, "") and err.startswith("anelor:")
+
+
+@pytest.mark.parametrize("name, command", [
+    (name, command) for name in INVALID for command in QUICK
+    if command not in _SETTINGS[name].commands])
+def test_a_subcommand_ignores_the_settings_it_does_not_read(name, command, capsys,
+                                                            monkeypatch, tmp_path):
+    # the environment and config files set every field for every subcommand, and a
+    # subcommand checks only the settings it reads
+    expected = run(capsys, *QUICK[command])[:2]
+    config = tmp_path / "run.cfg"
+    config.write_text("".join(f"{field} = {value}\n" for field, value in INVALID[name].items()))
+    assert run(capsys, *QUICK[command], "--config", str(config))[:2] == expected
+    for field, value in INVALID[name].items():
+        monkeypatch.setenv("ANELOR_" + field.upper(), value)
+    assert run(capsys, *QUICK[command])[:2] == expected
 
 
 def test_argparse_rejects_unknown_commands(capsys):

@@ -1,5 +1,6 @@
 """The domain edges of the reduction: every entry point gives a finite,
-positive answer or raises InadmissibleError, naming beta and l.
+positive answer or raises InadmissibleError, naming beta and l, and a malformed
+argument raises ArgumentError there, never InadmissibleError.
 
 The onset needs only e4 < 0; the Lorenz map also needs e7 < 0 and e3*e6 < 0,
 so an onset is never rejected where only the map fails. Draws are
@@ -20,7 +21,7 @@ from anelor.lorenz import (  # noqa: E402
     minimize_over_length,
     scale_to_lorenz,
 )
-from anelor.params import InadmissibleError, PhysicalParams  # noqa: E402
+from anelor.params import ArgumentError, InadmissibleError, PhysicalParams  # noqa: E402
 from anelor.projection import coefficients  # noqa: E402
 from anelor.spectral import (  # noqa: E402
     assemble_pencil,
@@ -34,15 +35,16 @@ def lorenz_parameters(params, source):
     return min(lorenz.sigma, lorenz.delta, lorenz.r)
 
 
+# each entry point takes its route's own argument, a source or a truncation, second
 ENTRY_POINTS = {
-    "onset_closed_form": lambda params: critical_rayleigh(params, "closed_form"),
-    "onset_oracle": lambda params: critical_rayleigh(params, "oracle"),
-    "onset_published": lambda params: critical_rayleigh(params, "published"),
-    "pencil_n1": lambda params: critical_rayleigh_spectral(params, n_modes=1),
-    "pencil_n2": lambda params: critical_rayleigh_spectral(params, n_modes=2),
-    "map_closed_form": lambda params: lorenz_parameters(params, "closed_form"),
-    "map_oracle": lambda params: lorenz_parameters(params, "oracle"),
-    "map_published": lambda params: lorenz_parameters(params, "published"),
+    "onset_closed_form": lambda params, source="closed_form": critical_rayleigh(params, source),
+    "onset_oracle": lambda params, source="oracle": critical_rayleigh(params, source),
+    "onset_published": lambda params, source="published": critical_rayleigh(params, source),
+    "pencil_n1": lambda params, n_modes=1: critical_rayleigh_spectral(params, n_modes=n_modes),
+    "pencil_n2": lambda params, n_modes=2: critical_rayleigh_spectral(params, n_modes=n_modes),
+    "map_closed_form": lambda params, source="closed_form": lorenz_parameters(params, source),
+    "map_oracle": lambda params, source="oracle": lorenz_parameters(params, source),
+    "map_published": lambda params, source="published": lorenz_parameters(params, source),
 }
 
 
@@ -59,6 +61,20 @@ def test_every_entry_point_rejects_the_edge_with_one_type(beta, length, route):
     with pytest.raises(InadmissibleError) as excinfo:
         ENTRY_POINTS[route](PhysicalParams(beta=beta, length=length, rayleigh=1000.0))
     assert f"beta = {beta}, l = {length}" in str(excinfo.value)
+
+
+# a malformed route argument is rejected before any computation, so even at an edge it
+# raises ArgumentError, never InadmissibleError
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("beta, length", [(0.0, 2.0 * math.sqrt(2.0)), *EDGES])
+@pytest.mark.parametrize("route", ENTRY_POINTS)
+@pytest.mark.parametrize("malformed", [True, "0.5", -1])
+def test_every_entry_point_rejects_a_malformed_argument_as_such(beta, length, route, malformed):
+    params = PhysicalParams(beta=beta, length=length, rayleigh=1000.0)
+    with pytest.raises(ArgumentError) as excinfo:
+        ENTRY_POINTS[route](params, malformed)
+    assert not isinstance(excinfo.value, InadmissibleError)
+    assert str(malformed) in str(excinfo.value)  # the message names the value
 
 
 # e1 = Pr * (diffusion) / (vorticity Gram factor) overflows at the largest Prandtl

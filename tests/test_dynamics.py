@@ -209,6 +209,16 @@ def test_integration_rejects_bad_arguments():
     assert integrate_lorenz(lp, [1.0, 1.0, 1.0], 1.0, np.float32(1e-6), np.float32(1e-8)).nfev
 
 
+def test_numpy_tolerances_reach_the_step_loop_as_floats():
+    # float32 arithmetic in the error norm would move the states by about 1e-11
+    lp = LorenzParams(10.0, 8.0 / 3.0, 28.0)
+    rtol, atol = np.float32(1e-6), np.float32(1e-8)
+    traj = integrate_lorenz(lp, [1, 1, 1], 1.0, rtol, atol)
+    plain = integrate_lorenz(lp, [1.0, 1.0, 1.0], 1.0, float(rtol), float(atol))
+    assert traj.nfev == plain.nfev and np.array_equal(traj.states, plain.states)
+    assert type(traj.rtol) is float and type(traj.atol) is float
+
+
 def test_a_span_too_short_for_the_default_grid_names_t_end():
     # 801 evenly spaced times on [0, 5e-324] collapse onto two floats
     coeffs = closed_form_coefficients(make_params(rayleigh=1000.0))

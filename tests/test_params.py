@@ -1,4 +1,6 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -45,3 +47,27 @@ def test_records_reject_a_bool_for_a_number(record, name):
                                   f"got {value!r}"
     for value in (np.float32(0.5), np.int64(2)):  # numpy's numbers are numbers
         assert getattr(record(**{**base, name: value}), name) == value
+
+
+def plain_value_errors(node, where):
+    """The enclosing function's name for each `raise ValueError` under `node`."""
+    if isinstance(node, ast.Raise) and node.exc is not None:
+        raised = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+        if isinstance(raised, ast.Name) and raised.id == "ValueError":
+            yield where
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        where = node.name
+    for child in ast.iter_child_nodes(node):
+        yield from plain_value_errors(child, where)
+
+
+def test_only_the_command_line_coercers_raise_a_plain_value_error():
+    # the library raises ArgumentError for a malformed argument and InadmissibleError
+    # where a well-formed one has no answer; the coercers' ValueError becomes an
+    # ArgumentError naming the setting
+    source = Path(__file__).resolve().parents[1] / "src" / "anelor"
+    found = {(path.name, where) for path in sorted(source.glob("*.py"))
+             for where in plain_value_errors(ast.parse(path.read_text()), "<module>")}
+    assert ("cli.py", "_as_int") in found
+    assert {(name, where) for name, where in found
+            if name != "cli.py" or not where.startswith("_as_")} == set()
