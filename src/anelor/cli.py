@@ -2,19 +2,19 @@
 (`critical`), trajectories (`simulate`) and truncation validation
 (`validate`); `_COMMANDS` holds each subcommand's help line and handler.
 
-Each setting is one row of the `_SETTINGS` table: its coercion, default, the
-subcommands that read it and take its flags, the flags and argparse keywords.
-The parsers, the defaults (the physical ones from `PhysicalParams()`), the
-`RunConfig` fields and the choice checks all derive from that table. Each
-subcommand checks the settings it reads, and no others, before any computation:
-its handler states the command line's policies, and a rule the library owns,
-such as the integrator's on t_end, fires when the handler calls its owner.
-Settings resolve with precedence: command line over ANELOR_<FIELD> environment
-variables over a config file (flat field = value lines or JSON) over defaults.
-Environment variables and config keys set any field, for every subcommand;
-they use the field names (`prandtl`, `t_end`, `n_modes`), not the flags
-(`--pr`, `--t-end`, `--n-modes`). All three sources go through the same
-coercion, so they accept the same values and reject unknown names.
+Each setting is one row of the `_SETTINGS` table: its conversion from text,
+default, the subcommands that read it and take its flags, the flags and
+argparse keywords; the parsers, the defaults (the physical ones from
+`PhysicalParams()`) and the choice checks derive from that table. Settings
+resolve with precedence: command line over ANELOR_<FIELD> environment variables
+over a config file (flat field = value lines or JSON) over defaults; the latter
+two use the field names (`prandtl`, `t_end`), not the flags (`--pr`,
+`--t-end`). Every value reaches its conversion as text (a JSON list as its
+items joined by spaces, a JSON null as no value). A subcommand converts and
+checks only the settings it reads, which `RunConfig` holds; an unknown name
+fails every subcommand. Handlers state the command line's policies before any
+computation, and a rule the library owns, such as the integrator's on t_end,
+fires when the handler calls its owner.
 
 Tables are CSV (header row, comma separator, LF endings, 17 significant
 digits) or JSON; either stream to stdout or to --output. Summary lines go to
@@ -29,7 +29,8 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict, astuple, fields, make_dataclass, replace
+from dataclasses import asdict, astuple, fields, replace
+from types import SimpleNamespace
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -38,7 +39,7 @@ from .basis import ModeIndex
 from .dynamics import (_ATOL, _RTOL, _SAMPLES, _check_run, integrate_lorenz, integrate_reduced,
                        map_trajectory)
 from .lorenz import critical_rayleigh, minimize_over_length, scale_to_lorenz
-from .params import ArgumentError, InadmissibleError, PhysicalParams, _check_integer, _is_integer
+from .params import ArgumentError, InadmissibleError, PhysicalParams, _check_integer
 from .projection import PROVENANCES, ProjectionTermReport, coefficients, discrepancy_report
 from .spectral import critical_rayleigh_spectral
 
@@ -49,66 +50,49 @@ ROUTE_GATE = 1e-8
 ENV_PREFIX = "ANELOR_"
 
 
-def _as_float(value):
-    if isinstance(value, bool):  # a JSON true is no number, though float(True) is 1.0
-        raise ValueError(f"expected a number, got {value!r}")
-    return float(value)
-
-
-def _as_int(value):
-    """Text by int(); any other value must be an integer (`_is_integer`) that, like every
-    number setting, a float can hold."""
-    number = int(value) if isinstance(value, str) else value
-    if not _is_integer(number):
-        raise ValueError(f"expected an integer, got {value!r}")
+def _as_int(text):
+    """Text by int(); like every number setting, a float must hold it."""
+    number = int(text)
     float(number)  # OverflowError past the float range
-    return int(number)
+    return number
 
 
-def _as_bool(value):
-    if isinstance(value, bool):
-        return value
-    text = str(value).strip().lower()
-    if text in ("1", "true", "yes", "on"):
+def _as_bool(text):
+    word = text.strip().lower()
+    if word in ("1", "true", "yes", "on"):
         return True
-    if text in ("0", "false", "no", "off"):
+    if word in ("0", "false", "no", "off"):
         return False
-    raise ValueError(f"expected a boolean, got {value!r}")
+    raise ValueError(f"expected a boolean, got {text!r}")
 
 
-def _as_path(value):
-    return None if value is None else str(value)
+def _listify(text):
+    return text.replace(",", " ").split()
 
 
-def _listify(value):
-    if isinstance(value, (list, tuple)):
-        return list(value)
-    return [piece for piece in str(value).replace(",", " ").split() if piece]
-
-
-def _as_sweep(value):
-    parts = _listify(value)
+def _as_sweep(text):
+    parts = _listify(text)
     if len(parts) != 3:
-        raise ValueError(f"sweep needs start stop count, got {value!r}")
-    return (_as_float(parts[0]), _as_float(parts[1]), _as_int(parts[2]))
+        raise ValueError(f"sweep needs start stop count, got {text!r}")
+    return (float(parts[0]), float(parts[1]), _as_int(parts[2]))
 
 
-def _as_int_list(value):
-    parts = _listify(value)
+def _as_int_list(text):
+    parts = _listify(text)
     if not parts:
         raise ValueError("need at least one entry")
     return tuple(_as_int(piece) for piece in parts)
 
 
-def _as_triple(value):
-    parts = _listify(value)
+def _as_triple(text):
+    parts = _listify(text)
     if len(parts) != 3:
-        raise ValueError(f"expected three numbers, got {value!r}")
-    return tuple(_as_float(piece) for piece in parts)
+        raise ValueError(f"expected three numbers, got {text!r}")
+    return tuple(float(piece) for piece in parts)
 
 
 class _Setting(NamedTuple):
-    coerce: Callable
+    coerce: Callable  # takes the value as text
     default: object
     commands: frozenset  # the subcommands that read the setting and take its flags
     flags: tuple
@@ -124,20 +108,19 @@ _PHYSICAL = asdict(PhysicalParams())
 
 _ALL = {"coeffs", "critical", "simulate", "validate"}
 
-# field name -> setting; a subcommand's --help lists its flags in row order, and
-# the physical settings' defaults come from _PHYSICAL
+# field name -> setting; a subcommand's --help lists its flags in row order
 _SETTINGS = {
-    "beta": _row(_as_float, None, _ALL, "--beta", help="background stratification rate"),
-    "prandtl": _row(_as_float, None, _ALL, "--pr", help="Prandtl number"),
-    "rayleigh": _row(_as_float, None, {"coeffs", "simulate"}, "--ra", help="Rayleigh number"),
-    "gamma": _row(_as_float, None, _ALL, "--gamma",
+    "beta": _row(float, _PHYSICAL["beta"], _ALL, "--beta", help="background stratification rate"),
+    "prandtl": _row(float, _PHYSICAL["prandtl"], _ALL, "--pr", help="Prandtl number"),
+    "rayleigh": _row(float, _PHYSICAL["rayleigh"], {"coeffs", "simulate"}, "--ra",
+                     help="Rayleigh number"),
+    "gamma": _row(float, _PHYSICAL["gamma"], _ALL, "--gamma",
                   help="viscosity ratio (bulk over shear plus one third)"),
-    "length": _row(_as_float, None, _ALL, "--l", "--length", help="domain width"),
+    "length": _row(float, _PHYSICAL["length"], _ALL, "--l", "--length", help="domain width"),
     "source": _row(str, "oracle", _ALL - {"coeffs"}, "--source", choices=PROVENANCES,
                    help="coefficient route"),
     "format": _row(str, "csv", _ALL, "--format", choices=("csv", "json"), help="table format"),
-    "output": _row(_as_path, None, _ALL, "--output",
-                   help="write the table here instead of stdout"),
+    "output": _row(str, None, _ALL, "--output", help="write the table here instead of stdout"),
     "quiet": _row(_as_bool, False, _ALL, "--quiet", action="store_const", const=True,
                   help="suppress summary lines"),
     "workers": _row(_as_int, 1, {"critical"}, "--workers", help="thread pool size for sweeps"),
@@ -149,11 +132,11 @@ _SETTINGS = {
                        const=True, help="minimize over the domain width"),
     "coords": _row(str, "both", {"simulate"}, "--coords", choices=("abc", "xyz", "both"),
                    help="coordinate system(s) to integrate"),
-    "t_end": _row(_as_float, 20.0, {"simulate"}, "--t-end",
+    "t_end": _row(float, 20.0, {"simulate"}, "--t-end",
                   help="integration span in the output coordinates"),
     "samples": _row(_as_int, _SAMPLES, {"simulate"}, "--samples", help="number of output samples"),
-    "rtol": _row(_as_float, _RTOL, {"simulate"}, "--rtol", help="relative tolerance"),
-    "atol": _row(_as_float, _ATOL, {"simulate"}, "--atol", help="absolute tolerance"),
+    "rtol": _row(float, _RTOL, {"simulate"}, "--rtol", help="relative tolerance"),
+    "atol": _row(float, _ATOL, {"simulate"}, "--atol", help="absolute tolerance"),
     "initial": _row(_as_triple, (1e-3, 1e-3, 1e-3), {"simulate"}, "--initial", nargs=3,
                     metavar=("A", "B", "C"), help="initial reduced state"),
     "n_modes": _row(_as_int_list, (1, 2, 4, 8), {"validate"}, "--n-modes", nargs="+",
@@ -162,27 +145,13 @@ _SETTINGS = {
 }
 
 
-def _physical(config) -> PhysicalParams:
-    """The physical settings the subcommand reads; the others keep PhysicalParams' defaults."""
-    return PhysicalParams(**{name: getattr(config, name) for name in _PHYSICAL
-                             if config.subcommand in _SETTINGS[name].commands})
+class RunConfig(SimpleNamespace):
+    """Resolved settings for one invocation: the subcommand and the settings it reads."""
 
-
-def _check_choices(config) -> None:
-    for name, setting in _SETTINGS.items():
-        choices = setting.keywords.get("choices")
-        value = getattr(config, name)
-        if choices and config.subcommand in setting.commands and value not in choices:
-            raise ArgumentError(f"{name} must be one of {', '.join(choices)}, got {value!r}")
-
-
-RunConfig = make_dataclass(
-    "RunConfig", [("subcommand", str)] + [(name, object) for name in _SETTINGS],
-    frozen=True, namespace={
-        "__doc__": "Fully resolved settings for one invocation, one field per setting.",
-        "__module__": __name__, "__post_init__": _check_choices, "physical": _physical,
-    },
-)
+    def physical(self) -> PhysicalParams:
+        """The physical settings held; those the subcommand does not read keep their defaults."""
+        return PhysicalParams(**{name: value for name, value in vars(self).items()
+                                 if name in _PHYSICAL})
 
 
 def _load_config_file(path: str) -> dict:
@@ -209,29 +178,39 @@ def _load_config_file(path: str) -> dict:
     return data
 
 
-def _coerce_known(source: str, data: dict) -> dict:
+def _convert(source: str, data: dict, command: str) -> dict:
+    """The settings among `data` that `command` reads, each converted from its text: a list's
+    items joined by spaces, any other value by str(), and None leaves the setting unset."""
     out = {}
     for key, value in data.items():
-        if key not in _SETTINGS:
+        setting = _SETTINGS.get(key)
+        if setting is None:
             raise ArgumentError(f"{source}: unknown field {key!r}")
+        if value is None or command not in setting.commands:
+            continue
+        text = " ".join(map(str, value)) if isinstance(value, list) else str(value)
         try:
-            out[key] = _SETTINGS[key].coerce(value)
-        except (TypeError, ValueError, ArithmeticError) as exc:
+            out[key] = setting.coerce(text)
+        except (ValueError, ArithmeticError) as exc:
             raise ArgumentError(f"{source}: field {key!r}: {exc}") from exc
+        choices = setting.keywords.get("choices")
+        if choices and out[key] not in choices:
+            raise ArgumentError(f"{source}: field {key!r}: must be one of "
+                                f"{', '.join(choices)}, got {text!r}")
     return out
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
     """Merge defaults, config file, environment, and flags, in that order."""
-    merged = {name: setting.default for name, setting in _SETTINGS.items()} | _PHYSICAL
+    merged = {name: setting.default for name, setting in _SETTINGS.items()
+              if args.command in setting.commands}
     if args.config:
-        merged.update(_coerce_known(args.config, _load_config_file(args.config)))
-    merged.update(_coerce_known("environment", {
+        merged.update(_convert(args.config, _load_config_file(args.config), args.command))
+    merged.update(_convert("environment", {
         key[len(ENV_PREFIX):].lower(): value for key, value in os.environ.items()
-        if key.startswith(ENV_PREFIX)}))
-    merged.update(_coerce_known("command line", {
-        name: value for name, value in vars(args).items()
-        if name in _SETTINGS and value is not None}))
+        if key.startswith(ENV_PREFIX)}, args.command))
+    merged.update(_convert("command line", {
+        name: value for name, value in vars(args).items() if name in _SETTINGS}, args.command))
     return RunConfig(subcommand=args.command, **merged)
 
 
@@ -401,8 +380,8 @@ def _cmd_simulate(config: RunConfig) -> int:
 
 
 def _cmd_validate(config: RunConfig) -> int:
-    if not config.n_modes or max(config.n_modes) > 512:
-        raise ArgumentError("n_modes needs at least one entry, each at most 512")
+    if max(config.n_modes) > 512:
+        raise ArgumentError(f"n_modes must each be at most 512, got {max(config.n_modes)}")
     params = config.physical()  # at Ra = 0: validate reads no Ra
     for n_modes in config.n_modes:  # the pencil family psi[-1, m, n]
         ModeIndex(-1, config.m, n_modes)

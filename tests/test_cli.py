@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -428,14 +429,16 @@ def test_json_config_file(capsys, tmp_path):
 
 
 def test_json_null_output_means_unset(capsys, tmp_path, monkeypatch):
-    # null is "not set": the table goes to stdout and no file named None appears
+    # null is "not set" for every key: each setting keeps its default, so the table goes
+    # to stdout, no file named None appears and {"beta": null} leaves beta at 0
     monkeypatch.chdir(tmp_path)
     config = tmp_path / "run.json"
-    config.write_text(json.dumps({"output": None}))
+    config.write_text(json.dumps({name: None for name in _SETTINGS}))
     for argv, header in ((("critical", "--source", "closed_form"), "beta,length,ra_critical"),
                          (("validate", "--n-modes", "1"), "beta,m,n_modes")):
+        expected = run(capsys, *argv, "--quiet")[:2]
         code, out, _ = run(capsys, *argv, "--quiet", "--config", str(config))
-        assert code == 0
+        assert (code, out) == expected
         assert out.startswith(header)
     assert [path.name for path in tmp_path.iterdir()] == ["run.json"]
 
@@ -446,6 +449,7 @@ def test_json_null_output_means_unset(capsys, tmp_path, monkeypatch):
     ("beta = fast\n", "beta"),
     ('{"beta": [1, 2]}', "beta"),
     ('{"samples": 1%s}' % ("0" * 400), "samples"),
+    ('{"beta": 1%s}' % ("0" * 400), "beta must be a finite number >= 0, got inf"),
     ('{"n_modes": 513}', "n_modes"),
     ('{"report": "report.csv"}', "report"),
     ('{"order": 64}', "order"),
@@ -465,10 +469,10 @@ def test_malformed_config_is_a_usage_error(capsys, tmp_path, contents,
                                            fragment):
     config = tmp_path / "bad.cfg"
     config.write_text(contents)
-    # the n_modes rows run validate, the one subcommand that reads n_modes: the others
-    # coerce it, so a malformed text fails them too, but they ignore a value above 512
-    command = "validate" if fragment == "n_modes" else "critical"
-    code, _, err = run(capsys, command, "--config", str(config))
+    # each row runs a subcommand that reads its key, since the others convert none
+    setting = _SETTINGS.get(re.match(r"\W*(\w+)", contents).group(1))
+    command = min(setting.commands) if setting else "critical"
+    code, _, err = run(capsys, *QUICK[command], "--config", str(config))
     assert code == 2
     assert fragment in err
 
@@ -512,10 +516,18 @@ def test_invalid_settings_exit_two(capsys, argv):
     assert err.startswith("anelor:")
 
 
-def test_bad_environment_value_is_a_usage_error(capsys, monkeypatch):
-    monkeypatch.setenv("ANELOR_FORMAT", "xml")
-    code, _, err = run(capsys, "coeffs")
-    assert code == 2 and "format" in err
+@pytest.mark.parametrize("variable, value, argv", [
+    ("ANELOR_FORMAT", "xml", ("coeffs",)),
+    # a flag overrides the variable, but the variable's value must convert all the same,
+    # a choice as a number does
+    ("ANELOR_SOURCE", "bogus", ("critical", "--source", "oracle")),
+    ("ANELOR_BETA", "fast", ("critical", "--beta", "0.3")),
+])
+def test_bad_environment_value_is_a_usage_error(capsys, monkeypatch, variable, value, argv):
+    monkeypatch.setenv(variable, value)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"anelor: environment: field {variable[len('ANELOR_'):].lower()!r}: ")
 
 
 @pytest.mark.parametrize("variable", ["ANELOR_BETTA", "ANELOR_REPORT", "ANELOR_ORDER"])
@@ -559,8 +571,27 @@ def test_n_modes_above_512_is_a_usage_error_from_every_source(capsys, monkeypatc
 def test_huge_environment_integer_is_a_usage_error(capsys, monkeypatch):
     for value in ("1e400", "11.0"):  # neither is an integer's text
         monkeypatch.setenv("ANELOR_SAMPLES", value)
-        code, _, err = run(capsys, "coeffs")
+        code, _, err = run(capsys, "simulate", "--ra", "1500")
         assert code == 2 and err.startswith("anelor:") and "samples" in err
+
+
+@pytest.mark.parametrize("name, typed, text", [
+    ("m", 2.0, "2.0"),
+    ("beta", 10**400, "1e400"),  # both are inf as a float
+    ("initial", [1, 2], "1 2"),
+    ("n_modes", [1, 513], "1 513"),
+    ("quiet", 2, "2"),
+])
+def test_a_value_fails_with_one_message_from_every_source(name, typed, text, capsys,
+                                                          monkeypatch, tmp_path):
+    # a JSON value reaches its conversion as text, as an environment value does
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({name: typed}))
+    argv = QUICK[min(_SETTINGS[name].commands)]
+    code, _, from_config = run(capsys, *argv, "--config", str(config))
+    monkeypatch.setenv("ANELOR_" + name.upper(), text)
+    assert code == 2
+    assert run(capsys, *argv) == (2, "", from_config.replace(str(config), "environment"))
 
 
 # one value per setting, each unlike its default, in the form a flag takes
@@ -571,6 +602,14 @@ SAMPLES = {
     "beta_sweep": "0 1 3", "l_sweep": "2 3 2", "optimize_l": "true",
     "coords": "abc", "t_end": "5", "samples": "11", "rtol": "1e-8",
     "atol": "1e-9", "initial": "1 2 3", "n_modes": "1 2", "m": "2",
+}
+# the same values as a JSON config file types them
+TYPED = {
+    "beta": 0.5, "prandtl": 7, "rayleigh": 900, "gamma": 1, "length": 3,
+    "source": "closed_form", "format": "json", "output": "table.csv", "quiet": True,
+    "workers": 2, "beta_sweep": [0, 1, 3], "l_sweep": [2, 3, 2], "optimize_l": True,
+    "coords": "abc", "t_end": 5, "samples": 11, "rtol": 1e-8, "atol": 1e-9,
+    "initial": [1, 2, 3], "n_modes": [1, 2], "m": 2,
 }
 
 
@@ -587,10 +626,13 @@ def test_flag_environment_and_config_file_agree(name, monkeypatch, tmp_path):
         flag += value.split()
     config = tmp_path / "run.cfg"
     config.write_text(f"{name} = {value}\n")
+    typed = tmp_path / "run.json"
+    typed.write_text(json.dumps({name: TYPED[name]}))
 
     from_flag = resolve(command, *base, *flag)
     assert from_flag != resolve(command, *base)
     assert resolve(command, *base, "--config", str(config)) == from_flag
+    assert resolve(command, *base, "--config", str(typed)) == from_flag
     monkeypatch.setenv("ANELOR_" + name.upper(), value)
     assert resolve(command, *base) == from_flag
 
@@ -610,14 +652,14 @@ FLAGS = {
 @pytest.mark.parametrize("name", list(_SETTINGS))
 def test_each_subcommand_takes_only_the_flags_it_reads(name, command, capsys, monkeypatch,
                                                       tmp_path):
-    # argparse rejects a flag the subcommand does not read, while the
-    # environment and config files set every field for every subcommand
+    # argparse rejects a flag the subcommand does not read, and the environment
+    # and config files set no setting the subcommand does not read
     setting, value = _SETTINGS[name], SAMPLES[name]
     values = [] if setting.keywords.get("action") == "store_const" else value.split()
     for flag in setting.flags:
         if flag in FLAGS[command]:
             parsed = _build_parser().parse_args([command, flag, *values])
-            assert setting.coerce(getattr(parsed, name)) == setting.coerce(value)
+            assert getattr(resolve_config(parsed), name) == setting.coerce(value)
             continue
         with pytest.raises(SystemExit) as excinfo:
             _build_parser().parse_args([command, flag, *values])
@@ -630,6 +672,9 @@ def test_each_subcommand_takes_only_the_flags_it_reads(name, command, capsys, mo
         [command, *base, "--config", str(config)]))
     monkeypatch.setenv("ANELOR_" + name.upper(), value)
     from_environment = resolve_config(_build_parser().parse_args([command, *base]))
+    if command not in setting.commands:
+        assert not hasattr(from_config, name) and not hasattr(from_environment, name)
+        return
     assert getattr(from_config, name) == getattr(from_environment, name) == \
         setting.coerce(value)
 
@@ -645,35 +690,43 @@ INVALID = {
     "atol": {"atol": "0"}, "initial": {"initial": "nan 0 0"}, "n_modes": {"n_modes": "513"},
     "m": {"m": "0"},
 }
+# a text per row of INVALID that its conversion rejects
+MALFORMED = {name: {name: text} for name, text in {
+    "rayleigh": "fast", "source": "bogus", "workers": "x", "beta_sweep": "0 1",
+    "l_sweep": "2 3 4 5", "optimize_l": "maybe", "coords": "xyz,abc", "t_end": "soon",
+    "samples": "1e400", "rtol": "tight", "atol": "1e-9 1e-9", "initial": "1 2",
+    "n_modes": "1 2.5", "m": "1.5"}.items()}
 QUICK = {"coeffs": ("coeffs", "--quiet"), "critical": ("critical", "--quiet"),
          "simulate": ("simulate", "--ra", "1500", "--quiet"), "validate": ("validate", "--quiet")}
 
 
 def test_the_invalid_values_cover_every_row_some_subcommand_does_not_read():
-    assert list(INVALID) == [name for name, setting in _SETTINGS.items()
-                             if setting.commands != set(FLAGS)]
+    assert list(INVALID) == list(MALFORMED) == [
+        name for name, setting in _SETTINGS.items() if setting.commands != set(FLAGS)]
 
 
+@pytest.mark.parametrize("table", [INVALID, MALFORMED], ids=["invalid", "malformed"])
 @pytest.mark.parametrize("name", list(INVALID))
-def test_an_invalid_value_fails_a_subcommand_that_reads_it(name, capsys, monkeypatch):
-    for field, value in INVALID[name].items():
+def test_an_invalid_value_fails_a_subcommand_that_reads_it(name, table, capsys, monkeypatch):
+    for field, value in table[name].items():
         monkeypatch.setenv("ANELOR_" + field.upper(), value)
     code, out, err = run(capsys, *QUICK[min(_SETTINGS[name].commands)])
     assert (code, out) == (2, "") and err.startswith("anelor:")
 
 
+@pytest.mark.parametrize("table", [INVALID, MALFORMED], ids=["invalid", "malformed"])
 @pytest.mark.parametrize("name, command", [
     (name, command) for name in INVALID for command in QUICK
     if command not in _SETTINGS[name].commands])
-def test_a_subcommand_ignores_the_settings_it_does_not_read(name, command, capsys,
+def test_a_subcommand_ignores_the_settings_it_does_not_read(name, command, table, capsys,
                                                             monkeypatch, tmp_path):
-    # the environment and config files set every field for every subcommand, and a
-    # subcommand checks only the settings it reads
+    # a subcommand neither converts nor checks a setting it does not read, from the
+    # environment or a config file
     expected = run(capsys, *QUICK[command])[:2]
     config = tmp_path / "run.cfg"
-    config.write_text("".join(f"{field} = {value}\n" for field, value in INVALID[name].items()))
+    config.write_text("".join(f"{field} = {value}\n" for field, value in table[name].items()))
     assert run(capsys, *QUICK[command], "--config", str(config))[:2] == expected
-    for field, value in INVALID[name].items():
+    for field, value in table[name].items():
         monkeypatch.setenv("ANELOR_" + field.upper(), value)
     assert run(capsys, *QUICK[command])[:2] == expected
 

@@ -68,6 +68,6 @@ def test_only_the_command_line_coercers_raise_a_plain_value_error():
     source = Path(__file__).resolve().parents[1] / "src" / "anelor"
     found = {(path.name, where) for path in sorted(source.glob("*.py"))
              for where in plain_value_errors(ast.parse(path.read_text()), "<module>")}
-    assert ("cli.py", "_as_int") in found
+    assert ("cli.py", "_as_bool") in found
     assert {(name, where) for name, where in found
             if name != "cli.py" or not where.startswith("_as_")} == set()
