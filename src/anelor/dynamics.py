@@ -271,7 +271,14 @@ def _check_run(initial, t_end, rtol, atol, t_eval=None, samples=_SAMPLES):
     if components.shape != (3,):
         raise ArgumentError("initial state must be three finite components")
     initial = np.array([_check_real(f"initial[{i}]", x) for i, x in enumerate(components)])
-    times = np.linspace(0.0, end, samples) if t_eval is None else np.asarray(t_eval, float)
+    if t_eval is None:
+        times = np.linspace(0.0, end, samples)
+    elif isinstance(t_eval, np.ndarray) and t_eval.dtype.kind in "iuf":
+        times = np.asarray(t_eval, float)  # a numeric array holds only real numbers
+    else:  # any other sequence is held to the real-argument rule item by item, as initial is
+        items = np.asarray(t_eval, dtype=object)
+        times = np.array([_check_real(f"t_eval[{i}]", x) for i, x in enumerate(items.flat)],
+                         float).reshape(items.shape)
     if (times.ndim != 1 or times.size == 0 or np.any(np.diff(times) <= 0.0)
             or not np.all((times >= 0.0) & (times <= end))):
         raise ArgumentError("t_eval must be a non-empty, strictly increasing 1-d array of "

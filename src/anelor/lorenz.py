@@ -143,14 +143,13 @@ def critical_points(lp: LorenzParams) -> np.ndarray:
 def origin_eigenvalues(lp: LorenzParams) -> np.ndarray:
     """Eigenvalues at the origin, ordered (lambda+, lambda-, -delta).
 
-    The quadratic factor has discriminant (sigma + 1)^2 + 4*sigma*(r - 1)
-    >= (sigma - 1)^2 for r >= 0, so all three are real.
+    The quadratic factor has discriminant (sigma - 1)^2 + 4*sigma*r >= 0, so all
+    three are real. lambda- takes no difference and lambda+ = sigma*(1 - r)/lambda-,
+    so neither cancels at large sigma; halving each part keeps every step finite.
     """
     s, r = lp.sigma, lp.r
-    disc = math.sqrt((s + 1.0) ** 2 + 4.0 * s * (r - 1.0))
-    return np.array(
-        [0.5 * (-(s + 1.0) + disc), 0.5 * (-(s + 1.0) - disc), -lp.delta]
-    )
+    minus = -(0.5 * (s + 1.0) + math.hypot(0.5 * (s - 1.0), math.sqrt(s) * math.sqrt(r)))
+    return np.array([(1.0 - r) * (s / minus) + 0.0, minus, -lp.delta])  # 0.0 at r = 1, not -0.0
 
 
 def classify_rest_state(lp: LorenzParams) -> StabilityReport:
@@ -189,13 +188,6 @@ def critical_rayleigh(params: PhysicalParams, source: str = "oracle") -> float:
     return 1.0 / slope
 
 
-def _check_width_source(source):
-    """ArgumentError unless `source` is a route with a closed-form width minimum."""
-    if source == "published":
-        raise ArgumentError("source must be oracle or closed_form: the published onset's gamma "
-                         "term, 4*pi^2/l, has no closed-form width minimum")
-
-
 def minimize_over_length(
     beta: float = 0.0,
     prandtl: float = PhysicalParams.prandtl,
@@ -216,7 +208,9 @@ def minimize_over_length(
     does once (1 + gamma)*beta^2 does, InadmissibleError names beta and gamma.
     """
     params = PhysicalParams(beta=beta, prandtl=prandtl, gamma=gamma)
-    _check_width_source(source)
+    if source == "published":
+        raise ArgumentError("source must be oracle or closed_form: the published onset's gamma "
+                            "term, 4*pi^2/l, has no closed-form width minimum")
     half = params.beta / 2.0
     a, b = (math.pi - half) * (math.pi + half), math.pi**2 + half * half
     if a <= 0.0:

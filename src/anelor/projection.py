@@ -32,6 +32,7 @@ The coefficients are produced by three routes:
                 exists only so the discrepancy report can quantify the drift,
                 and nothing downstream consumes it by default
 
+`_ROUTES` declares the routes once; `coefficients` dispatches on it and
 `discrepancy_report` lists every projected term and every coefficient with
 all routes side by side.
 """
@@ -62,13 +63,11 @@ __all__ = [
     "discrepancy_report",
 ]
 
-PROVENANCES = ("oracle", "closed_form", "published")
-
 # oracle quadrature points per axis, converged over the oracle's whole domain
 ORDER = 64
 
-# relative-deviation floor; keeps identically-zero projections (quadrature
-# noise ~1e-16) from reporting O(1) spurious deviations
+# relative-deviation floor: scaled by the largest oracle term for the report's term
+# rows (quadrature noise in a zero projection), absolute for coefficients (e2 = 0 at Ra = 0)
 _DEV_FLOOR = 1e-8
 
 
@@ -280,6 +279,16 @@ def _published_terms(params: PhysicalParams) -> dict:
     return terms
 
 
+# each route's projection terms, in the report's column order; the oracle reads
+# ORDER at call time
+_ROUTES = {
+    "oracle": lambda params: _oracle_terms(params, ORDER),
+    "closed_form": _closed_form_terms,
+    "published": _published_terms,
+}
+PROVENANCES = tuple(_ROUTES)
+
+
 def _assemble(terms: dict, params: PhysicalParams, provenance: str) -> GalerkinCoeffs:
     """Divide each projected equation by its time-derivative Gram factor."""
     where = f"at beta = {params.beta}, l = {params.length}"
@@ -308,48 +317,36 @@ def oracle_coefficients(params: PhysicalParams, *,
     """Reference coefficients, every integral by ORDER-point quadrature per axis.
 
     With check_convergence=True the order is doubled and a relative move
-    above 1e-9 in any coefficient raises QuadratureConvergenceError.
+    (`_rel_dev`) above 1e-9 in any coefficient raises QuadratureConvergenceError.
     """
-    coeffs = _assemble(_oracle_terms(params, ORDER), params, "oracle")
+    coeffs = coefficients(params, "oracle")
     if check_convergence:
-        refined = _assemble(_oracle_terms(params, 2 * ORDER), params, "oracle")
-        base, again = coeffs.as_array(), refined.as_array()
-        moves = np.abs(again - base) / np.maximum(np.abs(again), _DEV_FLOOR)
-        if np.any(moves > 1e-9):
-            worst = int(np.argmax(moves))
+        fine = _assemble(_oracle_terms(params, 2 * ORDER), params, "oracle")
+        moves = [_rel_dev(*pair, _DEV_FLOOR) for pair in zip(coeffs.as_array(), fine.as_array())]
+        worst = int(np.argmax(moves))
+        if moves[worst] > 1e-9:
             raise QuadratureConvergenceError(
-                f"e{worst + 1} moved by {moves[worst]:.3e} when the order doubled"
-            )
+                f"e{worst + 1} moved by {moves[worst]:.3e} when the order doubled")
     return coeffs
 
 
 def closed_form_coefficients(params: PhysicalParams) -> GalerkinCoeffs:
     """Coefficients from the re-derived analytic integrals."""
-    return _assemble(_closed_form_terms(params), params, "closed_form")
+    return coefficients(params, "closed_form")
 
 
 def published_coefficients(params: PhysicalParams) -> GalerkinCoeffs:
-    """The reduced system as printed; kept for comparison only.
-
-    These are the closed-form terms with two printed overrides: e1's gamma
-    term has 4 pi^2 / l for 4 pi^2 / l^2, and e3 is the printed one, which
-    disagrees with the oracle in both normalization and beta dependence. Do
-    not feed these into anything that matters; `discrepancy_report`
-    quantifies the drift.
-    """
-    return _assemble(_published_terms(params), params, "published")
+    """The reduced system as printed, for comparison only (see `_published_terms`)."""
+    return coefficients(params, "published")
 
 
 def coefficients(params: PhysicalParams, source: str = "oracle") -> GalerkinCoeffs:
-    """Dispatch on provenance; the oracle is the default everywhere except
-    `minimize_over_length`, which defaults to the closed form."""
-    if source == "oracle":
-        return oracle_coefficients(params)
-    if source == "closed_form":
-        return closed_form_coefficients(params)
-    if source == "published":
-        return published_coefficients(params)
-    raise ArgumentError(f"unknown coefficient source {source!r}")
+    """The coefficients by the route `source`, one of PROVENANCES: its projection
+    terms from `_ROUTES`, divided by their Gram factors. The oracle is the default
+    everywhere except `minimize_over_length`, which defaults to the closed form."""
+    if source not in PROVENANCES:
+        raise ArgumentError(f"unknown coefficient source {source!r}")
+    return _assemble(_ROUTES[source](params), params, source)
 
 
 def _rel_dev(value: float, reference: float, floor: float) -> float:
@@ -359,30 +356,28 @@ def _rel_dev(value: float, reference: float, floor: float) -> float:
 def discrepancy_report(params: PhysicalParams) -> list[ProjectionTermReport]:
     """Route comparison for every projected term and every coefficient.
 
-    Deviations are relative to the larger of the two values being compared;
-    rows whose exact value is zero fall back to a floor scaled by the
-    dominant magnitude of the system, so quadrature noise in a vanishing
-    projection does not read as disagreement.
+    Deviations are relative to the larger of the two values being compared.
+    A term row whose exact value is zero falls back to a floor scaled by the
+    largest oracle term, so quadrature noise in a vanishing projection does
+    not read as disagreement; a coefficient row is compared on its own scale,
+    with the absolute floor `_DEV_FLOOR` for values that vanish (e2, e5 at Ra = 0).
     """
-    oracle_terms = _oracle_terms(params, ORDER)
-    closed_terms = _closed_form_terms(params)
-    published_terms = _published_terms(params)
-    oracle = _assemble(oracle_terms, params, "oracle").as_array().tolist()
-    closed = _assemble(closed_terms, params, "closed_form").as_array().tolist()
-    published = _assemble(published_terms, params, "published").as_array().tolist()
-    terms = [(name, oracle_terms[name], closed_terms[name], published_terms[name])
-             for name in TERM_NAMES]
-    coefficients = zip([f"e{i}" for i in range(1, 8)], oracle, closed, published)
-    return _report_rows(terms) + _report_rows(list(coefficients))
+    terms = [route(params) for route in _ROUTES.values()]
+    coeffs = [_assemble(values, params, source).as_array().tolist()
+              for values, source in zip(terms, _ROUTES)]
+    scale = max(1.0, max(map(abs, terms[0].values())))
+    return (_report_rows([(name, *(values[name] for values in terms)) for name in TERM_NAMES],
+                         _DEV_FLOOR * scale)
+            + _report_rows(zip([f"e{i}" for i in range(1, 8)], *coeffs), _DEV_FLOOR))
 
 
-def _report_rows(rows) -> list[ProjectionTermReport]:
-    """One report per (term, oracle, closed form, published); zero values fall
-    back to a floor scaled by the largest oracle value among `rows`. A zero
-    value is reported as 0.0, never -0.0 (beta = 0 times a negative factor)."""
-    floor = _DEV_FLOOR * max(1.0, max(abs(o) for _, o, _, _ in rows))
-    return [ProjectionTermReport(
-        term=term, oracle=o + 0.0, closed_form=c + 0.0, published=p + 0.0,
-        rel_dev=max(_rel_dev(c, o, floor), _rel_dev(p, o, floor)),
-        rel_dev_closed_form=_rel_dev(c, o, floor), rel_dev_published=_rel_dev(p, o, floor),
-    ) for term, o, c, p in rows]
+def _report_rows(rows, floor: float) -> list[ProjectionTermReport]:
+    """One report per (name, reference value, other routes' values) in the order of
+    `_ROUTES`, each deviation against the reference with `floor`. A zero value is
+    reported as 0.0, never -0.0 (beta = 0 times a negative factor)."""
+    reports = []
+    for term, reference, *others in rows:
+        devs = [_rel_dev(value, reference, floor) for value in others]
+        reports.append(ProjectionTermReport(term, reference + 0.0,
+                                            *(value + 0.0 for value in others), max(devs), *devs))
+    return reports

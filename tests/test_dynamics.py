@@ -203,6 +203,15 @@ def test_integration_rejects_bad_arguments():
             message = f"{name} must be a finite number{bound and ' ' + bound}, got {value!r}"
             with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 integrate_reduced(coeffs, **bad)
+    # each listed output time too; a numeric numpy array of times is taken as it is
+    for t_eval, index, value in (([0.0, "0.5"], 1, "0.5"), ([0.0, True], 1, True),
+                                 (["0", "1"], 0, "0"), ([0.0, None], 1, None),
+                                 ([0.0, 1j], 1, 1j), (np.array([0.0, 1j]), 0, 0j)):
+        message = f"t_eval[{index}] must be a finite number, got {value!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            integrate_reduced(coeffs, [1.0, 1.0, 1.0], 1.0, t_eval=t_eval)
+    assert np.array_equal(integrate_lorenz(lp, [1.0, 1.0, 1.0], 1.0, t_eval=[0, 1]).times,
+                          integrate_lorenz(lp, [1.0, 1.0, 1.0], 1.0, t_eval=np.arange(2)).times)
     # numpy's numbers pass; a numpy state and span give the run of the same Python numbers
     numpy_run = integrate_lorenz(lp, [np.float32(1.0), np.int64(1), 1.0], np.int64(1))
     assert np.array_equal(numpy_run.states, integrate_lorenz(lp, [1.0, 1.0, 1.0], 1.0).states)
@@ -239,13 +248,19 @@ def test_largest_lyapunov_takes_numpy_integer_seeds(monkeypatch):
     assert largest_lyapunov(lp, seed=np.int64(3)) == largest_lyapunov(lp, seed=3) == 0.0
 
 
-@pytest.mark.parametrize("t_eval", [[50.0, 0.0], [0.0, 25.0, 25.0], [0.0, math.nan]])
-def test_output_times_are_checked_before_integrating(t_eval):
+@pytest.mark.parametrize("t_eval, message", [
+    ([50.0, 0.0], "strictly increasing"),
+    ([0.0, 25.0, 25.0], "strictly increasing"),
+    # a listed nan is a bad time; a numpy array's nan is a bad order
+    ([0.0, math.nan], re.escape("t_eval[1] must be a finite number, got nan")),
+    (np.array([0.0, math.nan]), "strictly increasing"),
+], ids=["decreasing", "repeated", "nan-in-list", "nan-in-array"])
+def test_output_times_are_checked_before_integrating(t_eval, message):
     # the runaway system fails its integration, so a ValueError shows that the
     # output times were rejected first
     runaway = GalerkinCoeffs(1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, "closed_form",
                              make_params())
-    with pytest.raises(ValueError, match="strictly increasing"):
+    with pytest.raises(ValueError, match=message):
         integrate_reduced(runaway, [1.0, 1.0, 1.0], 50.0, t_eval=t_eval)
 
 

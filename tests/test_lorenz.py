@@ -142,6 +142,17 @@ def test_origin_eigenvalues_match_the_jacobian_spectrum(sigma, r):
     assert np.max(np.abs(np.sort(values) - numeric)) <= 1e-12 * scale
 
 
+def test_origin_eigenvalues_neither_cancel_nor_overflow_at_large_sigma():
+    # lambda+ = -(sigma + 1)/2 + root/2 cancels to 0.0 at sigma = 1e100, and
+    # (sigma + 1)^2 overflows from sigma near 1e155
+    report = classify_rest_state(LorenzParams(1e100, 8.0 / 3.0, 0.5))
+    assert report.leading == pytest.approx(-0.5, abs=1e-12)
+    assert report.classification == "stable"
+    assert origin_eigenvalues(LorenzParams(1e200, 1.0, 0.0)).tolist() == [-1.0, -1e200, -1.0]
+    assert classify_rest_state(LorenzParams(10.0, 8.0 / 3.0, 1.0 + 1e-12)).classification \
+        == "marginal"
+
+
 @pytest.mark.parametrize("r,expected", [(0.9, "stable"), (0.999, "stable"),
                                         (1.001, "unstable"), (1.1, "unstable")])
 def test_exchange_of_stability_sign(r, expected):

@@ -1,17 +1,19 @@
 import dataclasses
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
 
 import anelor.projection
 from anelor.lorenz import critical_rayleigh
-from anelor.params import InadmissibleError, PhysicalParams
+from anelor.params import ArgumentError, InadmissibleError, PhysicalParams
 from anelor.projection import (
     ORDER,
     TERM_NAMES,
     GalerkinCoeffs,
+    ProjectionTermReport,
     QuadratureConvergenceError,
     closed_form_coefficients,
     coefficients,
@@ -19,6 +21,8 @@ from anelor.projection import (
     expm1_over,
     oracle_coefficients,
     published_coefficients,
+    PROVENANCES,
+    _ROUTES,
     _TERMS,
     _assemble,
     _oracle_integrals,
@@ -372,11 +376,40 @@ def test_fixed_order_is_converged_across_the_oracle_domain():
 def test_coefficients_dispatch():
     params = PhysicalParams(beta=0.2, prandtl=10.0, rayleigh=100.0,
                             gamma=4.0 / 3.0, length=2.0 * ROOT2)
-    assert coefficients(params, "oracle").provenance == "oracle"
-    assert coefficients(params, "closed_form").provenance == "closed_form"
-    assert coefficients(params, "published").provenance == "published"
-    with pytest.raises(ValueError):
-        coefficients(params, "guesswork")
+    # the route table is the only list of routes, in the report's column order
+    assert PROVENANCES == tuple(_ROUTES) == ("oracle", "closed_form", "published")
+    fields = [field.name for field in dataclasses.fields(ProjectionTermReport)]
+    assert fields[1:4] == list(PROVENANCES)
+    for route in PROVENANCES:
+        assert coefficients(params, route).provenance == route
+    for source in ("bogus", None, ["oracle"]):
+        message = f"unknown coefficient source {source!r}"
+        with pytest.raises(ArgumentError, match=f"^{re.escape(message)}$"):
+            coefficients(params, source)
+
+
+PUBLIC_ROUTES = {"oracle": oracle_coefficients, "closed_form": closed_form_coefficients,
+                 "published": published_coefficients}
+
+
+def test_every_entry_point_gives_the_dispatcher_bit_for_bit():
+    # the report's columns and each route's public function are the dispatcher's values
+    for params in itertools.islice(_oracle_domain_draws(), 50):
+        rows = discrepancy_report(params)[len(TERM_NAMES):]
+        for route in PROVENANCES:
+            expected = coefficients(params, route)
+            assert [getattr(row, route) for row in rows] == expected.as_array().tolist()
+            assert PUBLIC_ROUTES[route](params) == expected
+
+
+@pytest.mark.parametrize("prandtl, rayleigh", [(10.0, 100.0), (1e10, 1e12), (5e-324, 1e300)])
+def test_each_coefficient_is_compared_on_its_own_scale(prandtl, rayleigh):
+    # e1, e2 scale with Pr and e2, e5 with sqrt(Ra); neither may hide the others' deviations
+    params = PhysicalParams(beta=0.5, prandtl=prandtl, rayleigh=rayleigh)
+    for row in discrepancy_report(params)[len(TERM_NAMES):]:
+        o, c = row.oracle, row.closed_form
+        scale = max(abs(c), abs(o))
+        assert row.rel_dev_closed_form == (abs(c - o) / scale if scale else 0.0), row.term
 
 
 def test_galerkin_coeffs_validation():
